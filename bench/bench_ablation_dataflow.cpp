@@ -9,6 +9,7 @@
 
 #include "isa/instruction.hpp"
 #include "sim/pe_model.hpp"
+#include "tensor/bit_mask.hpp"
 #include "tensor/sparse_row.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -24,11 +25,11 @@ SparseRow random_row(std::size_t len, double density, Rng& rng) {
   return compress_row(dense);
 }
 
-MaskRow random_mask(std::size_t len, double density, Rng& rng) {
+BitMask random_mask(std::size_t len, double density, Rng& rng) {
   std::vector<float> dense(len, 0.0f);
   for (auto& x : dense)
     if (rng.bernoulli(density)) x = 1.0f;
-  return mask_from_dense(dense);
+  return bitmask_from_dense(dense);
 }
 
 }  // namespace
@@ -73,11 +74,9 @@ int main() {
     for (int t = 0; t < trials; ++t) {
       const SparseRow row = random_row(L, rho, rng);
       c_src += static_cast<double>(pe.run_src(row, src).cycles);
-      MaskRow full;
-      full.length = L;
-      for (std::uint32_t i = 0; i < L; ++i) full.offsets.push_back(i);
+      const BitMask full = bitmask_all(L);
       c_mf += static_cast<double>(pe.run_msrc(row, full, msrc_full).cycles);
-      const MaskRow partial = random_mask(L, 0.45, rng);
+      const BitMask partial = random_mask(L, 0.45, rng);
       c_mm +=
           static_cast<double>(pe.run_msrc(row, partial, msrc_masked).cycles);
       const SparseRow i_row = random_row(L, 0.45, rng);

@@ -8,20 +8,18 @@
 // scaling factor; with --scaling the pass becomes a {1, 2, 4, 8}-worker
 // sweep and each entry carries its whole speedup curve. Results go to
 // stdout as a table and to a JSON file (default BENCH_exact_engine.json —
-// schema sparsetrain.bench_exact_throughput/v3, documented in the
+// schema sparsetrain.bench_exact_throughput/v4, documented in the
 // README's Performance section) so CI can archive the trajectory run
 // over run and gate on the 4-worker speedup.
 //
-// The JSON records which row-op kernel path the binary was built with
-// (`"simd"`, from dataflow::simd_mode()). --baseline PATH merges a prior
-// run of the *other* build into each entry (`baseline` object with that
-// run's seconds and the resulting speedup), which is how the committed
-// snapshot carries both the scalar and the SIMD measurement of one host:
-// bench the scalar build first, then the SIMD build with
-// --baseline scalar.json. The simulated fields must agree exactly with
-// the baseline's — the driver fails loudly if they don't, because a
-// simulated-field mismatch between kernel paths is a correctness bug,
-// not a perf regression.
+// --baseline PATH is a before/after A/B: it merges a prior run — say the
+// parent commit's build — into each entry (`baseline` object with that
+// run's seconds and the resulting speedup). Bench the parent first, then
+// the change with --baseline parent.json. The simulated fields must
+// agree exactly with the baseline's, and at least one entry must match:
+// the driver fails loudly otherwise, because a simulated-field mismatch
+// is a correctness bug, not a perf regression, and a baseline that
+// matches nothing checks nothing.
 //
 // Layer selection: every zoo workload contributes its median-MACs conv
 // layer, and AlexNet/ImageNet conv2 (the acceptance geometry tracked
@@ -44,7 +42,6 @@
 #include <vector>
 
 #include "dataflow/conv_decompose.hpp"
-#include "dataflow/row_ops.hpp"
 #include "serve/json.hpp"
 #include "sim/exact_engine.hpp"
 #include "util/args.hpp"
@@ -141,10 +138,8 @@ struct BaselineEntry {
   std::size_t cycles = 0;
 };
 
-struct Baseline {
-  std::string simd = "unknown";
-  std::map<std::string, BaselineEntry> entries;  // workload|layer|stage
-};
+/// Baseline entries keyed by workload|layer|stage.
+using Baseline = std::map<std::string, BaselineEntry>;
 
 std::string baseline_key(const std::string& workload,
                          const std::string& layer, const std::string& stage) {
@@ -161,9 +156,12 @@ bool load_baseline(const std::string& path, Baseline& out) {
   buf << in.rdbuf();
   try {
     const serve::JsonValue doc = serve::parse_json(buf.str());
-    out.simd = doc.get_string("simd", "unknown");
     const serve::JsonValue* entries = doc.find("entries");
-    if (entries == nullptr) return false;
+    if (entries == nullptr) {
+      std::fprintf(stderr, "baseline %s has no \"entries\" array\n",
+                   path.c_str());
+      return false;
+    }
     for (const serve::JsonValue& e : entries->as_array()) {
       BaselineEntry be;
       be.seconds_serial = e.get_number("seconds_serial", 0.0);
@@ -171,9 +169,9 @@ bool load_baseline(const std::string& path, Baseline& out) {
       be.row_ops = static_cast<std::size_t>(e.get_number("row_ops", 0.0));
       be.macs = static_cast<std::size_t>(e.get_number("macs", 0.0));
       be.cycles = static_cast<std::size_t>(e.get_number("cycles", 0.0));
-      out.entries[baseline_key(e.get_string("workload", ""),
-                               e.get_string("layer", ""),
-                               e.get_string("stage", ""))] = be;
+      out[baseline_key(e.get_string("workload", ""),
+                       e.get_string("layer", ""),
+                       e.get_string("stage", ""))] = be;
     }
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "baseline %s: %s\n", path.c_str(), ex.what());
@@ -195,7 +193,8 @@ int main(int argc, char** argv) {
        {"workers", "parallel-pass worker count (0 = hardware)"},
        {"baseline",
         "prior run's JSON to merge (records its timings per entry; "
-        "simulated fields must match exactly)"}});
+        "at least one entry must match, with identical simulated "
+        "fields)"}});
   if (args.help_requested()) {
     std::printf("%s", args.usage(argv[0]).c_str());
     return 0;
@@ -268,11 +267,7 @@ int main(int argc, char** argv) {
 
   std::string json;
   json += "{\n";
-  json += "  \"schema\": \"sparsetrain.bench_exact_throughput/v3\",\n";
-  json += "  \"simd\": \"" + std::string(dataflow::simd_mode()) + "\",\n";
-  if (have_baseline) {
-    json += "  \"baseline_simd\": \"" + baseline.simd + "\",\n";
-  }
+  json += "  \"schema\": \"sparsetrain.bench_exact_throughput/v4\",\n";
   json += "  \"densities\": {\"input_acts\": " + std::to_string(kInputDensity) +
           ", \"output_grads\": " + std::to_string(kGradDensity) +
           ", \"mask\": " + std::to_string(kMaskDensity) + "},\n";
@@ -281,6 +276,7 @@ int main(int argc, char** argv) {
   json += "  \"hw_concurrency\": " + std::to_string(hw) + ",\n";
   json += "  \"entries\": [\n";
   bool first_entry = true;
+  std::size_t matched = 0;
 
   for (const auto& bc : cases) {
     const workload::LayerConfig& l = *bc.layer;
@@ -380,13 +376,14 @@ int main(int argc, char** argv) {
       }
       json += "]";
       if (have_baseline) {
-        const auto it = baseline.entries.find(
-            baseline_key(bc.workload, l.name, sr.stage));
-        if (it != baseline.entries.end()) {
+        const auto it =
+            baseline.find(baseline_key(bc.workload, l.name, sr.stage));
+        if (it != baseline.end()) {
+          ++matched;
           const BaselineEntry& be = it->second;
-          // Kernel-path equivalence gate: the simulated fields are pure
-          // functions of the inputs, so any divergence from the baseline
-          // build is a bug, not noise.
+          // Byte-identity gate: the simulated fields are pure functions
+          // of the inputs, so any divergence from the baseline is a bug,
+          // not noise.
           if (be.tasks != sr.tasks || be.row_ops != sr.row_ops ||
               be.macs != sr.macs || be.cycles != sr.cycles) {
             std::fprintf(stderr,
@@ -399,8 +396,7 @@ int main(int argc, char** argv) {
           const double speedup = sr.seconds_serial > 0.0
                                      ? be.seconds_serial / sr.seconds_serial
                                      : 0.0;
-          json += ", \"baseline\": {\"simd\": \"" + baseline.simd +
-                  "\", \"seconds_serial\": " +
+          json += ", \"baseline\": {\"seconds_serial\": " +
                   std::to_string(be.seconds_serial) +
                   ", \"speedup\": " + std::to_string(speedup) + "}";
         }
@@ -411,6 +407,17 @@ int main(int argc, char** argv) {
   json += "\n  ]\n}\n";
 
   std::printf("%s", table.to_string().c_str());
+  if (have_baseline) {
+    std::printf("\nbaseline %s: %zu of %zu entries matched\n",
+                baseline_path.c_str(), matched, cases.size() * 3);
+    if (matched == 0) {
+      std::fprintf(stderr,
+                   "FATAL: no entry matched baseline %s, so no simulated "
+                   "field was checked\n",
+                   baseline_path.c_str());
+      return 1;
+    }
+  }
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {

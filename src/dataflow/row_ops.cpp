@@ -73,13 +73,6 @@ void msrc_row_conv(SparseRowView input, std::span<const float> kernel,
   }
 }
 
-void msrc_row_conv(SparseRowView input, std::span<const float> kernel,
-                   const MaskRow& mask, const RowGeometry& geo,
-                   std::span<float> out) {
-  ST_REQUIRE(mask.length == out.size(), "MSRC mask length != output length");
-  msrc_row_conv(input, kernel, bitmask_from(mask), geo, out);
-}
-
 void osrc_row_conv(SparseRowView input_acts, SparseRowView grad_out,
                    const RowGeometry& geo, std::span<float> dw) {
   ST_REQUIRE(dw.size() == geo.kernel, "OSRC scratchpad length != K");
@@ -96,12 +89,6 @@ void osrc_row_conv(SparseRowView input_acts, SparseRowView grad_out,
           dw[k] += g * input_acts.values[idx];
         }
       });
-}
-
-RowOpWork msrc_work(SparseRowView input, const MaskRow& mask,
-                    const RowGeometry& geo, std::size_t out_len) {
-  ST_REQUIRE(mask.length == out_len, "MSRC mask length != output length");
-  return msrc_work(input, bitmask_from(mask), geo, out_len);
 }
 
 }  // namespace sparsetrain::dataflow

@@ -14,45 +14,23 @@
 // cycle simulator's work counting. Operands are SparseRowView spans (an
 // owning SparseRow converts implicitly), masks are word-packed BitMasks;
 // the work counters below are the exact engine's inner loop and use O(1)
-// window arithmetic per nonzero instead of per-tap searches.
-//
-// Each work counter exists twice: a portable `*_scalar` reference (always
-// compiled — it is the equivalence baseline and the fallback) and the
-// dispatching entry point the engine calls, which routes to the AVX2
-// register-blocked kernels of row_ops_simd.hpp when the build enables
-// them (CMake SPARSETRAIN_SIMD; see the README's Performance section).
-// Both paths return identical counts bit for bit — the counters feed the
-// exact engine whose every simulated field must reproduce exactly across
-// builds (tests/test_row_ops_simd.cpp fuzzes the pair in one binary).
+// window arithmetic per nonzero instead of per-tap searches
+// (tests/test_row_ops.cpp checks them against naive per-tap loops).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <span>
 
 #include "tensor/bit_mask.hpp"
 #include "tensor/sparse_row.hpp"
 #include "util/require.hpp"
 
-#if defined(SPARSETRAIN_SIMD_ENABLED) && defined(__AVX2__)
-#define SPARSETRAIN_SIMD_AVX2 1
-#include "dataflow/row_ops_simd.hpp"
-#else
-#define SPARSETRAIN_SIMD_AVX2 0
-#endif
-
 namespace sparsetrain::dataflow {
 
-/// True when this build dispatches the row-op counters to SIMD kernels.
-constexpr bool simd_enabled() { return SPARSETRAIN_SIMD_AVX2 != 0; }
-
-/// The kernel path compiled into this build ("avx2" or "scalar") —
-/// recorded by bench_exact_throughput's JSON so trajectories are
-/// attributable.
-constexpr const char* simd_mode() {
-  return SPARSETRAIN_SIMD_AVX2 ? "avx2" : "scalar";
-}
+/// Row-op kernel label recorded in benchmark provenance; the counters
+/// have one portable implementation.
+constexpr const char* simd_mode() { return "scalar"; }
 
 /// Geometry shared by the row ops: kernel size K, stride S, left padding P.
 struct RowGeometry {
@@ -77,12 +55,6 @@ void msrc_row_conv(SparseRowView input, std::span<const float> kernel,
                    const BitMask& mask, const RowGeometry& geo,
                    std::span<float> out);
 
-/// Compatibility overload for the sorted-offset mask representation
-/// (converts per call — reference/test paths only, never the hot loop).
-void msrc_row_conv(SparseRowView input, std::span<const float> kernel,
-                   const MaskRow& mask, const RowGeometry& geo,
-                   std::span<float> out);
-
 /// OSRC — GTW-step row correlation.
 /// dw[k] += Σ_ox dO[ox] · I[ox·S + k − P] for k in [0, K).
 /// Both operands are sparse; `dw` must have length K.
@@ -104,32 +76,11 @@ struct RowOpWork {
 // are defined inline here: the per-op bodies are a handful of arithmetic
 // instructions, and a cross-TU call per op would cost more than the work.
 
-namespace detail {
-
-/// Gate for the int32 lane arithmetic of the SIMD kernels: every value a
-/// lane computes must fit a signed 32-bit register. Row lengths beyond
-/// this are theoretical (rows are image widths), but the scalar path is
-/// the safety net, not UB.
-constexpr std::uint64_t kLaneMax =
-    static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max());
-
-/// Profitability floors for the SIMD dispatchers: below these nonzero
-/// counts the vector kernels' fixed setup (broadcasts, lane widening,
-/// horizontal sums) costs more than the row's whole work and the scalar
-/// loop wins — measured on the committed bench workloads, whose image
-/// rows carry only a handful of nonzeros. Dispatch choice never changes
-/// counts, only speed (the equivalence fuzz suite pins both paths).
-constexpr std::size_t kSrcSimdMinNnz = 16;
-constexpr std::size_t kOsrcSimdMinNnz = 32;
-
-}  // namespace detail
-
-/// Work of an SRC op (mask-free) — portable scalar reference. O(1) per
-/// input nonzero: the valid taps of position p form the arithmetic
-/// progression k ≡ (p+P) mod S inside a window, so their count needs no
-/// tap loop — and no division when S = 1.
-inline RowOpWork src_work_scalar(SparseRowView input, const RowGeometry& geo,
-                                 std::size_t out_len) {
+/// Work of an SRC op (mask-free). O(1) per input nonzero: the valid taps
+/// of position p form the arithmetic progression k ≡ (p+P) mod S inside a
+/// window, so their count needs no tap loop — and no division when S = 1.
+inline RowOpWork src_work(SparseRowView input, const RowGeometry& geo,
+                          std::size_t out_len) {
   RowOpWork w;
   if (out_len == 0) {
     w.skipped_inputs = input.nnz();
@@ -141,8 +92,7 @@ inline RowOpWork src_work_scalar(SparseRowView input, const RowGeometry& geo,
       S * (static_cast<std::int64_t>(out_len) - 1);  // klo > 0 above this
   if (S == 1) {
     // Unit stride: every k in [klo, khi] is a tap — the loop body is pure
-    // branch-free clamp arithmetic (the SIMD kernel is this same body,
-    // eight lanes at a time).
+    // branch-free clamp arithmetic.
     for (std::size_t i = 0; i < input.nnz(); ++i) {
       const std::int64_t base = static_cast<std::int64_t>(input.offsets[i]) +
                                 static_cast<std::int64_t>(geo.padding);
@@ -178,38 +128,11 @@ inline RowOpWork src_work_scalar(SparseRowView input, const RowGeometry& geo,
   return w;
 }
 
-/// Work of an SRC op — the engine's entry point. Stride-1 rows with
-/// enough nonzeros take the AVX2 8-lane clamp kernel when compiled in;
-/// everything else (strided congruence, near-empty rows, degenerate
-/// geometries, int32-unsafe lengths) falls back to the scalar reference.
-/// Identical counts either way.
-inline RowOpWork src_work(SparseRowView input, const RowGeometry& geo,
-                          std::size_t out_len) {
-#if SPARSETRAIN_SIMD_AVX2
-  if (input.nnz() >= detail::kSrcSimdMinNnz && geo.stride == 1 &&
-      out_len > 0 &&
-      static_cast<std::uint64_t>(input.length) + geo.padding <
-          detail::kLaneMax &&
-      out_len <= detail::kLaneMax && geo.kernel <= (1u << 30)) {
-    RowOpWork w;
-    detail::src_work_s1_avx2(
-        input.offsets.data(), input.nnz(),
-        static_cast<std::int32_t>(geo.padding),
-        static_cast<std::int32_t>(geo.kernel) - 1,
-        static_cast<std::int32_t>(out_len - 1), w.macs, w.active_inputs);
-    w.skipped_inputs = input.nnz() - w.active_inputs;
-    return w;
-  }
-#endif
-  return src_work_scalar(input, geo, out_len);
-}
-
-/// Work of an MSRC op — portable scalar reference: per-input-window mask
-/// intersection. The window of a nonzero is K consecutive output
-/// positions, so its allowed count is one BitMask::count_in.
-inline RowOpWork msrc_work_scalar(SparseRowView input, const BitMask& mask,
-                                  const RowGeometry& geo,
-                                  std::size_t out_len) {
+/// Work of an MSRC op: per-input-window mask intersection. The window of
+/// a nonzero is K consecutive output positions, so its allowed count is
+/// one BitMask::count_in.
+inline RowOpWork msrc_work(SparseRowView input, const BitMask& mask,
+                           const RowGeometry& geo, std::size_t out_len) {
   ST_REQUIRE(mask.length() == out_len, "MSRC mask length != output length");
   RowOpWork w;
   for (std::size_t i = 0; i < input.nnz(); ++i) {
@@ -239,43 +162,12 @@ inline RowOpWork msrc_work_scalar(SparseRowView input, const BitMask& mask,
   return w;
 }
 
-/// Work of an MSRC op — the engine's entry point. Kernels ≤ 64 wide (a
-/// window straddles at most two mask words) take the AVX2 4-lane
-/// gather + in-register-popcount kernel when compiled in; wider kernels
-/// and int32-unsafe geometries fall back to the scalar reference.
-inline RowOpWork msrc_work(SparseRowView input, const BitMask& mask,
-                           const RowGeometry& geo, std::size_t out_len) {
-#if SPARSETRAIN_SIMD_AVX2
-  if (geo.kernel > 0 && geo.kernel <= 64 && out_len > 0 &&
-      out_len <= detail::kLaneMax && geo.padding <= detail::kLaneMax &&
-      geo.stride > 0 &&
-      static_cast<std::uint64_t>(input.length) <=
-          (detail::kLaneMax - geo.kernel) / geo.stride) {
-    ST_REQUIRE(mask.length() == out_len, "MSRC mask length != output length");
-    RowOpWork w;
-    detail::msrc_work_avx2(input.offsets.data(), input.nnz(),
-                           static_cast<std::int32_t>(geo.stride),
-                           static_cast<std::int32_t>(geo.padding),
-                           static_cast<std::int32_t>(geo.kernel),
-                           static_cast<std::int32_t>(out_len),
-                           mask.word_data(), w.macs, w.skipped_inputs);
-    w.active_inputs = input.nnz() - w.skipped_inputs;
-    return w;
-  }
-#endif
-  return msrc_work_scalar(input, mask, geo, out_len);
-}
-
-/// Compatibility overload (converts the mask per call).
-RowOpWork msrc_work(SparseRowView input, const MaskRow& mask,
-                    const RowGeometry& geo, std::size_t out_len);
-
 /// Work of an MSRC op against a prefix-popcount mask: `mask_prefix` has
 /// out_len + 1 entries with mask_prefix[i] = number of allowed outputs
 /// before position i, so every window query is two loads and a subtract
 /// instead of a word-funnel popcount. The GTA stage amortises one O(W)
 /// prefix build per task over its F·K row ops. Counts are identical to
-/// the BitMask overloads for the mask the prefix was built from (the
+/// the BitMask overload for the mask the prefix was built from (the
 /// equivalence suite pins this).
 inline RowOpWork msrc_work(SparseRowView input,
                            const std::uint32_t* mask_prefix,
@@ -311,11 +203,10 @@ inline RowOpWork msrc_work(SparseRowView input,
 /// monotonically with ox, so two pointers sweep I once across all dO
 /// nonzeros — O(nnz_dO + nnz_I) instead of nnz_dO · K · log(nnz_I).
 /// Calls visit(j, win_lo, lo, hi) per dO nonzero with I's members of the
-/// window at offsets[lo, hi). This is the portable scalar reference.
+/// window at offsets[lo, hi).
 template <typename Visit>
-inline void osrc_window_sweep_scalar(SparseRowView input_acts,
-                                     SparseRowView grad_out,
-                                     const RowGeometry& geo, Visit&& visit) {
+inline void osrc_window_sweep(SparseRowView input_acts, SparseRowView grad_out,
+                              const RowGeometry& geo, Visit&& visit) {
   std::size_t lo = 0, hi = 0;
   const std::size_t nnz_i = input_acts.nnz();
   for (std::size_t j = 0; j < grad_out.nnz(); ++j) {
@@ -334,68 +225,8 @@ inline void osrc_window_sweep_scalar(SparseRowView input_acts,
   }
 }
 
-/// The dispatching OSRC window sweep — identical visit sequence (same j,
-/// win_lo, lo, hi for every call), but the two pointer-advance loops run
-/// 8 offsets per compare+popcount step when the AVX2 path is compiled in
-/// and the I row is long enough to amortise it. osrc_row_conv rides this
-/// too: since lo/hi are equal either way, its float accumulation order —
-/// and thus its bit pattern — is unchanged.
-template <typename Visit>
-inline void osrc_window_sweep(SparseRowView input_acts, SparseRowView grad_out,
-                              const RowGeometry& geo, Visit&& visit) {
-#if SPARSETRAIN_SIMD_AVX2
-  if (input_acts.nnz() >= detail::kOsrcSimdMinNnz &&
-      static_cast<std::uint64_t>(input_acts.length) <= detail::kLaneMax) {
-    std::size_t lo = 0, hi = 0;
-    const std::uint32_t* offs = input_acts.offsets.data();
-    const std::size_t nnz_i = input_acts.nnz();
-    const auto advance = [offs, nnz_i](std::size_t from, std::int64_t bound) {
-      if (bound <= 0) return from;  // offsets are non-negative
-      if (bound > static_cast<std::int64_t>(detail::kLaneMax))
-        return nnz_i;  // every offset < length ≤ INT32_MAX < bound
-      return detail::advance_lt_avx2(offs, nnz_i, from,
-                                     static_cast<std::int32_t>(bound));
-    };
-    for (std::size_t j = 0; j < grad_out.nnz(); ++j) {
-      const std::int64_t win_lo =
-          static_cast<std::int64_t>(grad_out.offsets[j]) *
-              static_cast<std::int64_t>(geo.stride) -
-          static_cast<std::int64_t>(geo.padding);
-      const std::int64_t win_hi =
-          win_lo + static_cast<std::int64_t>(geo.kernel);
-      lo = advance(lo, win_lo);
-      if (hi < lo) hi = lo;
-      hi = advance(hi, win_hi);
-      visit(j, win_lo, lo, hi);
-    }
-    return;
-  }
-#endif
-  osrc_window_sweep_scalar(input_acts, grad_out, geo,
-                           std::forward<Visit>(visit));
-}
-
-/// Work of an OSRC op — portable scalar reference: pairs of nonzeros
-/// whose offset difference lands in the K-length scratchpad (one window
-/// sweep, counts only).
-inline RowOpWork osrc_work_scalar(SparseRowView input_acts,
-                                  SparseRowView grad_out,
-                                  const RowGeometry& geo) {
-  RowOpWork w;
-  osrc_window_sweep_scalar(input_acts, grad_out, geo,
-                           [&](std::size_t, std::int64_t, std::size_t lo,
-                               std::size_t hi) {
-                             if (hi > lo) {
-                               ++w.active_inputs;
-                               w.macs += hi - lo;
-                             } else {
-                               ++w.skipped_inputs;
-                             }
-                           });
-  return w;
-}
-
-/// Work of an OSRC op — the engine's entry point (dispatching sweep).
+/// Work of an OSRC op: pairs of nonzeros whose offset difference lands in
+/// the K-length scratchpad (one window sweep, counts only).
 inline RowOpWork osrc_work(SparseRowView input_acts, SparseRowView grad_out,
                            const RowGeometry& geo) {
   RowOpWork w;

@@ -8,7 +8,7 @@
 //    "engine":"statistical","batch":1,"timeout_ms":5000}
 //   {"type":"stats","id":"s"}      — store + cache + request counters
 //   {"type":"status","id":"q"}     — liveness + provenance (pid, uptime,
-//                                    SIMD mode, schema versions)
+//                                    tracing state, schema versions)
 //   {"type":"metrics","id":"m","format":"json"}
 //       — full metrics-registry snapshot: "json" answers the
 //         sparsetrain.metrics/v1 document, "prometheus" answers the text

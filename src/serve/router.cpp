@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "dataflow/row_ops.hpp"
 #include "serve/line_server.hpp"
 #include "serve/server.hpp"
 #include "util/hash.hpp"
@@ -545,8 +544,7 @@ Response Router::status_response(const Request& req) const {
      // Provenance, mirroring the daemon's status fields.
      << ", \"pid\": " << process_id()
      << ", \"uptime_s\": " << seconds_since(started_)
-     << ", \"simd\": \"" << dataflow::simd_mode()
-     << "\", \"tracing\": " << (tracer_ != nullptr ? "true" : "false")
+     << ", \"tracing\": " << (tracer_ != nullptr ? "true" : "false")
      << ", \"schemas\": {\"metrics\": \"sparsetrain.metrics/v1\""
      << ", \"stats\": \"router_stats/v1\"}}";
   resp.payload_json = os.str();

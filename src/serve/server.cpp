@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/export.hpp"
-#include "dataflow/row_ops.hpp"
 #include "isa/instruction.hpp"
 #include "serve/line_server.hpp"
 #include "serve/report_io.hpp"
@@ -444,12 +443,11 @@ Response Server::status_response(const Request& req) {
      << ", \"timeouts\": " << c.timeouts
      << ", \"overloaded\": " << c.overloaded
      << ", \"idle_closed\": " << c.idle_closed << ", \"puts\": " << c.puts
-     // Provenance: which process is this, how was it built, how long has
-     // it been up, and which schema versions does it speak.
+     // Provenance: which process is this, how long has it been up, and
+     // which schema versions does it speak.
      << ", \"pid\": " << process_id()
      << ", \"uptime_s\": " << seconds_since(started_)
-     << ", \"simd\": \"" << dataflow::simd_mode()
-     << "\", \"tracing\": " << (tracer_ != nullptr ? "true" : "false")
+     << ", \"tracing\": " << (tracer_ != nullptr ? "true" : "false")
      << ", \"schemas\": {\"metrics\": \"sparsetrain.metrics/v1\""
      << ", \"stats\": \"sparsetrain.store_stats/v2\""
      << ", \"store\": \"sparsetrain.store/v1\""

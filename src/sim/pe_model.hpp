@@ -108,13 +108,6 @@ class PeExact {
     return cost;
   }
 
-  /// Compatibility overload for the sorted-offset mask representation
-  /// (converts per call — test/reference paths only).
-  PeCost run_msrc(SparseRowView input, const MaskRow& mask,
-                  const isa::RowBlock& geo) const {
-    return run_msrc(input, bitmask_from(mask), geo);
-  }
-
   /// OSRC: dO nonzeros are cached in Reg-1 in chunks of K; every I nonzero
   /// is streamed once per chunk.
   PeCost run_osrc(SparseRowView input_acts, SparseRowView grad_out,

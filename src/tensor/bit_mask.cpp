@@ -2,16 +2,14 @@
 
 #include <algorithm>
 
-#include "util/require.hpp"
-
 namespace sparsetrain {
 
 void BitMask::reset_words(std::uint32_t length) {
   length_ = length;
   const std::size_t n = (static_cast<std::size_t>(length) + 63) / 64;
-  // Two zero guard words past the payload (see word_data()) so windowed
-  // kernels read words [w, w+1] unconditionally for any w ≤ n.
-  words_.assign(n + 2, 0);  // reuses capacity: no allocation once warm
+  // One zero guard word past the payload: count_in's two-word funnel
+  // reads words_[w + 1] for any start word w < n.
+  words_.assign(n + 1, 0);  // reuses capacity: no allocation once warm
 }
 
 void BitMask::assign_all(std::uint32_t length) {
@@ -29,14 +27,6 @@ void BitMask::assign_from_dense(std::span<const float> dense) {
   reset_words(static_cast<std::uint32_t>(dense.size()));
   for (std::size_t i = 0; i < dense.size(); ++i)
     if (dense[i] != 0.0f) words_[i >> 6] |= std::uint64_t{1} << (i & 63);
-}
-
-void BitMask::assign(const MaskRow& mask) {
-  reset_words(mask.length);
-  for (const std::uint32_t p : mask.offsets) {
-    ST_REQUIRE(p < length_, "BitMask: mask offset out of range");
-    words_[p >> 6] |= std::uint64_t{1} << (p & 63);
-  }
 }
 
 std::size_t BitMask::allowed() const {
@@ -57,7 +47,7 @@ std::size_t BitMask::count_in(std::uint32_t lo, std::uint32_t hi) const {
   if (width <= 64) {
     // Narrow window (the MSRC case: width ≤ kernel ≤ 64): funnel the at
     // most two straddled words into one and popcount once. The guard
-    // words make words_[w + 1] readable for every start word, and the
+    // word makes words_[w + 1] readable for every start word, and the
     // double shift keeps the s == 0 case defined (shift counts stay
     // ≤ 63).
     const std::size_t w = lo >> 6;
@@ -88,12 +78,6 @@ BitMask bitmask_all(std::uint32_t length) {
 BitMask bitmask_from_dense(std::span<const float> dense) {
   BitMask m;
   m.assign_from_dense(dense);
-  return m;
-}
-
-BitMask bitmask_from(const MaskRow& mask) {
-  BitMask m;
-  m.assign(mask);
   return m;
 }
 

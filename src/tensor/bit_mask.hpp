@@ -1,22 +1,18 @@
 // Word-packed mask of allowed row positions.
 //
 // The GTA step skips gradient positions the following ReLU mask zeroes.
-// MaskRow keeps those positions as a sorted offset list, which makes
-// allows() a per-position binary search — the single hottest query of the
-// exact engine's MSRC path. BitMask stores the same set as 64-bit words:
-// allows() is one shift-and-test, allowed() is a popcount sum, and the
-// look-ahead window test of MSRC (is anything allowed in [lo, hi)?)
-// collapses to a couple of word operations. The assign_* methods reuse
-// the word storage, so a per-thread scratch BitMask rebuilds from a dense
-// mask row with zero steady-state allocations.
+// BitMask stores the allowed positions as 64-bit words: allows() is one
+// shift-and-test, allowed() is a popcount sum, and the look-ahead window
+// test of MSRC (is anything allowed in [lo, hi)?) collapses to a couple of
+// word operations. The assign_* methods reuse the word storage, so a
+// per-thread scratch BitMask rebuilds from a dense mask row with zero
+// steady-state allocations.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "tensor/sparse_row.hpp"
 
 namespace sparsetrain {
 
@@ -33,13 +29,9 @@ class BitMask {
   /// Any nonzero entry of `dense` is an allowed position.
   void assign_from_dense(std::span<const float> dense);
 
-  /// Same set as `mask` (the sorted-offset representation).
-  void assign(const MaskRow& mask);
-
   std::uint32_t length() const { return length_; }
 
-  /// True when position p survives the mask; false beyond length() (the
-  /// same total-function contract as MaskRow::allows). O(1).
+  /// True when position p survives the mask; false beyond length(). O(1).
   bool allows(std::uint32_t p) const {
     return p < length_ && ((words_[p >> 6] >> (p & 63)) & 1u);
   }
@@ -56,7 +48,7 @@ class BitMask {
   std::size_t count_in(std::uint32_t lo, std::uint32_t hi) const;
 
   /// Word-level access for word-skipping iteration (bits ≥ length() are
-  /// guaranteed zero). Excludes the guard words.
+  /// guaranteed zero). Excludes the guard word.
   std::span<const std::uint64_t> words() const {
     return std::span<const std::uint64_t>(words_.data(), word_count());
   }
@@ -66,25 +58,16 @@ class BitMask {
     return (static_cast<std::size_t>(length_) + 63) / 64;
   }
 
-  /// Raw word pointer for windowed kernels. The storage always carries
-  /// two zero guard words past word_count(), so a two-word window read
-  /// words[w], words[w + 1] is in-bounds for every w ≤ word_count() —
-  /// the AVX2 MSRC kernel gathers both window words branch-free even
-  /// when a clamped window starts exactly at length(). Never null once
-  /// assigned (zero-length masks still hold the guards).
-  const std::uint64_t* word_data() const { return words_.data(); }
-
  private:
-  /// Sizes the word array for `length` bits plus guards, zero-filled.
+  /// Sizes the word array for `length` bits plus the guard, zero-filled.
   void reset_words(std::uint32_t length);
 
   std::uint32_t length_ = 0;
-  std::vector<std::uint64_t> words_;  ///< word_count() payload + 2 guards
+  std::vector<std::uint64_t> words_;  ///< word_count() payload + 1 guard
 };
 
 /// Value-returning conveniences (tests, reference paths).
 BitMask bitmask_all(std::uint32_t length);
 BitMask bitmask_from_dense(std::span<const float> dense);
-BitMask bitmask_from(const MaskRow& mask);
 
 }  // namespace sparsetrain

@@ -73,33 +73,4 @@ SparseRow materialize(SparseRowView row) {
   return out;
 }
 
-double MaskRow::density() const {
-  if (length == 0) return 0.0;
-  return static_cast<double>(allowed()) / static_cast<double>(length);
-}
-
-bool MaskRow::allows(std::uint32_t p) const {
-  return std::binary_search(offsets.begin(), offsets.end(), p);
-}
-
-MaskRow mask_from_dense(std::span<const float> dense) {
-  MaskRow mask;
-  mask.length = static_cast<std::uint32_t>(dense.size());
-  for (std::uint32_t i = 0; i < dense.size(); ++i)
-    if (dense[i] != 0.0f) mask.offsets.push_back(i);
-  return mask;
-}
-
-void apply_mask(std::span<float> dense, const MaskRow& mask) {
-  ST_REQUIRE(dense.size() == mask.length, "apply_mask length mismatch");
-  std::size_t k = 0;
-  for (std::uint32_t i = 0; i < dense.size(); ++i) {
-    if (k < mask.offsets.size() && mask.offsets[k] == i) {
-      ++k;  // allowed position, keep the value
-    } else {
-      dense[i] = 0.0f;
-    }
-  }
-}
-
 }  // namespace sparsetrain

@@ -77,24 +77,4 @@ void decompress_into(SparseRowView row, std::span<float> dense);
 /// Owning copy of a view (for callers that outlive the arena).
 SparseRow materialize(SparseRowView row);
 
-/// Positions a ReLU/MaxPool mask allows (mask nonzero). The GTA step uses
-/// this to skip computing gradients the following mask would zero anyway.
-struct MaskRow {
-  std::uint32_t length = 0;
-  std::vector<std::uint32_t> offsets;  ///< allowed (pass-through) positions
-
-  std::size_t allowed() const { return offsets.size(); }
-  double density() const;
-
-  /// True when position p survives the mask. O(log n).
-  bool allows(std::uint32_t p) const;
-};
-
-/// Builds a MaskRow from a dense 0/1 (or boolean-ish) row: any nonzero
-/// entry is an allowed position.
-MaskRow mask_from_dense(std::span<const float> dense);
-
-/// Applies a mask to a dense row in place (disallowed positions zeroed).
-void apply_mask(std::span<float> dense, const MaskRow& mask);
-
 }  // namespace sparsetrain

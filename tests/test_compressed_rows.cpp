@@ -139,41 +139,35 @@ TEST(CompressedRows, BuilderRejectsCountMismatch) {
 
 // --------------------------------------------------------------- BitMask
 
-MaskRow random_mask_row(std::uint32_t length, double density, Rng& rng) {
-  MaskRow m;
-  m.length = length;
-  for (std::uint32_t p = 0; p < length; ++p)
-    if (rng.bernoulli(density)) m.offsets.push_back(p);
-  return m;
+/// Random dense 0/1 mask row.
+std::vector<float> random_mask_dense(std::uint32_t length, double density,
+                                     Rng& rng) {
+  std::vector<float> dense(length, 0.0f);
+  for (auto& v : dense)
+    if (rng.bernoulli(density)) v = 1.0f;
+  return dense;
 }
 
-TEST(BitMask, MatchesMaskRowOnRandomMasks) {
+TEST(BitMask, FromDenseMatchesDenseRowOnRandomMasks) {
   Rng rng(21);
-  for (const std::uint32_t length : {1u, 7u, 63u, 64u, 65u, 200u}) {
+  for (const std::uint32_t length : {1u, 7u, 63u, 64u, 65u, 130u, 200u}) {
     for (const double density : {0.0, 0.1, 0.5, 0.9, 1.0}) {
-      const MaskRow ref = random_mask_row(length, density, rng);
-      const BitMask mask = bitmask_from(ref);
-      ASSERT_EQ(mask.length(), ref.length);
-      EXPECT_EQ(mask.allowed(), ref.allowed());
-      EXPECT_DOUBLE_EQ(mask.density(), ref.density());
+      std::vector<float> dense = random_mask_dense(length, density, rng);
+      // Any nonzero value, not just 1, is an allowed position.
+      for (std::size_t p = 0; p < dense.size(); p += 3) dense[p] *= -0.25f;
+      const BitMask mask = bitmask_from_dense(dense);
+      std::size_t allowed = 0;
+      for (const float v : dense) allowed += v != 0.0f ? 1 : 0;
+      ASSERT_EQ(mask.length(), length);
+      EXPECT_EQ(mask.allowed(), allowed);
+      EXPECT_DOUBLE_EQ(mask.density(), static_cast<double>(allowed) /
+                                           static_cast<double>(length));
       for (std::uint32_t p = 0; p < length; ++p)
-        EXPECT_EQ(mask.allows(p), ref.allows(p))
+        EXPECT_EQ(mask.allows(p), dense[p] != 0.0f)
             << "length " << length << " density " << density << " p " << p;
+      EXPECT_FALSE(mask.allows(length));  // total beyond length()
     }
   }
-}
-
-TEST(BitMask, FromDenseMatchesMaskFromDense) {
-  Rng rng(22);
-  std::vector<float> dense(130);
-  for (auto& v : dense)
-    v = rng.bernoulli(0.4) ? static_cast<float>(rng.normal()) : 0.0f;
-  const MaskRow ref = mask_from_dense(dense);
-  const BitMask mask = bitmask_from_dense(dense);
-  ASSERT_EQ(mask.length(), ref.length);
-  EXPECT_EQ(mask.allowed(), ref.allowed());
-  for (std::uint32_t p = 0; p < mask.length(); ++p)
-    EXPECT_EQ(mask.allows(p), ref.allows(p));
 }
 
 TEST(BitMask, AllPassAndNone) {
@@ -198,14 +192,14 @@ TEST(BitMask, AllPassAndNone) {
 TEST(BitMask, CountInMatchesManualCount) {
   Rng rng(23);
   const std::uint32_t length = 200;
-  const MaskRow ref = random_mask_row(length, 0.35, rng);
-  const BitMask mask = bitmask_from(ref);
+  const std::vector<float> dense = random_mask_dense(length, 0.35, rng);
+  const BitMask mask = bitmask_from_dense(dense);
   for (std::uint32_t lo = 0; lo < length; lo += 7) {
     for (const std::uint32_t width : {0u, 1u, 3u, 5u, 11u, 64u, 130u, 500u}) {
       const std::uint32_t hi = lo + width;  // may exceed length: clamped
       std::size_t manual = 0;
       for (std::uint32_t p = lo; p < std::min(hi, length); ++p)
-        manual += ref.allows(p) ? 1 : 0;
+        manual += dense[p] != 0.0f ? 1 : 0;
       EXPECT_EQ(mask.count_in(lo, hi), manual) << "lo " << lo << " hi " << hi;
     }
   }
@@ -271,7 +265,7 @@ RowOpWork src_work(const SparseRow& input, const RowGeometry& geo,
   return w;
 }
 
-RowOpWork msrc_work(const SparseRow& input, const MaskRow& mask,
+RowOpWork msrc_work(const SparseRow& input, const std::vector<float>& mask,
                     const RowGeometry& geo, std::size_t out_len) {
   RowOpWork w;
   for (std::size_t i = 0; i < input.nnz(); ++i) {
@@ -282,7 +276,7 @@ RowOpWork msrc_work(const SparseRow& input, const MaskRow& mask,
                                static_cast<std::int64_t>(k) -
                                static_cast<std::int64_t>(geo.padding);
       if (idx < 0 || idx >= static_cast<std::int64_t>(out_len)) continue;
-      if (!mask.allows(static_cast<std::uint32_t>(idx))) continue;
+      if (mask[static_cast<std::size_t>(idx)] == 0.0f) continue;
       ++macs_here;
     }
     if (macs_here > 0) {
@@ -360,9 +354,9 @@ TEST(RowOpWorkEquivalence, OptimisedCountersMatchPerTapReference) {
                              reference::src_work(in, geo, out_len), "src",
                              geo, len);
 
-            const MaskRow mask_ref = random_mask_row(
+            const std::vector<float> mask_ref = random_mask_dense(
                 static_cast<std::uint32_t>(out_len), 0.5, rng);
-            const BitMask mask = bitmask_from(mask_ref);
+            const BitMask mask = bitmask_from_dense(mask_ref);
             expect_same_work(
                 dataflow::msrc_work(in, mask, geo, out_len),
                 reference::msrc_work(in, mask_ref, geo, out_len), "msrc",

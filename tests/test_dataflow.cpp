@@ -67,16 +67,11 @@ TEST(MsrcRowConv, MaskSkipsForcedZeros) {
 
   // Full mask: plain scatter.
   std::vector<float> out_full(4, 0.0f);
-  MaskRow full;
-  full.length = 4;
-  full.offsets = {0, 1, 2, 3};
-  msrc_row_conv(sparse_from(in), ker, full, geo, out_full);
+  msrc_row_conv(sparse_from(in), ker, bitmask_all(4), geo, out_full);
 
   // Restricted mask: only position 1 allowed.
   std::vector<float> out_masked(4, 0.0f);
-  MaskRow restricted;
-  restricted.length = 4;
-  restricted.offsets = {1};
+  const BitMask restricted = bitmask_from_dense(std::vector<float>{0, 1, 0, 0});
   msrc_row_conv(sparse_from(in), ker, restricted, geo, out_masked);
 
   EXPECT_FLOAT_EQ(out_masked[1], out_full[1]);
@@ -89,9 +84,9 @@ TEST(MsrcRowConv, WorkCountsLookAheadSkips) {
   // An input whose entire output window is masked costs zero cycles.
   const std::vector<float> in = {1, 0, 0, 0, 0, 0, 0, 2};
   RowGeometry geo{3, 1, 1};
-  MaskRow mask;
-  mask.length = 8;
-  mask.offsets = {6, 7};  // only the tail is allowed
+  // Only the tail is allowed.
+  const BitMask mask =
+      bitmask_from_dense(std::vector<float>{0, 0, 0, 0, 0, 0, 1, 1});
   const RowOpWork w = msrc_work(sparse_from(in), mask, geo, 8);
   EXPECT_EQ(w.skipped_inputs, 1u);  // position 0's window {0,1} all masked
   EXPECT_EQ(w.active_inputs, 1u);   // position 7 writes 6,7(,8 oob)
@@ -100,8 +95,7 @@ TEST(MsrcRowConv, WorkCountsLookAheadSkips) {
 
 TEST(MsrcRowConv, MaskLengthChecked) {
   RowGeometry geo{3, 1, 1};
-  MaskRow mask;
-  mask.length = 3;
+  const BitMask mask = bitmask_all(3);
   std::vector<float> out(4, 0.0f);
   const std::vector<float> ker = {1.0f, 1.0f, 1.0f};
   EXPECT_THROW(msrc_row_conv(sparse_from({1, 0, 0, 0}), ker, mask, geo, out),

@@ -67,9 +67,9 @@ TEST(PeExact, MsrcSkipsFullyMaskedInputs) {
   b.kind = RowOpKind::MSRC;
   SparseRow row =
       compress_row(std::vector<float>{5, 0, 0, 0, 0, 0, 0, 7});
-  MaskRow mask;
-  mask.length = 8;
-  mask.offsets = {6, 7};  // only tail positions allowed
+  // Only tail positions allowed.
+  const BitMask mask =
+      bitmask_from_dense(std::vector<float>{0, 0, 0, 0, 0, 0, 1, 1});
   const PeCost cost = pe.run_msrc(row, mask, b);
   // input at 0 scatters to {0,1,2}∩mask = ∅ → skipped by look-ahead.
   EXPECT_EQ(cost.ingested, 1u);
@@ -134,7 +134,7 @@ TEST(PeModel, MsrcClosedFormMatchesExact) {
     std::vector<float> mask_dense(64, 0.0f);
     for (auto& x : mask_dense)
       if (rng.bernoulli(0.4)) x = 1.0f;
-    const MaskRow mask = mask_from_dense(mask_dense);
+    const BitMask mask = bitmask_from_dense(mask_dense);
     sum_cycles += static_cast<double>(pe.run_msrc(row, mask, b).cycles);
   }
   const PeCostStats stats = row_op_cost(b, PeTiming{}, true);

@@ -157,31 +157,5 @@ TEST(SparseRow, ValidRejectsMalformed) {
   EXPECT_TRUE(row.valid());
 }
 
-TEST(MaskRow, FromDenseAndAllows) {
-  const std::vector<float> dense = {0.0f, 3.0f, 0.0f, 1.0f};
-  const MaskRow mask = mask_from_dense(dense);
-  EXPECT_EQ(mask.length, 4u);
-  EXPECT_EQ(mask.allowed(), 2u);
-  EXPECT_TRUE(mask.allows(1));
-  EXPECT_TRUE(mask.allows(3));
-  EXPECT_FALSE(mask.allows(0));
-  EXPECT_DOUBLE_EQ(mask.density(), 0.5);
-}
-
-TEST(MaskRow, ApplyMaskZeroesDisallowed) {
-  const std::vector<float> pattern = {0.0f, 1.0f, 1.0f, 0.0f};
-  const MaskRow mask = mask_from_dense(pattern);
-  std::vector<float> data = {9.0f, 8.0f, 7.0f, 6.0f};
-  apply_mask(data, mask);
-  EXPECT_EQ(data, (std::vector<float>{0.0f, 8.0f, 7.0f, 0.0f}));
-}
-
-TEST(MaskRow, ApplyMaskLengthChecked) {
-  MaskRow mask;
-  mask.length = 3;
-  std::vector<float> data(4, 1.0f);
-  EXPECT_THROW(apply_mask(data, mask), ContractError);
-}
-
 }  // namespace
 }  // namespace sparsetrain
