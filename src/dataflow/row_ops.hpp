@@ -13,9 +13,9 @@
 // validate the dense layer implementations and as the ground truth for the
 // cycle simulator's work counting. Operands are SparseRowView spans (an
 // owning SparseRow converts implicitly), masks are word-packed BitMasks;
-// the work counters below are the exact engine's inner loop and use O(1)
-// window arithmetic per nonzero instead of per-tap searches
-// (tests/test_row_ops.cpp checks them against naive per-tap loops).
+// the work counters below use O(1) window arithmetic per nonzero instead
+// of per-tap searches (tests/test_row_ops.cpp checks them against naive
+// per-tap loops).
 #pragma once
 
 #include <algorithm>
@@ -71,9 +71,10 @@ struct RowOpWork {
   std::size_t skipped_inputs = 0;  ///< nonzeros skipped via mask look-ahead
 };
 
-// The three work counters below are the exact engine's innermost loop —
-// they run once per row op, tens of millions of times per stage — so they
-// are defined inline here: the per-op bodies are a handful of arithmetic
+// The three work counters below run once per row op — src_work once per
+// input row of every forward stage, msrc_work/osrc_work once per op of
+// the view-based PeExact and the StageWork references — so they are
+// defined inline here: the per-op bodies are a handful of arithmetic
 // instructions, and a cross-TU call per op would cost more than the work.
 
 /// Work of an SRC op (mask-free). O(1) per input nonzero: the valid taps
@@ -156,41 +157,6 @@ inline RowOpWork msrc_work(SparseRowView input, const BitMask& mask,
     } else {
       // Whole window masked/out-of-range: the PE's look-ahead skips this
       // input without spending a cycle on it.
-      ++w.skipped_inputs;
-    }
-  }
-  return w;
-}
-
-/// Work of an MSRC op against a prefix-popcount mask: `mask_prefix` has
-/// out_len + 1 entries with mask_prefix[i] = number of allowed outputs
-/// before position i, so every window query is two loads and a subtract
-/// instead of a word-funnel popcount. The GTA stage amortises one O(W)
-/// prefix build per task over its F·K row ops. Counts are identical to
-/// the BitMask overload for the mask the prefix was built from (the
-/// equivalence suite pins this).
-inline RowOpWork msrc_work(SparseRowView input,
-                           const std::uint32_t* mask_prefix,
-                           const RowGeometry& geo, std::size_t out_len) {
-  RowOpWork w;
-  const std::int64_t S = geo.stride;
-  const std::int64_t P = geo.padding;
-  const std::int64_t K = geo.kernel;
-  const auto len = static_cast<std::int64_t>(out_len);
-  for (std::size_t i = 0; i < input.nnz(); ++i) {
-    const std::int64_t win_lo =
-        static_cast<std::int64_t>(input.offsets[i]) * S - P;
-    const std::int64_t win_hi = win_lo + K;
-    std::size_t macs_here = 0;
-    if (win_hi > 0 && win_lo < len) {
-      const std::int64_t lo = win_lo < 0 ? 0 : win_lo;
-      const std::int64_t hi = win_hi < len ? win_hi : len;
-      macs_here = mask_prefix[hi] - mask_prefix[lo];
-    }
-    if (macs_here > 0) {
-      ++w.active_inputs;
-      w.macs += macs_here;
-    } else {
       ++w.skipped_inputs;
     }
   }

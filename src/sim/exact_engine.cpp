@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <type_traits>
 
 #include "sim/profile_hook.hpp"
 #include "util/require.hpp"
@@ -54,15 +55,119 @@ isa::RowBlock block_from(const dataflow::ConvGeometry& geo,
 /// within the first few tasks, after which evaluating a task performs no
 /// heap allocation at all (the zero-alloc contract of the hot path).
 struct TaskScratch {
-  std::vector<std::uint32_t> mask_prefix;  ///< masked GTA: prefix popcount
-  std::vector<std::uint32_t> gta_oy;  ///< ky → source oy (kNoRow: padding)
+  std::vector<std::uint64_t> gta_blocked;  ///< GTA: blocked dO positions
+  std::vector<std::uint32_t> gta_oy;  ///< GTA: source dO rows, ky order
 };
-
-constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
 
 TaskScratch& task_scratch() {
   thread_local TaskScratch scratch;
   return scratch;
+}
+
+/// Bit count in portable word arithmetic: on baseline x86-64 (no POPCNT)
+/// std::popcount lowers to a libgcc call that costs more than the rest of
+/// a GTA row op.
+std::size_t popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<std::size_t>((x * 0x0101010101010101ull) >> 56);
+}
+
+/// The positions [lo, hi) of a K-wide window starting at o·S − P on an
+/// axis of length len, clipped to the axis (empty: hi == lo).
+struct Interval {
+  std::size_t lo;
+  std::size_t hi;
+};
+
+Interval clipped_window(std::size_t o, const dataflow::ConvGeometry& geo,
+                    std::size_t len) {
+  const KyRange r = valid_ky_range(o, geo, len);
+  return r.hi == r.lo ? Interval{0, 0}
+                      : Interval{r.iy0, r.iy0 + (r.hi - r.lo)};
+}
+
+/// Layout of the per-sample summed-area tables the GTA/GTW MAC totals
+/// read. Entry (y, x) of sample n counts the occupied positions
+/// (c, y' < y, x' < x) summed over every channel, so the occupancy of
+/// any box of the H×W plane is four loads.
+struct BoxLayout {
+  std::size_t h;
+  std::size_t w;
+  std::size_t pitch() const { return w + 1; }
+  std::size_t plane() const { return (h + 1) * (w + 1); }
+  /// The slot that counts position (y, x) itself before integrate().
+  std::size_t cell(std::size_t n, std::size_t y, std::size_t x) const {
+    return n * plane() + (y + 1) * pitch() + x + 1;
+  }
+};
+
+/// Turns `samples` planes of per-position counts into summed-area tables
+/// in place (row 0 and column 0 stay zero).
+void integrate(std::size_t* table, std::size_t samples, BoxLayout l) {
+  for (std::size_t n = 0; n < samples; ++n) {
+    std::size_t* t = table + n * l.plane();
+    for (std::size_t y = 1; y <= l.h; ++y) {
+      std::size_t* row = t + y * l.pitch();
+      const std::size_t* above = row - l.pitch();
+      std::size_t run = 0;
+      for (std::size_t x = 1; x <= l.w; ++x) {
+        run += row[x];
+        row[x] = above[x] + run;
+      }
+    }
+  }
+}
+
+/// MACs of a whole GTA or GTW stage. Every dO nonzero (n, f, oy, ox)
+/// multiplies once against each occupied position of its K×K window —
+/// rows [oy·S − P, +K) and columns [ox·S − P, +K) clipped to the plane —
+/// in every channel: the I rows it pairs with in OSRC, the mask positions
+/// it survives in MSRC. So the total is one box query per nonzero, and
+/// the kernels' ops carry no MACs.
+std::size_t box_macs(const CompressedRows& go_rows, const Shape& out,
+                     const dataflow::ConvGeometry& geo,
+                     const std::size_t* table, BoxLayout l) {
+  std::size_t macs = 0;
+  for (std::size_t n = 0; n < out.n; ++n) {
+    const std::size_t* sat = table + n * l.plane();
+    for (std::size_t f = 0; f < geo.out_channels; ++f) {
+      for (std::size_t oy = 0; oy < out.h; ++oy) {
+        const SparseRowView go = go_rows.row((n * out.c + f) * out.h + oy);
+        const Interval rows = clipped_window(oy, geo, l.h);
+        if (go.empty() || rows.hi == rows.lo) continue;
+        const std::size_t* top = sat + rows.lo * l.pitch();
+        const std::size_t* bottom = sat + rows.hi * l.pitch();
+        for (const std::uint32_t ox : go.offsets) {
+          const Interval cols = clipped_window(ox, geo, l.w);
+          macs += bottom[cols.hi] - top[cols.hi] - bottom[cols.lo] +
+                  top[cols.lo];
+        }
+      }
+    }
+  }
+  return macs;
+}
+
+/// Sets bit p (p < positions) of `active` when MSRC's look-ahead would
+/// ingest a dO nonzero at p: its output window [p·S − P, +K) holds an
+/// allowed position of the dI row's `mask` (null: every position of a
+/// row `len` long is allowed). Windows advance monotonically with p, so
+/// one forward scan over the mask serves every position.
+void lower_mask(const float* mask, std::size_t len, std::size_t positions,
+                const dataflow::ConvGeometry& geo, std::uint64_t* active) {
+  std::size_t x = 0;  // no allowed position in [window lo, x)
+  for (std::size_t p = 0; p < positions; ++p) {
+    const Interval win = clipped_window(p, geo, len);
+    if (win.hi == win.lo) continue;
+    if (mask != nullptr) {
+      x = std::max(x, win.lo);
+      while (x < win.hi && mask[x] == 0.0f) ++x;
+      if (x == win.hi) continue;
+    }
+    active[p >> 6] |= std::uint64_t{1} << (p & 63);
+  }
 }
 
 /// Flat indexed d-ary min-heap over the PE groups' loads, keyed by
@@ -216,10 +321,11 @@ std::size_t ExactEngine::tile_for(std::size_t task_count,
   return std::max<std::size_t>(1, std::min(tile, balance_cap));
 }
 
-template <typename Kernel>
+template <typename MakeKernel>
 ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
                                         std::size_t est_ops_per_task,
-                                        const Kernel& kernel) const {
+                                        const MakeKernel& make_kernel) const {
+  using Kernel = std::invoke_result_t<const MakeKernel&, StageArena&>;
   ExactStageResult result;
   result.tasks = task_count;
 
@@ -253,6 +359,9 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
     if (profiler != nullptr) prof_record(0);
     return result;
   }
+  // Stage-wide tables are part of the stage: built inside the profiled
+  // span, into the leased arena the tiles then read.
+  const Kernel kernel = make_kernel(arena);
 
   util::ThreadPool* pool = worker_pool();
   const std::size_t tile = tile_for(task_count, est_ops_per_task);
@@ -277,9 +386,14 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
       try {
         const std::size_t first = t * tile;
         const std::size_t last = std::min(first + tile, task_count);
-        PeGroupReducer red(cfg_.pes_per_group, kernel.lanes);
+        // Each tile reads its own copy of the kernel: the original sits
+        // on the merging thread's stack next to data that thread writes
+        // while it evaluates tiles, and sharing that cache line across
+        // threads made parallel GTA slower than serial.
+        const Kernel k = kernel;
+        PeGroupReducer red(cfg_.pes_per_group, k.lanes);
         for (std::size_t i = first; i < last; ++i) {
-          arena.cycles[i] = kernel(i, red);
+          arena.cycles[i] = k(i, red);
         }
         arena.tile_totals[t] =
             TileTotals{red.row_ops(), red.busy(), red.macs(), red.reg()};
@@ -352,7 +466,7 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
 
   result.row_ops = totals.row_ops;
   result.activity.busy_cycles = totals.busy;
-  result.activity.macs = totals.macs;
+  result.activity.macs = totals.macs + kernel.stage_macs;
   result.activity.reg_accesses = totals.reg;
   result.cycles = sched.max_load();
   if (profiler != nullptr) {
@@ -380,6 +494,7 @@ struct ForwardKernel {
   Shape in_shape;
   Shape out_shape;
   std::size_t lanes;
+  std::size_t stage_macs = 0;  ///< every op carries its own MACs
 
   std::size_t operator()(std::size_t index, PeGroupReducer& red) const {
     const std::size_t oy = index % out_shape.h;
@@ -404,46 +519,55 @@ struct ForwardKernel {
 /// GTA stage kernel: one task per dI row (n, c, iy), F·K MSRC ops
 /// scattering into it.
 ///
-/// The task's mask is shared by all its ops, so it is lowered once per
-/// task into a prefix-popcount table (prefix[i] = allowed outputs before
-/// position i): each op's window queries become two loads and a subtract
-/// instead of a per-window word-funnel popcount, identical counts.
+/// An MSRC op's cycles depend only on how many of its dO nonzeros the
+/// mask look-ahead ingests, and whether position p is ingested depends
+/// only on p and the task's mask row (lower_mask). The stage builds, once,
+/// every dO row's occupancy bits and its count of nonzeros the all-pass
+/// mask ingests. A task lowers its mask row into the positions it blocks
+/// among those, and each op's count is that per-row count minus an AND +
+/// popcount against the row's bits; a task that blocks nothing reads the
+/// count alone. MACs are counted once per stage (box_macs); ops fold into
+/// the reducer with macs = 0, in the same order as the per-op evaluation.
 struct GtaKernel {
   static constexpr const char* kStage = "gta";
-  const CompressedRows& go_rows;
+  const std::uint64_t* go_bits;    ///< occupancy bits, `words` per dO row
+  const std::uint32_t* go_active;  ///< per dO row: all-pass ingested count
+  std::size_t words;
+  std::size_t go_len;              ///< dO row length (bits per row)
   const dataflow::ConvGeometry& geo;
   Shape out;
   Shape in_shape;
-  isa::RowBlock b;
   const PeExact& pe;
-  const std::uint32_t* all_pass_prefix;  ///< unmasked: prefix[i] = i
+  const std::uint64_t* all_active;  ///< positions the all-pass mask ingests
   const Tensor* prev_mask;
   std::size_t wl;  ///< stage-constant weight-load cycles (hoisted)
   std::size_t lanes;
+  std::size_t stage_macs;
 
   std::size_t operator()(std::size_t index, PeGroupReducer& red) const {
     const std::size_t iy = index % in_shape.h;
     const std::size_t c = (index / in_shape.h) % geo.in_channels;
     const std::size_t n = index / (in_shape.h * geo.in_channels);
+    const std::size_t nw = words;
     TaskScratch& scratch = task_scratch();
-    const std::uint32_t* prefix = all_pass_prefix;
+    // The positions this task's mask blocks among those the all-pass
+    // mask ingests (its own active set is a subset of those).
+    std::vector<std::uint64_t>& blocked = scratch.gta_blocked;
+    blocked.assign(nw, 0);
+    bool any_blocked = false;
     if (prev_mask != nullptr) {
-      const std::span<const float> dense = prev_mask->row(n, c, iy);
-      std::vector<std::uint32_t>& pre = scratch.mask_prefix;
-      pre.resize(dense.size() + 1);
-      std::uint32_t acc = 0;
-      for (std::size_t x = 0; x < dense.size(); ++x) {
-        pre[x] = acc;
-        acc += dense[x] != 0.0f ? 1u : 0u;
+      lower_mask(prev_mask->row(n, c, iy).data(), in_shape.w, go_len, geo,
+                 blocked.data());
+      for (std::size_t w = 0; w < nw; ++w) {
+        blocked[w] = all_active[w] & ~blocked[w];
+        any_blocked |= blocked[w] != 0;
       }
-      pre[dense.size()] = acc;
-      prefix = pre.data();
     }
-    // oy·S + ky − P = iy → every (oy, ky) pair writing this row. The
-    // mapping depends only on iy, so resolve it once per task instead of
-    // once per (f, ky).
-    std::vector<std::uint32_t>& oy_of = scratch.gta_oy;
-    oy_of.assign(geo.kernel, kNoRow);
+    // oy·S + ky − P = iy → every (oy, ky) pair writing this row, in ky
+    // order. The mapping depends only on iy, so resolve it once per task
+    // instead of once per (f, ky).
+    std::vector<std::uint32_t>& src = scratch.gta_oy;
+    src.clear();
     for (std::size_t ky = 0; ky < geo.kernel; ++ky) {
       const std::int64_t num = static_cast<std::int64_t>(iy) +
                                static_cast<std::int64_t>(geo.padding) -
@@ -453,22 +577,38 @@ struct GtaKernel {
       const auto oy = static_cast<std::size_t>(
           num / static_cast<std::int64_t>(geo.stride));
       if (oy >= out.h) continue;
-      oy_of[ky] = static_cast<std::uint32_t>(oy);
+      src.push_back(static_cast<std::uint32_t>(oy));
     }
-    red.begin_task();
-    for (std::size_t f = 0; f < geo.out_channels; ++f) {
-      for (std::size_t ky = 0; ky < geo.kernel; ++ky) {
-        if (oy_of[ky] == kNoRow) continue;
-        red.add(pe.run_msrc(
-            go_rows.row((n * out.c + f) * out.h + oy_of[ky]), prefix, b, wl));
+    const auto fold = [&](const auto& ingested) {
+      red.begin_task();
+      for (std::size_t f = 0; f < geo.out_channels; ++f) {
+        const std::size_t plane = (n * out.c + f) * out.h;
+        for (const std::uint32_t oy : src) {
+          red.add(pe.msrc_cost(ingested(plane + oy), 0, wl));
+        }
       }
+      return red.end_task();
+    };
+    if (!any_blocked) {
+      return fold([&](std::size_t row) { return std::size_t{go_active[row]}; });
     }
-    return red.end_task();
+    return fold([&](std::size_t row) {
+      const std::uint64_t* go = go_bits + row * nw;
+      std::size_t count = go_active[row];
+      for (std::size_t w = 0; w < nw; ++w) {
+        count -= popcount64(go[w] & blocked[w]);
+      }
+      return count;
+    });
   }
 };
 
 /// GTW stage kernel: one task per (n, f, c) kernel slice, OH·K OSRC ops
 /// (zero dO rows schedule nothing).
+///
+/// An OSRC op's cycles depend only on nnz(I row) and ⌈nnz(dO row)/K⌉, so
+/// each op is priced from two row lengths; MACs — the only field that
+/// needs the window intersection — are counted once per stage (box_macs).
 struct GtwKernel {
   static constexpr const char* kStage = "gtw";
   const CompressedRows& go_rows;
@@ -476,10 +616,10 @@ struct GtwKernel {
   const dataflow::ConvGeometry& geo;
   Shape out;
   Shape in;
-  isa::RowBlock b;
   const PeExact& pe;
   std::size_t wl;  ///< stage-constant weight-load cycles (hoisted)
   std::size_t lanes;
+  std::size_t stage_macs;
 
   std::size_t operator()(std::size_t index, PeGroupReducer& red) const {
     const std::size_t c = index % geo.in_channels;
@@ -489,17 +629,17 @@ struct GtwKernel {
     const std::size_t in_base = (n * in.c + c) * in.h;
     red.begin_task();
     for (std::size_t oy = 0; oy < out.h; ++oy) {
-      const SparseRowView go = go_rows.row(go_base + oy);
-      if (go.empty()) continue;  // zero dO row: nothing scheduled
+      const std::size_t go_nnz = go_rows.row_nnz(go_base + oy);
+      if (go_nnz == 0) continue;  // zero dO row: nothing scheduled
       // The dO chunk count depends only on this oy's row — reuse it for
       // every kernel tap the row pairs with.
-      const std::size_t chunks = (go.nnz() + geo.kernel - 1) / geo.kernel;
+      const std::size_t chunks = PeExact::osrc_chunks(go_nnz, geo.kernel);
       // Valid taps are one contiguous ky range (see valid_ky_range); the
       // op order per oy — ky ascending — is the same as the per-tap test.
       const auto [ky_lo, ky_hi, iy0] = valid_ky_range(oy, geo, in.h);
-      for (std::size_t ky = ky_lo; ky < ky_hi; ++ky) {
-        red.add(pe.run_osrc(in_rows.row(in_base + iy0 + (ky - ky_lo)), go, b,
-                            wl, chunks));
+      for (std::size_t t = 0; t < ky_hi - ky_lo; ++t) {
+        red.add(pe.osrc_cost(in_rows.row_nnz(in_base + iy0 + t), chunks, 0,
+                             wl));
       }
     }
     return red.end_task();
@@ -516,6 +656,7 @@ struct FcKernel {
   std::size_t groups_per_sample;
   std::size_t drain;
   std::size_t lanes;
+  std::size_t stage_macs = 0;  ///< every op carries its own MACs
 
   std::size_t operator()(std::size_t index, PeGroupReducer& red) const {
     const std::size_t n = index / groups_per_sample;
@@ -544,23 +685,21 @@ ExactStageResult ExactEngine::run_forward(
   const isa::RowBlock b =
       block_from(geo, in_shape.w, out_shape.w, isa::RowOpKind::SRC);
 
-  // Fill the per-input-row cost table the kernel folds (see
-  // ForwardKernel). The lease outlives run_tasks (which takes its own
-  // arena), so worker threads read a stable table; both arenas return to
-  // the pool afterwards and steady-state stages stay allocation-free.
-  ArenaLease lease = acquire_arena();
-  std::vector<PeCost>& costs = lease.arena->src_costs;
-  costs.resize(rows.rows());
-  const std::size_t wl = pe_.weight_load(b);
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    costs[r] = pe_.run_src(rows.row(r), b, wl);
-  }
-
   const std::size_t task_count =
       in_shape.n * geo.out_channels * out_shape.h;
-  const ForwardKernel kernel{costs.data(), geo, in_shape, out_shape,
+  return run_tasks(
+      task_count, geo.in_channels * geo.kernel, [&](StageArena& arena) {
+        // The per-input-row cost table the kernel folds (see
+        // ForwardKernel).
+        std::vector<PeCost>& costs = arena.src_costs;
+        costs.resize(rows.rows());
+        const std::size_t wl = pe_.weight_load(b);
+        for (std::size_t r = 0; r < rows.rows(); ++r) {
+          costs[r] = pe_.run_src(rows.row(r), b, wl);
+        }
+        return ForwardKernel{costs.data(), geo, in_shape, out_shape,
                              geo.kernel};
-  return run_tasks(task_count, geo.in_channels * geo.kernel, kernel);
+      });
 }
 
 ExactStageResult ExactEngine::run_gta(const Tensor& grad_output,
@@ -575,24 +714,72 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
                                       const Shape& out, const Shape& input_shape,
                                       const Tensor* prev_mask,
                                       const dataflow::ConvGeometry& geo) const {
+  ST_REQUIRE(prev_mask == nullptr || prev_mask->shape() == input_shape,
+             "GTA mask must have the input's shape");
   const isa::RowBlock b =
       block_from(geo, out.w, input_shape.w, isa::RowOpKind::MSRC);
 
-  // The all-pass prefix (prefix[i] = i) is one shared constant — every
-  // unmasked task reads it in place. Masked tasks lower their row's mask
-  // into per-thread scratch (see GtaKernel).
-  std::vector<std::uint32_t> all_pass(input_shape.w + 1);
-  for (std::size_t i = 0; i < all_pass.size(); ++i) {
-    all_pass[i] = static_cast<std::uint32_t>(i);
-  }
-
   const std::size_t task_count =
       out.n * geo.in_channels * input_shape.h;
-  const GtaKernel kernel{go_rows,     geo,       out,
-                         input_shape, b,         pe_,
-                         all_pass.data(), prev_mask, pe_.weight_load(b),
-                         geo.kernel};
-  return run_tasks(task_count, geo.out_channels * geo.kernel, kernel);
+  return run_tasks(
+      task_count, geo.out_channels * geo.kernel, [&](StageArena& arena) {
+        // The active bitset of the all-pass mask, then every dO row's
+        // occupancy bits and its count of nonzeros in that set (see
+        // GtaKernel; masked tasks lower their own active sets).
+        const std::size_t go_len = go_rows.row_length();
+        const std::size_t words = (go_len + 63) / 64;
+        arena.all_active.assign(words, 0);
+        lower_mask(nullptr, input_shape.w, go_len, geo,
+                   arena.all_active.data());
+        arena.go_bits.assign(go_rows.rows() * words, 0);
+        arena.go_active.resize(go_rows.rows());
+        for (std::size_t r = 0; r < go_rows.rows(); ++r) {
+          std::uint64_t* bits = arena.go_bits.data() + r * words;
+          for (const std::uint32_t x : go_rows.row(r).offsets) {
+            bits[x >> 6] |= std::uint64_t{1} << (x & 63);
+          }
+          std::uint32_t count = 0;
+          for (std::size_t w = 0; w < words; ++w) {
+            count += static_cast<std::uint32_t>(
+                popcount64(bits[w] & arena.all_active[w]));
+          }
+          arena.go_active[r] = count;
+        }
+
+        // MACs: box sums over the channel-summed mask (a null mask
+        // allows every position).
+        const BoxLayout l{input_shape.h, input_shape.w};
+        std::vector<std::size_t>& table = arena.box_table;
+        table.assign(out.n * l.plane(), 0);
+        for (std::size_t n = 0; n < out.n; ++n) {
+          for (std::size_t y = 0; y < l.h; ++y) {
+            std::size_t* cells = table.data() + l.cell(n, y, 0);
+            for (std::size_t c = 0; c < geo.in_channels; ++c) {
+              const float* m = prev_mask == nullptr
+                                   ? nullptr
+                                   : prev_mask->row(n, c, y).data();
+              for (std::size_t x = 0; x < l.w; ++x) {
+                cells[x] += m == nullptr || m[x] != 0.0f ? 1 : 0;
+              }
+            }
+          }
+        }
+        integrate(table.data(), out.n, l);
+        const std::size_t macs = box_macs(go_rows, out, geo, table.data(), l);
+        return GtaKernel{arena.go_bits.data(),
+                         arena.go_active.data(),
+                         words,
+                         go_len,
+                         geo,
+                         out,
+                         input_shape,
+                         pe_,
+                         arena.all_active.data(),
+                         prev_mask,
+                         pe_.weight_load(b),
+                         geo.kernel,
+                         macs};
+      });
 }
 
 ExactStageResult ExactEngine::run_gtw(const Tensor& grad_output,
@@ -606,8 +793,8 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
                                       const Shape& out, const RowSet& in_rows,
                                       const Shape& in,
                                       const dataflow::ConvGeometry& geo) const {
-  isa::RowBlock b = block_from(geo, out.w, geo.kernel, isa::RowOpKind::OSRC);
-  b.second_len = in.w;
+  const isa::RowBlock b =
+      block_from(geo, out.w, geo.kernel, isa::RowOpKind::OSRC);
 
   const std::size_t task_count =
       out.n * geo.out_channels * geo.in_channels;
@@ -619,10 +806,27 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
              ? 1
              : go_rows.nonempty_rows() * out.h * geo.kernel /
                    go_rows.rows());
-  const GtwKernel kernel{go_rows, in_rows, geo,      out,
-                         in,      b,       pe_,      pe_.weight_load(b),
-                         geo.kernel};
-  return run_tasks(task_count, est_ops, kernel);
+  return run_tasks(task_count, est_ops, [&](StageArena& arena) {
+    // MACs: box sums over the channel-summed occupancy of I.
+    const BoxLayout l{in.h, in_rows.row_length()};
+    std::vector<std::size_t>& table = arena.box_table;
+    table.assign(out.n * l.plane(), 0);
+    for (std::size_t n = 0; n < out.n; ++n) {
+      for (std::size_t c = 0; c < geo.in_channels; ++c) {
+        for (std::size_t y = 0; y < l.h; ++y) {
+          std::size_t* cells = table.data() + l.cell(n, y, 0);
+          for (const std::uint32_t x :
+               in_rows.row((n * in.c + c) * in.h + y).offsets) {
+            ++cells[x];
+          }
+        }
+      }
+    }
+    integrate(table.data(), out.n, l);
+    const std::size_t macs = box_macs(go_rows, out, geo, table.data(), l);
+    return GtwKernel{go_rows, in_rows, geo,        out,       in,
+                     pe_,     pe_.weight_load(b), geo.kernel, macs};
+  });
 }
 
 ExactStageResult ExactEngine::run_fc(const Tensor& operands,
@@ -637,9 +841,10 @@ ExactStageResult ExactEngine::run_fc(const Tensor& operands,
   const RowSet rows = compress(operands);
 
   const std::size_t task_count = s.n * groups_per_sample;
-  const FcKernel kernel{rows, groups_per_sample, cfg_.timing.pipeline_drain,
-                        lanes};
-  return run_tasks(task_count, 1, kernel);
+  return run_tasks(task_count, 1, [&](StageArena&) {
+    return FcKernel{rows, groups_per_sample, cfg_.timing.pipeline_drain,
+                    lanes};
+  });
 }
 
 }  // namespace sparsetrain::sim

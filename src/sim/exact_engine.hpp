@@ -2,22 +2,27 @@
 //
 // The statistical engine in accelerator.cpp samples row-op costs from the
 // operand *densities*; this engine instead takes the actual tensors of a
-// layer, builds every individual row op, runs each through the
-// cycle-stepped PeExact state machine, and schedules the resulting task
-// times onto the PE groups. It is the ground truth the statistical engine
-// is validated against (tests assert few-percent agreement), and it is
-// what "cycle-accurate" means in this reproduction: per-element PE timing
-// semantics, not density approximations.
+// layer, prices every individual row op with the PeExact cost model, and
+// schedules the resulting task times onto the PE groups. It is the ground
+// truth the statistical engine is validated against (tests assert
+// few-percent agreement), and it is what "cycle-accurate" means in this
+// reproduction: per-element PE timing semantics, not density
+// approximations.
 //
 // Execution model (three fused layers):
 //
 //  * Tile kernels — each stage is one statically-dispatched kernel struct
 //    (ForwardKernel/GtaKernel/GtwKernel/FcKernel, see the .cpp) run by a
-//    run_tasks<Kernel> template, so the task loop, the row-op work
-//    counters and the group-round fold (PeGroupReducer) all inline into
-//    one loop. No per-task cost record is materialised: a tile aggregates
-//    busy/MAC/register counters locally and emits only a per-task cycle
-//    count into a pooled per-stage arena.
+//    run_tasks template, so the task loop, the per-op cost and the
+//    group-round fold (PeGroupReducer) all inline into one loop. Each op
+//    costs O(1): forward folds a per-input-row cost table, GTW prices an
+//    OSRC op from nnz(I row) and ⌈nnz(dO row)/K⌉, and GTA counts an MSRC
+//    op's ingested nonzeros with an AND + popcount of occupancy bits. GTA
+//    and GTW MACs — the only field that needs the window intersections —
+//    are counted once per stage, as K×K box sums over a summed-area table
+//    of channel-summed occupancy. No per-task cost record is
+//    materialised: a tile aggregates busy/MAC/register counters locally
+//    and emits only a per-task cycle count into a pooled per-stage arena.
 //  * Streaming merge — per-task cycles feed the least-loaded-group
 //    scheduler through a flat indexed d-ary heap sized pe_groups,
 //    consumed strictly in task order (the identical deterministic stream
@@ -32,11 +37,12 @@
 //    to the serial path for any ExactOptions.
 //
 // The hot path is allocation-free in steady state: operand tensors live
-// in CompressedRows arenas, tasks read them through SparseRowView spans,
-// masks are word-packed BitMasks (the all-pass mask is one shared
-// constant per stage), each worker thread reuses a scratch buffer, and
-// the per-stage cycle spans + scheduler arrays live in a pooled arena
-// reused across stages (tests/test_exact_alloc.cpp counts allocations).
+// in CompressedRows arenas, each worker thread reuses a scratch buffer
+// (a GTA task's blocked-position bits), and the per-stage cycle spans,
+// scheduler arrays and stage-wide tables (forward's row costs, GTA's dO
+// occupancy bits, the MAC tables) live in a pooled arena reused across
+// stages (tests/test_exact_alloc.cpp counts allocations;
+// tests/test_exact_oracle.cpp re-derives GTA/GTW op by op).
 // Whole networks run through sim::run_exact, which schedules independent
 // (layer, stage) units concurrently on the same pool — see
 // exact_network.hpp.
@@ -128,8 +134,8 @@ class ExactEngine {
                                const Shape& input_shape,
                                const dataflow::ConvGeometry& geo) const;
 
-  /// GTA stage: MSRC ops over the real dO with the real upstream mask
-  /// (pass nullptr for an all-pass mask).
+  /// GTA stage: MSRC ops over the real dO with the real upstream mask,
+  /// which has `input_shape` (pass nullptr for an all-pass mask).
   ExactStageResult run_gta(const Tensor& grad_output,
                            const Shape& input_shape, const Tensor* prev_mask,
                            const dataflow::ConvGeometry& geo) const;
@@ -172,6 +178,10 @@ class ExactEngine {
     std::vector<std::size_t> loads;        ///< per-group schedule load
     std::vector<std::uint32_t> heap;       ///< d-ary heap of group ids
     std::vector<PeCost> src_costs;         ///< forward: per-input-row cost
+    std::vector<std::uint64_t> go_bits;    ///< GTA: dO occupancy bits
+    std::vector<std::uint32_t> go_active;  ///< GTA: per-row active count
+    std::vector<std::uint64_t> all_active; ///< unmasked GTA: active bits
+    std::vector<std::size_t> box_table;    ///< GTA/GTW: MAC box sums
   };
 
   /// RAII lease of one arena from the engine's pool.
@@ -193,16 +203,19 @@ class ExactEngine {
   std::size_t tile_for(std::size_t task_count,
                        std::size_t est_ops_per_task) const;
 
-  /// Evaluates kernel(i, reducer) for every task i and merges the
-  /// per-task cycle stream into the least-loaded-group scheduler in task
-  /// order. Kernel is a statically-dispatched stage struct exposing
-  /// `lanes` and `operator()(std::size_t, PeGroupReducer&) -> cycles`.
-  /// Byte-identical for any workers/tile_tasks. Defined in the .cpp
-  /// (every instantiation lives there).
-  template <typename Kernel>
+  /// Builds the stage's kernel with make_kernel(arena) — stage-wide
+  /// tables go into the leased arena — then evaluates kernel(i, reducer)
+  /// for every task i and merges the per-task cycle stream into the
+  /// least-loaded-group scheduler in task order. Kernel is a
+  /// statically-dispatched stage struct exposing `lanes`, `stage_macs`
+  /// (MACs counted once for the stage rather than per op) and
+  /// `operator()(std::size_t, PeGroupReducer&) -> cycles`. Byte-identical
+  /// for any workers/tile_tasks. Defined in the .cpp (every instantiation
+  /// lives there).
+  template <typename MakeKernel>
   ExactStageResult run_tasks(std::size_t task_count,
                              std::size_t est_ops_per_task,
-                             const Kernel& kernel) const;
+                             const MakeKernel& make_kernel) const;
 
   ArchConfig cfg_;
   ExactOptions opts_;

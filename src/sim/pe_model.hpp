@@ -2,10 +2,10 @@
 //
 // Two views of the same microarchitecture (paper Fig. 7c):
 //
-//  * PeExact — a cycle-stepped state machine that consumes real compressed
-//    rows. Used by tests and small-scale runs: it IS the definition of the
-//    PE's timing behaviour (1 nonzero ingested per cycle, K-wide MAC into
-//    Reg-2, mask look-ahead skipping, OSRC chunk reloads).
+//  * PeExact — the exact cost of one row op on real compressed rows. It
+//    IS the definition of the PE's timing behaviour (1 nonzero ingested
+//    per cycle, K-wide MAC into Reg-2, mask look-ahead skipping, OSRC
+//    chunk reloads); the exact engine prices every row op through it.
 //  * row_op_cost() — closed-form mean/variance of the same cost as a
 //    function of row length and operand densities, used for ImageNet-scale
 //    blocks where stepping every element would be pointless. Tests assert
@@ -36,10 +36,10 @@ struct PeCost {
   std::size_t ingested = 0;  ///< operand elements that cost a cycle
 };
 
-/// Exact cycle-stepped PE. Each call simulates one full row op. Operands
+/// Exact PE cost model: each call prices one full row op. Operands
 /// are lightweight views (an owning SparseRow converts implicitly), so
 /// the exact engine can stream rows straight out of a CompressedRows
-/// arena without touching the heap. The run_* bodies are inline for the
+/// arena without touching the heap. The bodies are inline for the
 /// same reason the work counters are: they execute once per row op, and
 /// fusing them into the engine's task loops is worth more than a tidy TU
 /// boundary.
@@ -50,7 +50,7 @@ class PeExact {
   /// Weight-buffer preload cycles for `geo`'s kernel row. Constant per
   /// stage (it depends only on the block), so the engine's tile kernels
   /// hoist it out of their op loops and feed it back through the
-  /// `wl`-taking overloads below — the same arithmetic, folded once per
+  /// `wl`-taking members below — the same arithmetic, folded once per
   /// stage instead of paying an integer division on every row op.
   std::size_t weight_load(const isa::RowBlock& geo) const {
     return (geo.kernel + timing_.weight_port_width - 1) /
@@ -78,61 +78,52 @@ class PeExact {
   /// window is masked are skipped by look-ahead (zero cycles).
   PeCost run_msrc(SparseRowView input, const BitMask& mask,
                   const isa::RowBlock& geo) const {
-    return run_msrc(input, mask, geo, weight_load(geo));
-  }
-
-  /// MSRC with the stage-constant weight-load cycles precomputed.
-  PeCost run_msrc(SparseRowView input, const BitMask& mask,
-                  const isa::RowBlock& geo, std::size_t wl) const {
     const dataflow::RowOpWork w =
         dataflow::msrc_work(input, mask, row_geometry(geo), geo.out_len);
-    PeCost cost;
-    cost.ingested = w.active_inputs;  // look-ahead makes skips free
-    cost.macs = w.macs;
-    cost.cycles = wl + w.active_inputs + timing_.pipeline_drain;
-    return cost;
-  }
-
-  /// MSRC against a prefix-popcount mask (see the dataflow overload):
-  /// the GTA stage builds one prefix per task and pays O(1) per window.
-  /// Costs are identical to the BitMask overloads for the same mask.
-  PeCost run_msrc(SparseRowView input, const std::uint32_t* mask_prefix,
-                  const isa::RowBlock& geo, std::size_t wl) const {
-    const dataflow::RowOpWork w =
-        dataflow::msrc_work(input, mask_prefix, row_geometry(geo),
-                            geo.out_len);
-    PeCost cost;
-    cost.ingested = w.active_inputs;  // look-ahead makes skips free
-    cost.macs = w.macs;
-    cost.cycles = wl + w.active_inputs + timing_.pipeline_drain;
-    return cost;
+    return msrc_cost(w.active_inputs, w.macs, weight_load(geo));
   }
 
   /// OSRC: dO nonzeros are cached in Reg-1 in chunks of K; every I nonzero
   /// is streamed once per chunk.
   PeCost run_osrc(SparseRowView input_acts, SparseRowView grad_out,
                   const isa::RowBlock& geo) const {
-    const std::size_t chunks =
-        grad_out.nnz() == 0
-            ? 0
-            : (grad_out.nnz() + geo.kernel - 1) / geo.kernel;
-    return run_osrc(input_acts, grad_out, geo, weight_load(geo), chunks);
-  }
-
-  /// OSRC with the weight load and the dO chunk count precomputed: the
-  /// chunk count depends only on grad_out, so the GTW kernel reuses it
-  /// across every kernel tap the same dO row pairs with.
-  PeCost run_osrc(SparseRowView input_acts, SparseRowView grad_out,
-                  const isa::RowBlock& geo, std::size_t wl,
-                  std::size_t chunks) const {
     const dataflow::RowOpWork w =
         dataflow::osrc_work(input_acts, grad_out, row_geometry(geo));
+    return osrc_cost(input_acts.nnz(), osrc_chunks(grad_out.nnz(), geo.kernel),
+                     w.macs, weight_load(geo));
+  }
+
+  // Count-form cost of MSRC and OSRC: the PE's timing depends on a row
+  // op's operands only through these counts. run_msrc/run_osrc derive the
+  // counts from the rows; the exact engine's GTA/GTW kernels derive them
+  // from per-row nonzero counts and occupancy bits, and count MACs once
+  // per stage instead of per op.
+
+  /// MSRC with `active` dO nonzeros whose output window survives the mask
+  /// (look-ahead makes the others free) and `macs` useful multiplies.
+  PeCost msrc_cost(std::size_t active, std::size_t macs,
+                   std::size_t wl) const {
     PeCost cost;
-    cost.macs = w.macs;
-    // dO nonzeros are cached K at a time in Reg-1; each chunk streams every
-    // I nonzero once past the scratchpad.
-    cost.ingested = chunks * input_acts.nnz();
-    cost.cycles = chunks * (wl + input_acts.nnz()) + timing_.pipeline_drain;
+    cost.ingested = active;
+    cost.macs = macs;
+    cost.cycles = wl + active + timing_.pipeline_drain;
+    return cost;
+  }
+
+  /// Reg-1 loads of an OSRC op whose dO row holds `nnz_do` nonzeros, K
+  /// at a time (0 for an empty row).
+  static std::size_t osrc_chunks(std::size_t nnz_do, std::size_t kernel) {
+    return (nnz_do + kernel - 1) / kernel;
+  }
+
+  /// OSRC streaming `nnz_i` I nonzeros once per dO chunk, with `macs`
+  /// useful multiplies.
+  PeCost osrc_cost(std::size_t nnz_i, std::size_t chunks, std::size_t macs,
+                   std::size_t wl) const {
+    PeCost cost;
+    cost.macs = macs;
+    cost.ingested = chunks * nnz_i;
+    cost.cycles = chunks * (wl + nnz_i) + timing_.pipeline_drain;
     return cost;
   }
 

@@ -54,6 +54,12 @@ class CompressedRows {
         std::span<const float>(values_).subspan(b, e - b));
   }
 
+  /// Nonzero count of row i — row(i).nnz() without building the view.
+  std::size_t row_nnz(std::size_t i) const {
+    ST_REQUIRE(i + 1 < row_ptr_.size(), "CompressedRows row out of range");
+    return row_ptr_[i + 1] - row_ptr_[i];
+  }
+
   /// Fraction of nonzeros over all rows; 0 when empty.
   double density() const;
 

@@ -203,6 +203,20 @@ TEST_P(OddGeometryFuzz, BothEnginesSurviveDegenerateGeometries) {
             gta_work(grad, input.shape(), nullptr, geo).work.macs);
   EXPECT_EQ(gtw.activity.macs, gtw_work(grad, input, geo).work.macs);
 
+  // Masked GTA: the engine's stage-wide MAC table must count what the
+  // per-op mask windows of gta_work count.
+  const double mask_density = 0.1 + 0.8 * rng.uniform();
+  Tensor mask(input.shape());
+  mask.fill_sparse_normal(rng, mask_density);
+  for (float& v : mask.flat())
+    if (v != 0.0f) v = 1.0f;
+  const auto gta_m = serial.run_gta(grad, input.shape(), &mask, geo);
+  const auto gta_mp = parallel.run_gta(grad, input.shape(), &mask, geo);
+  EXPECT_EQ(gta_m.cycles, gta_mp.cycles);
+  EXPECT_EQ(gta_m.activity.busy_cycles, gta_mp.activity.busy_cycles);
+  EXPECT_EQ(gta_m.activity.macs,
+            gta_work(grad, input.shape(), &mask, geo).work.macs);
+
   // 3) Statistical engine: compiles and runs sanely on the same geometry
   // with the measured densities (no NaN, bounded utilization, and within
   // a coarse band of the exact ground truth — degenerate padding can

@@ -79,12 +79,11 @@ std::size_t steady_state_allocs(const Fn& run) {
 
 // Since the streaming-merge rewrite there is no per-stage task-cost
 // vector at all: the serial path folds every task straight into the
-// group scheduler, and the scheduler arrays live in a pooled arena that
-// a warmed engine reuses without touching the heap. The only remaining
-// per-stage allocation is GTA's shared all-pass BitMask (one small words
-// vector per run_gta call); Forward and GTW steady-state runs must not
+// group scheduler, and the scheduler arrays and every stage-wide table
+// (forward's row costs, GTA's dO occupancy bits and active sets, the
+// GTA/GTW MAC tables) live in a pooled arena that a warmed engine
+// reuses without touching the heap. No steady-state stage run may
 // allocate at all.
-constexpr std::size_t kPerStageBudget = 4;
 constexpr std::size_t kZero = 0;
 
 TEST(ExactAlloc, SteadyStateTaskEvaluationIsAllocationFree) {
@@ -120,13 +119,13 @@ TEST(ExactAlloc, SteadyStateTaskEvaluationIsAllocationFree) {
   const auto small_allocs = measure(small);
   const auto big_allocs = measure(big);
 
-  // Forward/GTW steady state is *exactly* allocation-free — in
-  // particular the old per-stage `std::vector<TaskCost> costs(tasks)`
-  // is gone, not merely flat.
+  // Steady state is *exactly* allocation-free — in particular the old
+  // per-stage `std::vector<TaskCost> costs(tasks)` is gone, not merely
+  // flat.
   EXPECT_EQ(small_allocs.fwd, kZero);
   EXPECT_EQ(small_allocs.gtw, kZero);
-  EXPECT_LE(small_allocs.gta_masked, kPerStageBudget);
-  EXPECT_LE(small_allocs.gta_all, kPerStageBudget);
+  EXPECT_EQ(small_allocs.gta_masked, kZero);
+  EXPECT_EQ(small_allocs.gta_all, kZero);
 
   // The proof that per-task allocations are zero: quadrupling the task
   // count must not change the per-stage allocation count at all.

@@ -93,6 +93,12 @@ TEST(ExactEngine, MaskReducesGtaWork) {
   const auto masked = engine.run_gta(grad, in_shape, &mask, geo_3x3(2, 2));
   EXPECT_LT(masked.activity.macs, full.activity.macs);
   EXPECT_LE(masked.activity.busy_cycles, full.activity.busy_cycles);
+
+  // The mask is read row by row over the input's width: a narrower one
+  // is a contract error, not an out-of-bounds read.
+  const Tensor narrow(Shape{1, 2, 8, 7});
+  EXPECT_THROW(engine.run_gta(grad, in_shape, &narrow, geo_3x3(2, 2)),
+               ContractError);
 }
 
 TEST(ExactEngine, MoreGroupsShortenMakespan) {

@@ -241,38 +241,6 @@ TEST(MsrcWork, ClampAgreesWithRowConvMacCount) {
   }
 }
 
-TEST(MsrcWork, PrefixOverloadMatchesBitMask) {
-  // The GTA stage's prefix-popcount fast path must count exactly what
-  // the BitMask path counts, for any mask and any window clamping
-  // (including strides that push whole windows past out_len).
-  Rng rng(0x9e3fU);
-  for (int iter = 0; iter < 400; ++iter) {
-    const auto K = static_cast<std::uint32_t>(1 + rng.uniform_index(9));
-    const auto S = static_cast<std::uint32_t>(1 + rng.uniform_index(4));
-    const auto P = static_cast<std::uint32_t>(rng.uniform_index(12));
-    const auto len = static_cast<std::uint32_t>(1 + rng.uniform_index(64));
-    const std::size_t out_len = rng.uniform_index(40);
-    const RowGeometry geo{K, S, P};
-    const SparseRow row = random_row(rng, len, 0.6);
-
-    std::vector<float> mask_dense(out_len);
-    for (auto& v : mask_dense) v = rng.bernoulli(0.5) ? 1.0f : 0.0f;
-    const BitMask mask = bitmask_from_dense(mask_dense);
-    std::vector<std::uint32_t> prefix(out_len + 1);
-    std::uint32_t acc = 0;
-    for (std::size_t i = 0; i < out_len; ++i) {
-      prefix[i] = acc;
-      acc += mask_dense[i] != 0.0f ? 1u : 0u;
-    }
-    prefix[out_len] = acc;
-
-    const RowOpWork ref = msrc_work(row, mask, geo, out_len);
-    const RowOpWork got = msrc_work(row, prefix.data(), geo, out_len);
-    ASSERT_TRUE(works_equal(got, ref))
-        << "K=" << K << " S=" << S << " P=" << P << " out_len=" << out_len;
-  }
-}
-
 // ------------------------------------------------------------------
 // 2. Targeted boundary cases.
 
