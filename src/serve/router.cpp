@@ -1,28 +1,18 @@
 #include "serve/router.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <sstream>
 #include <utility>
 
-#include "serve/line_server.hpp"
 #include "serve/server.hpp"
 #include "util/hash.hpp"
 #include "util/require.hpp"
 
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <csignal>
-#include <unistd.h>
-#endif
-
 namespace sparsetrain::serve {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 core::SessionConfig placement_session() {
   // The router never simulates — its session exists only to compute the
@@ -30,28 +20,6 @@ core::SessionConfig placement_session() {
   core::SessionConfig cfg;
   cfg.workers = 1;
   return cfg;
-}
-
-std::unique_ptr<obs::Tracer> make_tracer(const RouterOptions& opts) {
-  if (opts.trace_path.empty()) return nullptr;
-  obs::TracerOptions to;
-  to.path = opts.trace_path;
-  to.sample_rate = opts.trace_sample_rate;
-  to.seed = opts.trace_seed;
-  to.process = "router";
-  return std::make_unique<obs::Tracer>(std::move(to));
-}
-
-int process_id() {
-#ifdef _WIN32
-  return _getpid();
-#else
-  return static_cast<int>(getpid());
-#endif
-}
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 /// Stamps one hop's span ids onto the request about to cross the wire,
@@ -98,40 +66,37 @@ std::vector<std::string> split_endpoints(const std::string& spec) {
 }
 
 Router::Router(RouterOptions opts)
-    : opts_(std::move(opts)),
+    : Daemon("router", "router", "\"stats\": \"router_stats/v1\"", opts),
+      opts_(std::move(opts)),
       ring_(opts_.endpoints, opts_.ring),
-      tracer_(make_tracer(opts_)),
       session_(placement_session()) {
   // R copies need R distinct successors; a pool of N supports at most
   // N - 1 of them.
   opts_.replicas = std::min(opts_.replicas, ring_.size() - 1);
   ST_REQUIRE(opts_.breaker_threshold > 0,
              "router: breaker_threshold must be positive");
-  c_.received = &metrics_.counter("router_requests_received_total");
-  c_.routed = &metrics_.counter("router_routed_total");
-  c_.failovers = &metrics_.counter("router_failovers_total");
-  c_.rejected = &metrics_.counter("router_rejected_total");
-  c_.errors = &metrics_.counter("router_errors_total");
+  obs::Registry& m = metrics();
+  c_.routed = &m.counter("router_routed_total");
+  c_.failovers = &m.counter("router_failovers_total");
+  c_.rejected = &m.counter("router_rejected_total");
   shards_.reserve(ring_.size());
   for (const std::string& ep : ring_.endpoints()) {
     auto shard = std::make_unique<Shard>();
     shard->endpoint = ep;
     const obs::Labels labels = {{"shard", ep}};
     Shard::Handles& h = shard->c;
-    h.forwards = &metrics_.counter("router_shard_forwards_total", labels);
-    h.served = &metrics_.counter("router_shard_served_total", labels);
-    h.failures = &metrics_.counter("router_shard_failures_total", labels);
-    h.skipped = &metrics_.counter("router_shard_skipped_total", labels);
-    h.replications =
-        &metrics_.counter("router_shard_replications_total", labels);
+    h.forwards = &m.counter("router_shard_forwards_total", labels);
+    h.served = &m.counter("router_shard_served_total", labels);
+    h.failures = &m.counter("router_shard_failures_total", labels);
+    h.skipped = &m.counter("router_shard_skipped_total", labels);
+    h.replications = &m.counter("router_shard_replications_total", labels);
     h.replication_failures =
-        &metrics_.counter("router_shard_replication_failures_total", labels);
+        &m.counter("router_shard_replication_failures_total", labels);
     h.replication_skipped =
-        &metrics_.counter("router_shard_replication_skipped_total", labels);
-    h.probes = &metrics_.counter("router_shard_probes_total", labels);
-    h.recoveries = &metrics_.counter("router_shard_recoveries_total", labels);
-    h.forward_seconds =
-        &metrics_.histogram("router_forward_seconds", labels);
+        &m.counter("router_shard_replication_skipped_total", labels);
+    h.probes = &m.counter("router_shard_probes_total", labels);
+    h.recoveries = &m.counter("router_shard_recoveries_total", labels);
+    h.forward_seconds = &m.histogram("router_forward_seconds", labels);
     shards_.push_back(std::move(shard));
   }
   if (opts_.probe_interval_ms > 0) {
@@ -225,7 +190,7 @@ Router::ForwardResult Router::forward(std::size_t shard,
       // registry, labeled by endpoint — they survive this reset/remake
       // cycle because the registry dedupes by (name, labels).
       ClientOptions co = opts_.client;
-      co.metrics = &metrics_;
+      co.metrics = &metrics();
       s.client = std::make_unique<Client>(s.endpoint, co);
     }
     s.c.forwards->inc();
@@ -398,82 +363,31 @@ Response Router::all_down_response(const Request& req) {
   return resp;
 }
 
-void Router::finish(Response& resp, Clock::time_point admitted,
-                    const std::string& type_label) {
-  const double seconds = seconds_since(admitted);
-  // Overwrites the shard's measurement on purpose: the router is the
-  // outermost layer, so the caller's number includes forwarding,
-  // failover walking and replication.
-  resp.elapsed_ms = seconds * 1e3;
-  metrics_
-      .histogram("router_request_seconds",
-                 {{"type", type_label}, {"status", resp.status}})
-      .record(seconds);
-}
-
-obs::SpanContext Router::trace_context(const Request& req) {
-  if (tracer_ == nullptr) return {};
-  if (req.trace != 0) return tracer_->join(req.trace, req.parent_span);
-  return tracer_->start_trace();
-}
-
-Response Router::handle(const std::string& line) {
-  const Clock::time_point admitted = Clock::now();
-  c_.received->inc();
-  Request req;
-  try {
-    req = parse_request(line);
-  } catch (const std::exception& e) {
-    c_.errors->inc();
-    Response resp;
-    resp.status = "error";
-    resp.error = e.what();
-    finish(resp, admitted, "parse");
-    return resp;
+Response Router::answer(const Request& req, Clock::time_point admitted) {
+  // eval / put cross the wire: this is the trace edge. The root span
+  // covers placement, every forward/failover hop and replication.
+  obs::Span root(trace_context(req, /*edge=*/true), "router.request",
+                 admitted);
+  if (root.active()) {
+    if (!req.id.empty()) root.attr("id", req.id);
+    root.attr("type", req.type);
   }
-  Response resp;
-  if (req.type == "stats") {
-    resp = stats_response(req);
-  } else if (req.type == "status") {
-    resp = status_response(req);
-  } else if (req.type == "metrics") {
-    resp = metrics_response(req);
-  } else if (req.type == "shutdown") {
-    // Stops the router's serving loop only — the backend shards keep
-    // running (they belong to their own lifecycles).
-    resp.id = req.id;
-    resp.type = "bye";
-    const Stats s = stats();
-    std::ostringstream os;
-    os << "{\"routed\": " << s.routed << ", \"failovers\": " << s.failovers
-       << ", \"rejected\": " << s.rejected << "}";
-    resp.payload_json = os.str();
-  } else {
-    // eval / put cross the wire: this is the trace edge. The root span
-    // covers placement, every forward/failover hop and replication.
-    obs::Span root(trace_context(req), "router.request", admitted);
-    if (root.active()) {
-      if (!req.id.empty()) root.attr("id", req.id);
-      root.attr("type", req.type);
-    }
-    resp = req.type == "put" ? route_put(req, root.context())
-                             : route_eval(req, root.context());
-    if (root.active()) {
-      root.attr("status", resp.status);
-      if (!resp.shard.empty()) root.attr("shard", resp.shard);
-    }
+  Response resp = req.type == "put" ? route_put(req, root.context())
+                                    : route_eval(req, root.context());
+  if (root.active()) {
+    root.attr("status", resp.status);
+    if (!resp.shard.empty()) root.attr("shard", resp.shard);
   }
-  finish(resp, admitted, req.type);
   return resp;
 }
 
 Router::Stats Router::stats() const {
   Stats out;
-  out.received = c_.received->value();
+  out.received = received_->value();
   out.routed = c_.routed->value();
   out.failovers = c_.failovers->value();
   out.rejected = c_.rejected->value();
-  out.errors = c_.errors->value();
+  out.errors = errors_->value();
   out.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     ShardStats s;
@@ -496,11 +410,8 @@ Router::Stats Router::stats() const {
   return out;
 }
 
-Response Router::stats_response(const Request& req) const {
+std::string Router::stats_payload() {
   const Stats s = stats();
-  Response resp;
-  resp.id = req.id;
-  resp.type = "stats";
   std::ostringstream os;
   os << "{\"version\": \"router_stats/v1\", \"received\": " << s.received
      << ", \"routed\": " << s.routed << ", \"failovers\": " << s.failovers
@@ -522,38 +433,33 @@ Response Router::stats_response(const Request& req) const {
        << ", \"recoveries\": " << sh.recoveries << "}";
   }
   os << "]}";
-  resp.payload_json = os.str();
-  return resp;
+  return os.str();
 }
 
-Response Router::status_response(const Request& req) const {
+void Router::status_fields(std::ostream& os) {
   const Stats s = stats();
   std::size_t up = 0;
   for (const ShardStats& sh : s.shards) {
     if (sh.health == Health::Up) ++up;
   }
-  Response resp;
-  resp.id = req.id;
-  resp.type = "status";
-  std::ostringstream os;
-  os.precision(10);
-  os << "{\"shards\": " << s.shards.size() << ", \"up\": " << up
+  os << "\"shards\": " << s.shards.size() << ", \"up\": " << up
      << ", \"received\": " << s.received << ", \"routed\": " << s.routed
      << ", \"failovers\": " << s.failovers
-     << ", \"rejected\": " << s.rejected
-     // Provenance, mirroring the daemon's status fields.
-     << ", \"pid\": " << process_id()
-     << ", \"uptime_s\": " << seconds_since(started_)
-     << ", \"tracing\": " << (tracer_ != nullptr ? "true" : "false")
-     << ", \"schemas\": {\"metrics\": \"sparsetrain.metrics/v1\""
-     << ", \"stats\": \"router_stats/v1\"}}";
-  resp.payload_json = os.str();
-  return resp;
+     << ", \"rejected\": " << s.rejected;
 }
 
-Response Router::metrics_response(const Request& req) {
-  // Gauges sampled at snapshot time: breaker state per shard (1 = up,
-  // 0.5 = half-open probing, 0 = open) and process uptime.
+std::string Router::bye_payload() {
+  // Stops the router's serving loop only — the backend shards keep
+  // running (they belong to their own lifecycles).
+  const Stats s = stats();
+  std::ostringstream os;
+  os << "{\"routed\": " << s.routed << ", \"failovers\": " << s.failovers
+     << ", \"rejected\": " << s.rejected << "}";
+  return os.str();
+}
+
+void Router::sample_gauges() {
+  // Breaker state per shard: 1 = up, 0.5 = half-open probing, 0 = open.
   for (const auto& shard : shards_) {
     double v = 0.0;
     {
@@ -562,22 +468,9 @@ Response Router::metrics_response(const Request& req) {
               ? 1.0
               : (shard->health == Health::HalfOpen ? 0.5 : 0.0);
     }
-    metrics_.gauge("router_shard_healthy", {{"shard", shard->endpoint}})
+    metrics().gauge("router_shard_healthy", {{"shard", shard->endpoint}})
         .set(v);
   }
-  metrics_.gauge("process_uptime_seconds").set(seconds_since(started_));
-
-  Response resp;
-  resp.id = req.id;
-  resp.type = "metrics";
-  resp.status = "ok";
-  if (req.format == "prometheus") {
-    resp.payload_json = "{\"format\": \"prometheus\", \"text\": \"" +
-                        json_escape(metrics_.prometheus()) + "\"}";
-  } else {
-    resp.payload_json = metrics_.json();
-  }
-  return resp;
 }
 
 void Router::prober_loop() {
@@ -626,57 +519,6 @@ void Router::probe(std::size_t shard) {
   } catch (const std::exception&) {
     on_failure_locked(s, now);
   }
-}
-
-int Router::serve_listener(Listener& listener) {
-#ifndef _WIN32
-  std::signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill us
-#endif
-  LineServerOptions lo;
-  lo.max_connections = opts_.max_connections;
-  lo.idle_timeout_ms = opts_.idle_timeout_ms;
-  {
-    Response rej;
-    rej.status = "rejected";
-    rej.error = "overloaded: " + std::to_string(opts_.max_connections) +
-                " connections already open, try again later";
-    lo.overloaded_line = format_response(rej);
-    Response idle;
-    idle.status = "error";
-    idle.error = "idle timeout: no request for " +
-                 std::to_string(opts_.idle_timeout_ms) +
-                 " ms, closing connection";
-    lo.idle_line = format_response(idle);
-  }
-
-  active_listener_.store(&listener);
-  const int rc = run_line_server(
-      listener, lo, [this](const std::string& line, bool* stop_serving) {
-        const Response resp = handle(line);
-        if (resp.type == "bye") *stop_serving = true;
-        return format_response(resp);
-      });
-  active_listener_.store(nullptr);
-  listener.close();
-  if (shutdown_requested_.load()) {
-    Request none;
-    std::fprintf(stderr, "%s\n",
-                 format_response(status_response(none)).c_str());
-  }
-  return rc;
-}
-
-int Router::serve_endpoint(const std::string& spec) {
-  Listener listener = Listener::listen(spec);
-  return serve_listener(listener);
-}
-
-void Router::request_shutdown() {
-  // Called from signal handlers: only async-signal-safe steps — an
-  // atomic store plus Listener::shutdown() (atomic load + shutdown(2)).
-  shutdown_requested_.store(true);
-  Listener* listener = active_listener_.load();
-  if (listener != nullptr) listener->shutdown();
 }
 
 RouterClient::RouterClient(const std::string& endpoints_spec,

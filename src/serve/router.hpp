@@ -34,10 +34,13 @@
 //
 // Requests the router answers itself: "stats" returns the
 // router_stats/v1 payload (per-shard health + forward/failover/
-// replication counters); "status" a liveness summary; "shutdown" stops
-// the serving loop with a "bye". Everything else — eval errors, store
-// semantics — is the backend shard's answer, annotated with "shard":
-// the endpoint that served it.
+// replication counters); "status" a liveness summary; "metrics" its
+// registry; "shutdown" stops the serving loop with a "bye". Everything
+// else — eval errors, store semantics — is the backend shard's answer,
+// annotated with "shard": the endpoint that served it. The control
+// plane behind those answers, tracing, and socket serving through
+// serve_listener are the shared serve::Daemon skeleton
+// (serve/daemon.hpp).
 //
 // Two front ends: RouterClient embeds a Router behind the Client call
 // surface (submit/stats/status/shutdown) for in-process use with a
@@ -46,10 +49,10 @@
 // listener, so existing serve::Client code talks to the pool unchanged.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,16 +60,14 @@
 #include <vector>
 
 #include "core/session.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "serve/client.hpp"
+#include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "serve/ring.hpp"
-#include "serve/transport.hpp"
 
 namespace sparsetrain::serve {
 
-struct RouterOptions {
+struct RouterOptions : DaemonOptions {
   /// Backend daemon endpoints (unix paths or host:port specs). Must be
   /// non-empty and distinct.
   std::vector<std::string> endpoints;
@@ -86,19 +87,6 @@ struct RouterOptions {
   /// non-Up shards only, with `probe_deadline_ms` per ping.
   long probe_interval_ms = 0;
   long probe_deadline_ms = 250;
-  /// Socket serving (serve_listener) limits — same semantics as
-  /// ServerOptions.
-  std::size_t max_connections = 64;
-  long idle_timeout_ms = 0;
-  /// JSONL trace log path; empty = tracing disabled. The router is the
-  /// usual trace edge: it mints ids for requests arriving without one
-  /// and propagates them to the shards as "trace"/"span" wire fields.
-  std::string trace_path;
-  /// Fraction of router-edge traces sampled (requests arriving WITH a
-  /// trace id are always recorded — the upstream edge already decided).
-  double trace_sample_rate = 0.0;
-  /// Seed of the trace-id sequence and sampling decision.
-  std::uint64_t trace_seed = 1;
 
   static ClientOptions client_defaults() {
     ClientOptions c;
@@ -110,19 +98,17 @@ struct RouterOptions {
   }
 };
 
-class Router {
+/// The router is the usual trace edge: it mints trace ids for eval and
+/// put requests arriving without one and propagates them to the shards
+/// as "trace"/"span" wire fields. Its registry holds the router
+/// counters, per-shard counters and forward-latency histograms, and the
+/// per-endpoint client counters.
+class Router : public Daemon {
  public:
   explicit Router(RouterOptions opts);
-  ~Router();
-
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
+  ~Router() override;
 
   const Ring& ring() const { return ring_; }
-
-  /// The router's metrics registry (router counters, per-shard counters
-  /// and forward-latency histograms, per-endpoint client counters).
-  obs::Registry& metrics() { return metrics_; }
 
   /// Breaker state of one shard, as exported in router_stats/v1.
   enum class Health { Up, Open, HalfOpen };
@@ -159,21 +145,7 @@ class Router {
   /// the error), a deterministic hash of the request's identity fields.
   std::uint64_t placement_key(const Request& req) const;
 
-  /// Routes one request line; never throws. Same contract as
-  /// Server::handle, with routing semantics documented above.
-  Response handle(const std::string& line);
-
-  /// NDJSON serving over a listener — the counterpart of
-  /// Server::serve_listener, built on the same shared loop.
-  int serve_listener(Listener& listener);
-  int serve_endpoint(const std::string& spec);
-
-  /// Async-signal-safe drain trigger (see Server::request_shutdown).
-  void request_shutdown();
-
  private:
-  using Clock = std::chrono::steady_clock;
-
   struct Shard {
     std::string endpoint;
     mutable std::mutex mu;  ///< guards everything below + the client
@@ -223,46 +195,31 @@ class Router {
                  const obs::SpanContext& trace, bool replicate_ok);
   void replicate(std::uint64_t key, std::size_t served_by,
                  const Response& ok_resp, const obs::SpanContext& trace);
-  Response stats_response(const Request& req) const;
-  Response status_response(const Request& req) const;
-  Response metrics_response(const Request& req);
   Response all_down_response(const Request& req);
 
-  /// Stamps `elapsed_ms` (overwriting a shard's own measurement: the
-  /// router is the outermost layer, so its number includes the network)
-  /// and records router_request_seconds{type,status}.
-  void finish(Response& resp, Clock::time_point admitted,
-              const std::string& type_label);
-  /// Edge trace context: joins an incoming trace or mints a new one.
-  obs::SpanContext trace_context(const Request& req);
+  Response answer(const Request& req, Clock::time_point admitted) override;
+  void status_fields(std::ostream& os) override;
+  std::string stats_payload() override;
+  std::string bye_payload() override;
+  void sample_gauges() override;
 
   void prober_loop();
   void probe(std::size_t shard);
 
   RouterOptions opts_;
   Ring ring_;
-  /// Declared before shards_ and tracer-using code: shards hold handles
-  /// into this registry.
-  obs::Registry metrics_;
-  std::unique_ptr<obs::Tracer> tracer_;  ///< null = tracing disabled
   /// Placement-only session: fingerprints requests exactly as the shards
   /// do; never simulates (workers = 1, no store).
   core::Session session_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  Clock::time_point started_ = Clock::now();
 
   /// Router-level counter handles, resolved once in the constructor.
   struct CounterSet {
-    obs::Counter* received = nullptr;
     obs::Counter* routed = nullptr;
     obs::Counter* failovers = nullptr;
     obs::Counter* rejected = nullptr;
-    obs::Counter* errors = nullptr;
   };
   CounterSet c_;
-
-  std::atomic<Listener*> active_listener_{nullptr};
-  std::atomic<bool> shutdown_requested_{false};
 
   std::mutex prober_mu_;
   std::condition_variable prober_cv_;

@@ -1,28 +1,15 @@
 #include "serve/server.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
-#include <memory>
-#include <thread>
-#include <vector>
-
 #include "core/export.hpp"
 #include "isa/instruction.hpp"
-#include "serve/line_server.hpp"
 #include "serve/report_io.hpp"
 #include "util/require.hpp"
-
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <csignal>
-#include <unistd.h>
-#endif
 
 namespace sparsetrain::serve {
 
@@ -44,30 +31,6 @@ core::SessionConfig session_config(const ServerOptions& opts,
   cfg.metrics = &metrics;
   cfg.profile_engine = opts.profile_engine;
   return cfg;
-}
-
-std::unique_ptr<obs::Tracer> make_tracer(const ServerOptions& opts) {
-  if (opts.trace_path.empty()) return nullptr;
-  obs::TracerOptions to;
-  to.path = opts.trace_path;
-  to.sample_rate = opts.trace_sample_rate;
-  to.seed = opts.trace_seed;
-  to.process = "serve";
-  return std::make_unique<obs::Tracer>(std::move(to));
-}
-
-int process_id() {
-#ifdef _WIN32
-  return _getpid();
-#else
-  return static_cast<int>(getpid());
-#endif
-}
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
 }
 
 /// Collapses a pretty-printed JSON document onto one NDJSON-safe line.
@@ -107,123 +70,62 @@ core::Session::JobOptions request_job_options(const Request& r) {
 }
 
 Server::Server(ServerOptions opts)
-    : opts_(std::move(opts)),
-      tracer_(make_tracer(opts_)),
-      session_(session_config(opts_, metrics_)),
+    : Daemon("server", "serve",
+             "\"stats\": \"sparsetrain.store_stats/v2\", "
+             "\"store\": \"sparsetrain.store/v1\", "
+             "\"report\": \"sparsetrain.report/v1\"",
+             opts),
+      opts_(std::move(opts)),
+      session_(session_config(opts_, metrics())),
       eval_pool_(opts_.request_workers ? opts_.request_workers : 1) {
-  c_.received = &metrics_.counter("server_requests_received_total");
-  c_.completed = &metrics_.counter("server_evals_completed_total");
-  c_.computed =
-      &metrics_.counter("server_evals_total", {{"source", "computed"}});
-  c_.store_hits =
-      &metrics_.counter("server_evals_total", {{"source", "store"}});
-  c_.coalesced =
-      &metrics_.counter("server_evals_total", {{"source", "coalesced"}});
-  c_.errors = &metrics_.counter("server_errors_total");
-  c_.rejected = &metrics_.counter("server_rejected_total");
-  c_.timeouts = &metrics_.counter("server_timeouts_total");
-  c_.overloaded = &metrics_.counter("server_connections_overloaded_total");
-  c_.idle_closed = &metrics_.counter("server_connections_idle_closed_total");
-  c_.puts = &metrics_.counter("server_puts_total");
-  queue_hist_ = &metrics_.histogram("server_queue_seconds");
+  obs::Registry& m = metrics();
+  c_.completed = &m.counter("server_evals_completed_total");
+  c_.computed = &m.counter("server_evals_total", {{"source", "computed"}});
+  c_.store_hits = &m.counter("server_evals_total", {{"source", "store"}});
+  c_.coalesced = &m.counter("server_evals_total", {{"source", "coalesced"}});
+  c_.rejected = &m.counter("server_rejected_total");
+  c_.timeouts = &m.counter("server_timeouts_total");
+  c_.puts = &m.counter("server_puts_total");
+  queue_hist_ = &m.histogram("server_queue_seconds");
 }
-
-Server::~Server() = default;
 
 Server::Counters Server::counters() const {
   Counters c;
-  c.received = c_.received->value();
+  c.received = received_->value();
   c.completed = c_.completed->value();
   c.computed = c_.computed->value();
   c.store_hits = c_.store_hits->value();
   c.coalesced = c_.coalesced->value();
-  c.errors = c_.errors->value();
+  c.errors = errors_->value();
   c.rejected = c_.rejected->value();
   c.timeouts = c_.timeouts->value();
-  c.overloaded = c_.overloaded->value();
-  c.idle_closed = c_.idle_closed->value();
+  c.overloaded = overloaded_->value();
+  c.idle_closed = idle_closed_->value();
   c.puts = c_.puts->value();
   return c;
 }
 
-void Server::finish(Response& resp, Clock::time_point admitted,
-                    const char* type_label) {
-  const double seconds = seconds_since(admitted);
-  // An inner layer (a shard behind a router) may already have measured;
-  // the outermost unmeasured layer stamps.
-  if (resp.elapsed_ms < 0.0) resp.elapsed_ms = seconds * 1e3;
-  metrics_
-      .histogram("server_request_seconds",
-                 {{"type", type_label}, {"status", resp.status}})
-      .record(seconds);
-}
-
-obs::SpanContext Server::trace_context(const Request& req, bool edge) {
-  if (tracer_ == nullptr) return {};
-  if (req.trace != 0) return tracer_->join(req.trace, req.parent_span);
-  return edge ? tracer_->start_trace() : obs::SpanContext{};
-}
-
-Response Server::handle(const std::string& line) {
-  const Clock::time_point admitted = Clock::now();
-  c_.received->inc();
-  Request req;
-  try {
-    req = parse_request(line);
-  } catch (const std::exception& e) {
-    c_.errors->inc();
-    Response resp;
-    resp.status = "error";
-    resp.error = e.what();
-    finish(resp, admitted, "parse");
-    return resp;
-  }
-  return process(req, admitted);
-}
-
-Response Server::process(const Request& req, Clock::time_point admitted) {
-  if (req.type == "stats") {
-    Response resp = stats_response(req);
-    finish(resp, admitted, "stats");
-    return resp;
-  }
-  if (req.type == "status") {
-    Response resp = status_response(req);
-    finish(resp, admitted, "status");
-    return resp;
-  }
-  if (req.type == "metrics") {
-    Response resp = metrics_response(req);
-    finish(resp, admitted, "metrics");
-    return resp;
-  }
-  if (req.type == "put") {
-    Response resp = put_response(req);
-    finish(resp, admitted, "put");
-    return resp;
-  }
-  if (req.type == "shutdown") {
-    eval_pool_.wait_idle();  // drain in-flight evaluations
-    Response resp = bye_response(req);
-    finish(resp, admitted, "shutdown");
-    return resp;
-  }
-  // eval: admission first — a full queue answers immediately instead of
-  // growing without bound.
-  if (pending_.load() >= opts_.max_queue) {
-    c_.rejected->inc();
-    Response resp;
-    resp.id = req.id;
-    resp.status = "rejected";
-    resp.error =
-        "queue full (" + std::to_string(opts_.max_queue) + " in flight)";
-    finish(resp, admitted, "eval");
-    return resp;
-  }
-  ++pending_;
-  Response resp = process_eval(req, admitted);
+Response Server::answer(const Request& req, Clock::time_point admitted) {
+  if (req.type == "put") return put_response(req);
+  Response resp;
+  if (!admit(req, resp)) return resp;
+  resp = process_eval(req, admitted);
   --pending_;
   return resp;
+}
+
+bool Server::admit(const Request& req, Response& rejected) {
+  // A full queue answers immediately instead of growing without bound.
+  if (pending_.load() < opts_.max_queue) {
+    ++pending_;
+    return true;
+  }
+  c_.rejected->inc();
+  rejected.id = req.id;
+  rejected.status = "rejected";
+  rejected.error =
+      "queue full (" + std::to_string(opts_.max_queue) + " in flight)";
+  return false;
 }
 
 Response Server::process_eval(const Request& req,
@@ -244,14 +146,12 @@ Response Server::process_eval(const Request& req,
   }
   queue_hist_->record(seconds_since(admitted));
 
-  // Every exit funnels through here: span status attr, elapsed stamp,
-  // request-latency histogram.
+  // Every exit funnels through here to label the request span.
   const auto done = [&](Response resp) {
     if (req_span.active()) {
       req_span.attr("status", resp.status);
       if (!resp.source.empty()) req_span.attr("source", resp.source);
     }
-    finish(resp, admitted, "eval");
     return resp;
   };
 
@@ -344,7 +244,7 @@ Response Server::process_eval(const Request& req,
 
     const std::shared_ptr<const EvalOutcome> outcome = future.get();
     if (!outcome->error.empty()) {
-      c_.errors->inc();
+      errors_->inc();
       resp.status = "error";
       resp.error = outcome->error;
       return done(std::move(resp));
@@ -374,7 +274,7 @@ Response Server::process_eval(const Request& req,
       c_.computed->inc();
     }
   } catch (const std::exception& e) {
-    c_.errors->inc();
+    errors_->inc();
     resp.status = "error";
     resp.error = e.what();
   }
@@ -396,7 +296,7 @@ Response Server::put_response(const Request& req) {
     // an error response, never a half-written record.
     const sim::SimReport report = parse_report(hex_decode(req.report_hex));
     if (!store->put_result(req.fingerprint, report)) {
-      c_.errors->inc();
+      errors_->inc();
       resp.status = "error";
       resp.error = "store did not accept the put (read-only or publish "
                    "failure)";
@@ -408,7 +308,7 @@ Response Server::put_response(const Request& req) {
     resp.fingerprint = req.fingerprint;
     c_.puts->inc();
   } catch (const std::exception& e) {
-    c_.errors->inc();
+    errors_->inc();
     resp.status = "error";
     resp.error = e.what();
   }
@@ -416,24 +316,15 @@ Response Server::put_response(const Request& req) {
   return resp;
 }
 
-Response Server::stats_response(const Request& req) {
-  Response resp;
-  resp.id = req.id;
-  resp.type = "stats";
+std::string Server::stats_payload() {
   std::ostringstream os;
   core::export_stats_json(core::service_stats(session_), os);
-  resp.payload_json = one_line(os.str());
-  return resp;
+  return one_line(os.str());
 }
 
-Response Server::status_response(const Request& req) {
-  Response resp;
-  resp.id = req.id;
-  resp.type = "status";
+void Server::status_fields(std::ostream& os) {
   const Counters c = counters();
-  std::ostringstream os;
-  os.precision(10);
-  os << "{\"inflight\": " << pending_.load()
+  os << "\"inflight\": " << pending_.load()
      << ", \"received\": " << c.received
      << ", \"completed\": " << c.completed
      << ", \"computed\": " << c.computed
@@ -442,63 +333,33 @@ Response Server::status_response(const Request& req) {
      << ", \"errors\": " << c.errors << ", \"rejected\": " << c.rejected
      << ", \"timeouts\": " << c.timeouts
      << ", \"overloaded\": " << c.overloaded
-     << ", \"idle_closed\": " << c.idle_closed << ", \"puts\": " << c.puts
-     // Provenance: which process is this, how long has it been up, and
-     // which schema versions does it speak.
-     << ", \"pid\": " << process_id()
-     << ", \"uptime_s\": " << seconds_since(started_)
-     << ", \"tracing\": " << (tracer_ != nullptr ? "true" : "false")
-     << ", \"schemas\": {\"metrics\": \"sparsetrain.metrics/v1\""
-     << ", \"stats\": \"sparsetrain.store_stats/v2\""
-     << ", \"store\": \"sparsetrain.store/v1\""
-     << ", \"report\": \"sparsetrain.report/v1\"}}";
-  resp.payload_json = os.str();
-  return resp;
+     << ", \"idle_closed\": " << c.idle_closed << ", \"puts\": " << c.puts;
 }
 
-Response Server::metrics_response(const Request& req) {
-  // Sampled state is refreshed at snapshot time — gauges carry the
-  // moment's truth, counters and histograms accumulated on their own.
-  metrics_.gauge("server_inflight")
-      .set(static_cast<double>(pending_.load()));
-  metrics_.gauge("process_uptime_seconds").set(seconds_since(started_));
-  metrics_.gauge("program_cache_entries")
+void Server::sample_gauges() {
+  obs::Registry& m = metrics();
+  m.gauge("server_inflight").set(static_cast<double>(pending_.load()));
+  m.gauge("program_cache_entries")
       .set(static_cast<double>(session_.program_cache().size()));
   if (session_.result_store() != nullptr) {
     const StoreStats ss = session_.result_store()->stats();
-    metrics_.gauge("store_resident_bytes")
-        .set(static_cast<double>(ss.bytes));
-    metrics_.gauge("store_result_entries")
-        .set(static_cast<double>(ss.entries));
-    metrics_.gauge("store_program_entries")
+    m.gauge("store_resident_bytes").set(static_cast<double>(ss.bytes));
+    m.gauge("store_result_entries").set(static_cast<double>(ss.entries));
+    m.gauge("store_program_entries")
         .set(static_cast<double>(ss.program_entries));
-    metrics_.gauge("store_read_only").set(ss.read_only ? 1.0 : 0.0);
+    m.gauge("store_read_only").set(ss.read_only ? 1.0 : 0.0);
   }
-
-  Response resp;
-  resp.id = req.id;
-  resp.type = "metrics";
-  resp.status = "ok";
-  if (req.format == "prometheus") {
-    resp.payload_json = "{\"format\": \"prometheus\", \"text\": \"" +
-                        json_escape(metrics_.prometheus()) + "\"}";
-  } else {
-    resp.payload_json = metrics_.json();
-  }
-  return resp;
 }
 
-Response Server::bye_response(const Request& req) {
-  Response resp;
-  resp.id = req.id;
-  resp.type = "bye";
+std::string Server::bye_payload() {
   const Counters c = counters();
   std::ostringstream os;
   os << "{\"completed\": " << c.completed << ", \"errors\": " << c.errors
      << ", \"rejected\": " << c.rejected << "}";
-  resp.payload_json = os.str();
-  return resp;
+  return os.str();
 }
+
+void Server::drain() { eval_pool_.wait_idle(); }
 
 void Server::serve(std::istream& in, std::ostream& out) {
   util::ThreadPool responders(opts_.request_workers ? opts_.request_workers
@@ -511,26 +372,17 @@ void Server::serve(std::istream& in, std::ostream& out) {
 
   std::string line;
   Request shutdown_req;
-  bool saw_shutdown = false;
   while (std::getline(in, line)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     const Clock::time_point admitted = Clock::now();
-    c_.received->inc();
     Request req;
-    try {
-      req = parse_request(line);
-    } catch (const std::exception& e) {
-      c_.errors->inc();
-      Response err;
-      err.status = "error";
-      err.error = e.what();
-      finish(err, admitted, "parse");
-      write_line(err);
+    Response resp;
+    if (!parse(line, admitted, req, resp)) {
+      write_line(resp);
       continue;
     }
     if (req.type == "shutdown") {
       shutdown_req = req;
-      saw_shutdown = true;
       break;
     }
     if (req.type != "eval") {
@@ -539,89 +391,20 @@ void Server::serve(std::istream& in, std::ostream& out) {
     }
     // Admission on the intake thread: what the cap bounds is dispatched
     // work, so the responder queue can never grow past max_queue.
-    if (pending_.load() >= opts_.max_queue) {
-      c_.rejected->inc();
-      Response rej;
-      rej.id = req.id;
-      rej.status = "rejected";
-      rej.error =
-          "queue full (" + std::to_string(opts_.max_queue) + " in flight)";
-      finish(rej, admitted, "eval");
-      write_line(rej);
+    if (!admit(req, resp)) {
+      finish(resp, admitted, "eval");
+      write_line(resp);
       continue;
     }
-    ++pending_;
     responders.submit([this, req, admitted, write_line]() {
-      const Response resp = process_eval(req, admitted);
+      Response resp = process_eval(req, admitted);
       --pending_;
+      finish(resp, admitted, "eval");
       write_line(resp);
     });
   }
   responders.wait_idle();  // graceful drain: every admitted eval answers
-  write_line(bye_response(saw_shutdown ? shutdown_req : Request{}));
-}
-
-int Server::serve_listener(Listener& listener) {
-#ifndef _WIN32
-  std::signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill us
-#endif
-  LineServerOptions lo;
-  lo.max_connections = opts_.max_connections;
-  lo.idle_timeout_ms = opts_.idle_timeout_ms;
-  {
-    Response rej;
-    rej.status = "rejected";
-    rej.error = "overloaded: " + std::to_string(opts_.max_connections) +
-                " connections already open, try again later";
-    lo.overloaded_line = format_response(rej);
-    Response idle;
-    idle.status = "error";
-    idle.error = "idle timeout: no request for " +
-                 std::to_string(opts_.idle_timeout_ms) +
-                 " ms, closing connection";
-    lo.idle_line = format_response(idle);
-  }
-  lo.on_overloaded = [this]() { c_.overloaded->inc(); };
-  lo.on_idle_closed = [this]() { c_.idle_closed->inc(); };
-
-  active_listener_.store(&listener);
-  const int rc = run_line_server(
-      listener, lo, [this](const std::string& line, bool* stop_serving) {
-        const Response resp = handle(line);
-        if (resp.type == "bye") *stop_serving = true;
-        return format_response(resp);
-      });
-  active_listener_.store(nullptr);
-  listener.close();
-  eval_pool_.wait_idle();
-  if (shutdown_requested_.load()) {
-    // Signal-initiated drain: no connection carried a shutdown request,
-    // so the final "bye" counters go to stderr instead.
-    std::fprintf(stderr, "%s\n",
-                 format_response(bye_response(Request{})).c_str());
-  }
-  return rc;
-}
-
-void Server::request_shutdown() {
-  // Called from signal handlers: only async-signal-safe steps — an
-  // atomic store plus Listener::shutdown() (atomic load + shutdown(2)).
-  shutdown_requested_.store(true);
-  Listener* listener = active_listener_.load();
-  if (listener != nullptr) listener->shutdown();
-}
-
-int Server::serve_unix_socket(const std::string& path) {
-  Endpoint ep;
-  ep.kind = Endpoint::Kind::Unix;
-  ep.path = path;
-  Listener listener = Listener::listen(ep);
-  return serve_listener(listener);
-}
-
-int Server::serve_endpoint(const std::string& spec) {
-  Listener listener = Listener::listen(spec);
-  return serve_listener(listener);
+  write_line(bye_response(shutdown_req));
 }
 
 }  // namespace sparsetrain::serve

@@ -19,19 +19,15 @@
 // the background and still publishes its report to the store, so the
 // retry is a store hit.
 //
-// Transport is pluggable: serve(in, out) speaks over any stream pair
-// (the CLI uses stdin/stdout), serve_listener(listener) accepts
-// connections from any serve::Listener — AF_UNIX via serve_unix_socket,
-// TCP or unix via serve_endpoint — and handle(line) answers one request
-// synchronously for in-process use and tests. Socket serving defends
-// itself: transient accept failures are retried, connections past
-// `max_connections` get an explicit "rejected" response instead of a
-// silent hang, and a connection idle past `idle_timeout_ms` is told so
-// and closed (slow or vanished clients cannot pin threads forever).
+// The control plane — parse errors, status provenance, metrics,
+// shutdown, tracing, and socket serving through serve_listener — is the
+// shared serve::Daemon skeleton (serve/daemon.hpp). The server adds
+// eval and put handling, its payloads, and serve(in, out), the NDJSON
+// loop over a stream pair (the CLI uses stdin/stdout); handle(line)
+// answers one request synchronously for in-process use and tests.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -42,10 +38,8 @@
 #include <unordered_map>
 
 #include "core/session.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
-#include "serve/transport.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sparsetrain::serve {
@@ -58,7 +52,7 @@ workload::SparsityProfile request_profile(const workload::NetworkConfig& net,
                                           const Request& r);
 core::Session::JobOptions request_job_options(const Request& r);
 
-struct ServerOptions {
+struct ServerOptions : DaemonOptions {
   /// Session configuration (arches, batch, sim workers, seed). The
   /// `store` field is overridden when `store_dir` is set.
   core::SessionConfig session;
@@ -73,20 +67,6 @@ struct ServerOptions {
   /// Max evaluations admitted at once; further evals are rejected.
   std::size_t max_queue = 64;
   long default_timeout_ms = 0;  ///< 0 = wait forever
-  /// Socket serving only: connections above this count are answered with
-  /// one "rejected" line and closed (0 = unlimited).
-  std::size_t max_connections = 64;
-  /// Socket serving only: a connection that sends no complete request
-  /// line for this long is told "idle timeout" and closed (0 = never).
-  long idle_timeout_ms = 0;
-  /// JSONL trace log path; empty = tracing disabled (requests carrying a
-  /// trace id are still parsed, just not recorded).
-  std::string trace_path;
-  /// Fraction of daemon-edge traces sampled (requests arriving WITH a
-  /// trace id are always recorded — the edge already decided).
-  double trace_sample_rate = 0.0;
-  /// Seed of the trace-id sequence and sampling decision.
-  std::uint64_t trace_seed = 1;
   /// Record per-stage exact-engine profiles into the metrics registry.
   bool profile_engine = false;
   /// Test seam: runs in the evaluator thread right before the session
@@ -94,21 +74,12 @@ struct ServerOptions {
   std::function<void()> before_eval;
 };
 
-class Server {
+class Server : public Daemon {
  public:
   explicit Server(ServerOptions opts = {});
-  ~Server();
-
-  Server(const Server&) = delete;
-  Server& operator=(const Server&) = delete;
 
   core::Session& session() { return session_; }
   const core::Session& session() const { return session_; }
-
-  /// The daemon's metrics registry (everything the "metrics" request
-  /// snapshots: server counters, session phase histograms, store and
-  /// program-cache counters, engine profiles).
-  obs::Registry& metrics() { return metrics_; }
 
   /// Request-level counters (evaluation-source breakdown included) — a
   /// view assembled from the registry, so "stats"/"status" responses and
@@ -131,37 +102,11 @@ class Server {
   /// Evaluations currently admitted (owners + waiters).
   std::size_t inflight() const { return pending_.load(); }
 
-  /// Parses and answers one request line synchronously. Never throws:
-  /// malformed input becomes a status "error" response. A "shutdown"
-  /// request drains in-flight evaluations and answers "bye" (the next
-  /// handle() still works — lifecycle belongs to the transport loop).
-  Response handle(const std::string& line);
-
   /// NDJSON loop: one request per input line, one response line each
   /// (responses complete in evaluation order, not input order). Returns
   /// after EOF or a "shutdown" request, once every in-flight evaluation
   /// drained and the final "bye" line was written.
   void serve(std::istream& in, std::ostream& out);
-
-  /// Accepts connections from `listener`, one NDJSON loop per connection
-  /// (each in its own thread). Returns 0 after a clean shutdown-drain: a
-  /// "shutdown" request answers "bye", stops the listener, and kicks the
-  /// remaining connections.
-  int serve_listener(Listener& listener);
-
-  /// Listens on a unix-domain socket. Throws ContractError (with the
-  /// errno text) when the socket cannot be created or bound.
-  int serve_unix_socket(const std::string& path);
-
-  /// Listens on an endpoint spec — "host:port" for TCP, anything else a
-  /// unix path (see parse_endpoint). Same contract as serve_unix_socket.
-  int serve_endpoint(const std::string& spec);
-
-  /// Async-signal-safe shutdown trigger (atomic store + a shutdown(2)
-  /// kick of the active listener). serve_listener then drains exactly as
-  /// if a "shutdown" request had arrived, writing the final "bye"
-  /// counters to stderr since no connection asked for them.
-  void request_shutdown();
 
  private:
   struct EvalOutcome {
@@ -179,48 +124,32 @@ class Server {
   };
   using OutcomeFuture = std::shared_future<std::shared_ptr<const EvalOutcome>>;
 
-  using Clock = std::chrono::steady_clock;
+  Response answer(const Request& req, Clock::time_point admitted) override;
+  void status_fields(std::ostream& os) override;
+  std::string stats_payload() override;
+  std::string bye_payload() override;
+  void sample_gauges() override;
+  void drain() override;
 
-  Response process(const Request& req, Clock::time_point admitted);
+  /// Admission control: claims a pending slot, or fills `rejected` when
+  /// `max_queue` evaluations are already in flight.
+  bool admit(const Request& req, Response& rejected);
+  /// Evaluates an admitted request (the caller releases its slot).
   Response process_eval(const Request& req, Clock::time_point admitted);
   Response put_response(const Request& req);
-  Response stats_response(const Request& req);
-  Response status_response(const Request& req);
-  Response metrics_response(const Request& req);
-  Response bye_response(const Request& req);
-
-  /// Stamps `elapsed_ms` (when not already set by an inner layer) and
-  /// records server_request_seconds{type,status}. Every response path
-  /// funnels through here exactly once.
-  void finish(Response& resp, Clock::time_point admitted,
-              const char* type_label);
-  /// Tracing context of an incoming request: joins a propagated trace,
-  /// or (for `edge` = true, i.e. eval requests) mints a new one.
-  obs::SpanContext trace_context(const Request& req, bool edge);
 
   ServerOptions opts_;
-  /// Declared before session_: the session instruments itself on this
-  /// registry, so it must outlive (construct before) the session.
-  obs::Registry metrics_;
-  std::unique_ptr<obs::Tracer> tracer_;  ///< null = tracing disabled
   core::Session session_;
-  Clock::time_point started_ = Clock::now();
   std::atomic<std::size_t> pending_{0};
-  std::atomic<Listener*> active_listener_{nullptr};
-  std::atomic<bool> shutdown_requested_{false};
 
-  /// Counter handles into metrics_, resolved once in the constructor.
+  /// Counter handles into metrics(), resolved once in the constructor.
   struct CounterSet {
-    obs::Counter* received = nullptr;
     obs::Counter* completed = nullptr;
     obs::Counter* computed = nullptr;
     obs::Counter* store_hits = nullptr;
     obs::Counter* coalesced = nullptr;
-    obs::Counter* errors = nullptr;
     obs::Counter* rejected = nullptr;
     obs::Counter* timeouts = nullptr;
-    obs::Counter* overloaded = nullptr;
-    obs::Counter* idle_closed = nullptr;
     obs::Counter* puts = nullptr;
   };
   CounterSet c_;

@@ -3,7 +3,7 @@
 //
 // An Endpoint is parsed from one spec string: "host:port" (numeric port)
 // means TCP, "unix:<path>" or anything else means a unix-domain socket
-// path — so "--listen 127.0.0.1:7117" and "--socket /tmp/st.sock" go
+// path — so "--listen 127.0.0.1:7117" and "--listen /tmp/st.sock" go
 // through the same code. Listeners retry transient accept failures
 // (EINTR, ECONNABORTED, fd exhaustion with a backoff) instead of exiting,
 // and report fatal bind/listen failures with the errno text. Conn does

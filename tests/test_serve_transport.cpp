@@ -1,15 +1,19 @@
 // Stream transport: endpoint-spec parsing, EINTR-safe syscall wrappers,
 // NDJSON round trips over both AF_UNIX and TCP through serve_listener,
-// per-connection idle timeouts, the connection cap's explicit rejection,
-// and the oversized-line defense.
+// per-connection idle timeouts, the connection cap's explicit rejection
+// (counted by both daemons), the oversized-line defense, and a shutdown
+// requested before serving starts.
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
+#include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
 #include "util/require.hpp"
@@ -25,6 +29,8 @@ using serve::Endpoint;
 using serve::Listener;
 using serve::Request;
 using serve::Response;
+using serve::Router;
+using serve::RouterOptions;
 using serve::Server;
 using serve::ServerOptions;
 
@@ -202,6 +208,75 @@ TEST(Transport, ConnectionCapRejectsExplicitly) {
   EXPECT_EQ(client.shutdown().type, "bye");
   daemon.join();
   EXPECT_GE(server.counters().overloaded, 1u);
+}
+
+TEST(Transport, RouterConnectionCapRejectsAndCounts) {
+  RouterOptions opts;
+  opts.endpoints = {fresh_socket("cap_shard")};  // never contacted
+  opts.max_connections = 1;
+  Router router(opts);
+  Listener listener = Listener::listen(fresh_socket("router_cap"));
+  std::thread serving([&]() { router.serve_listener(listener); });
+
+  std::string error;
+  Conn first = serve::connect_endpoint(listener.endpoint(), &error);
+  ASSERT_TRUE(first.valid()) << error;
+  Conn second = serve::connect_endpoint(listener.endpoint(), &error);
+  ASSERT_TRUE(second.valid()) << error;
+  std::string line;
+  ASSERT_EQ(second.read_line(line, 5000), Conn::ReadStatus::Ok);
+  const Response rej = serve::parse_response(line);
+  EXPECT_EQ(rej.status, "rejected");
+  EXPECT_NE(rej.error.find("overloaded"), std::string::npos);
+  EXPECT_EQ(second.read_line(line, 5000), Conn::ReadStatus::Eof);
+  second.close();
+  first.close();
+
+  ClientOptions copts;
+  copts.retries = 50;
+  copts.backoff_base_ms = 5;
+  copts.backoff_cap_ms = 50;
+  Client client(listener.endpoint().path, copts);
+  EXPECT_EQ(client.shutdown().type, "bye");
+  serving.join();
+  // The refusal shows up in the router's metrics, as it does the
+  // server's.
+  EXPECT_GE(
+      router.metrics().counter("router_connections_overloaded_total").value(),
+      1u);
+}
+
+/// A shutdown requested before serve_listener publishes its listener —
+/// a signal landing while the daemon binds — must still stop it. After
+/// 5 s the test shuts the listener itself, so a daemon that missed the
+/// request fails the test instead of hanging it.
+template <typename D>
+void expect_early_shutdown_honoured(D& daemon) {
+  Listener listener = Listener::listen("127.0.0.1:0");
+  daemon.request_shutdown();
+  std::promise<int> served;
+  std::future<int> rc = served.get_future();
+  std::thread serving(
+      [&]() { served.set_value(daemon.serve_listener(listener)); });
+  const bool returned = rc.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  if (!returned) listener.shutdown();
+  serving.join();
+  EXPECT_TRUE(returned)
+      << "serve_listener kept accepting after request_shutdown()";
+  EXPECT_EQ(rc.get(), 0);
+}
+
+TEST(Transport, ServerHonoursShutdownRequestedBeforeServing) {
+  Server server;
+  expect_early_shutdown_honoured(server);
+}
+
+TEST(Transport, RouterHonoursShutdownRequestedBeforeServing) {
+  RouterOptions opts;
+  opts.endpoints = {fresh_socket("early_shard")};  // never contacted
+  Router router(opts);
+  expect_early_shutdown_honoured(router);
 }
 
 TEST(Transport, OversizedLinesDropTheConnection) {

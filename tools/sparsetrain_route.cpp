@@ -10,15 +10,12 @@
 // router's endpoint; "stats" answers the router_stats/v1 payload
 // (per-shard health and forward/failover/replication counters) and
 // "shutdown" stops the router only — the shards keep running.
-// SIGTERM/SIGINT drain the same way and print the final status line to
-// stderr.
+// SIGTERM/SIGINT drain the same way and print the final "bye" line to
+// stderr. Once bound, the router prints "listening on <endpoint>" to
+// stderr (with the resolved port for "host:0").
 #include <cstddef>
 #include <iostream>
 #include <string>
-
-#ifndef _WIN32
-#include <csignal>
-#endif
 
 #include "serve/router.hpp"
 #include "util/args.hpp"
@@ -27,7 +24,7 @@ namespace {
 
 using sparsetrain::Args;
 
-const std::vector<Args::Flag> kFlags = {
+const std::vector<Args::Flag> kFlags = sparsetrain::serve::with_daemon_flags({
     {"listen",
      "serve on this endpoint (host:port for TCP, else a unix-socket path)",
      true},
@@ -47,36 +44,7 @@ const std::vector<Args::Flag> kFlags = {
     {"probe-interval-ms",
      "background health-probe period for down shards (0 = off)", true},
     {"probe-deadline-ms", "per-probe budget", true},
-    {"max-connections",
-     "connections beyond this are refused (0 = unlimited)", true},
-    {"idle-timeout-ms",
-     "close client connections idle this long (0 = never)", true},
-    {"trace", "append sampled request spans to this JSONL file", true},
-    {"trace-sample-rate",
-     "fraction of router-edge traces sampled (propagated traces always "
-     "record)",
-     true},
-    {"trace-seed", "trace-id / sampling seed (determinism)", true},
-};
-
-sparsetrain::serve::Router* g_router = nullptr;
-
-#ifndef _WIN32
-extern "C" void handle_terminate_signal(int) {
-  if (g_router != nullptr) g_router->request_shutdown();
-}
-
-void install_signal_handlers() {
-  struct sigaction sa = {};
-  sa.sa_handler = handle_terminate_signal;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // no SA_RESTART: blocked accepts fail with EINTR
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-}
-#else
-void install_signal_handlers() {}
-#endif
+});
 
 }  // namespace
 
@@ -95,6 +63,7 @@ int main(int argc, char** argv) {
     }
 
     sparsetrain::serve::RouterOptions opts;
+    sparsetrain::serve::read_daemon_flags(args, opts);
     opts.endpoints = sparsetrain::serve::split_endpoints(shards);
     opts.replicas = static_cast<std::size_t>(args.get("replicas", 1L));
     opts.ring.vnodes =
@@ -106,20 +75,9 @@ int main(int argc, char** argv) {
     opts.client.connect_timeout_ms = args.get("connect-timeout-ms", 500L);
     opts.probe_interval_ms = args.get("probe-interval-ms", 500L);
     opts.probe_deadline_ms = args.get("probe-deadline-ms", 250L);
-    opts.max_connections =
-        static_cast<std::size_t>(args.get("max-connections", 64L));
-    opts.idle_timeout_ms = args.get("idle-timeout-ms", 0L);
-    opts.trace_path = args.get("trace", std::string{});
-    opts.trace_sample_rate = args.get("trace-sample-rate", 1.0);
-    opts.trace_seed =
-        static_cast<std::uint64_t>(args.get("trace-seed", 1L));
 
     sparsetrain::serve::Router router(opts);
-    g_router = &router;
-    install_signal_handlers();
-    const int rc = router.serve_endpoint(listen);
-    g_router = nullptr;
-    return rc;
+    return sparsetrain::serve::run_daemon(router, listen);
   } catch (const std::exception& e) {
     std::cerr << "sparsetrain_route: " << e.what() << '\n';
     return 1;

@@ -2,8 +2,12 @@
 //
 // Daemon (NDJSON over stdin/stdout, a unix socket, or TCP):
 //   sparsetrain_serve --stdio --store serve_store
-//   sparsetrain_serve --socket /tmp/sparsetrain.sock --store serve_store
+//   sparsetrain_serve --listen /tmp/sparsetrain.sock --store serve_store
 //   sparsetrain_serve --listen 127.0.0.1:7117 --store serve_store
+//
+// --listen prints "listening on <endpoint>" to stderr once bound (with
+// the resolved port for "host:0"). SIGTERM/SIGINT take the graceful
+// drain path in every mode, as a "shutdown" request does.
 //
 // Client (one request per invocation, response line on stdout):
 //   sparsetrain_serve --connect /tmp/sparsetrain.sock \
@@ -24,10 +28,6 @@
 #include <iostream>
 #include <string>
 
-#ifndef _WIN32
-#include <csignal>
-#endif
-
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "util/args.hpp"
@@ -36,34 +36,9 @@ namespace {
 
 using sparsetrain::Args;
 
-// SIGTERM/SIGINT ride the graceful drain path: the handler only flips
-// the server's shutdown flag and kicks its listener (both async-signal-
-// safe), then the serving loop drains in-flight evaluations and exits —
-// the same path a "shutdown" request takes, so the store is never left
-// mid-publication.
-sparsetrain::serve::Server* g_server = nullptr;
-
-#ifndef _WIN32
-extern "C" void handle_terminate_signal(int) {
-  if (g_server != nullptr) g_server->request_shutdown();
-}
-
-void install_signal_handlers() {
-  struct sigaction sa = {};
-  sa.sa_handler = handle_terminate_signal;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // no SA_RESTART: blocked reads fail with EINTR
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-}
-#else
-void install_signal_handlers() {}
-#endif
-
-const std::vector<Args::Flag> kFlags = {
+const std::vector<Args::Flag> kFlags = sparsetrain::serve::with_daemon_flags({
     // daemon mode
     {"stdio", "serve NDJSON over stdin/stdout (default mode)", false},
-    {"socket", "serve on this unix-socket path", true},
     {"listen",
      "serve on this endpoint (host:port for TCP, else a unix-socket path)",
      true},
@@ -72,21 +47,9 @@ const std::vector<Args::Flag> kFlags = {
     {"workers", "simulation threads (0 = hardware concurrency)", true},
     {"request-workers", "concurrent request handlers", true},
     {"max-queue", "max in-flight evaluations before rejecting", true},
-    {"max-connections",
-     "socket serving: connections beyond this are refused (0 = unlimited)",
-     true},
-    {"idle-timeout-ms",
-     "socket serving: close connections idle this long (0 = never)", true},
     {"timeout-ms", "default per-request timeout (0 = none)", true},
     {"seed", "session base seed", true},
     {"batch", "session default batch size", true},
-    // observability
-    {"trace", "append sampled request spans to this JSONL file", true},
-    {"trace-sample-rate",
-     "fraction of daemon-edge traces sampled (propagated traces always "
-     "record)",
-     true},
-    {"trace-seed", "trace-id / sampling seed (determinism)", true},
     {"profile-engine",
      "record per-stage exact-engine profiles into the metrics registry",
      false},
@@ -108,7 +71,7 @@ const std::vector<Args::Flag> kFlags = {
      "client: overall per-request budget incl. retries (0 = none)", true},
     {"connect-timeout-ms",
      "client: per-attempt TCP/unix connect budget (0 = blocking)", true},
-};
+});
 
 int run_client(const Args& args) {
   sparsetrain::serve::ClientOptions copts;
@@ -170,6 +133,7 @@ int main(int argc, char** argv) {
     if (args.has("connect")) return run_client(args);
 
     sparsetrain::serve::ServerOptions opts;
+    sparsetrain::serve::read_daemon_flags(args, opts);
     opts.store_dir = args.get("store", std::string{});
     opts.store_max_bytes = static_cast<std::uint64_t>(
         args.get("max-store-bytes", 0L));
@@ -181,29 +145,17 @@ int main(int argc, char** argv) {
     opts.request_workers =
         static_cast<std::size_t>(args.get("request-workers", 2L));
     opts.max_queue = static_cast<std::size_t>(args.get("max-queue", 64L));
-    opts.max_connections =
-        static_cast<std::size_t>(args.get("max-connections", 64L));
-    opts.idle_timeout_ms = args.get("idle-timeout-ms", 0L);
     opts.default_timeout_ms = args.get("timeout-ms", 0L);
-    opts.trace_path = args.get("trace", std::string{});
-    opts.trace_sample_rate = args.get("trace-sample-rate", 1.0);
-    opts.trace_seed =
-        static_cast<std::uint64_t>(args.get("trace-seed", 1L));
     opts.profile_engine = args.has("profile-engine");
 
     sparsetrain::serve::Server server(opts);
-    g_server = &server;
-    install_signal_handlers();
-    int rc = 0;
     if (args.has("listen")) {
-      rc = server.serve_endpoint(args.get("listen", std::string{}));
-    } else if (args.has("socket")) {
-      rc = server.serve_unix_socket(args.get("socket", std::string{}));
-    } else {
-      server.serve(std::cin, std::cout);
+      return sparsetrain::serve::run_daemon(
+          server, args.get("listen", std::string{}));
     }
-    g_server = nullptr;
-    return rc;
+    const sparsetrain::serve::ShutdownSignals signals(server);
+    server.serve(std::cin, std::cout);
+    return 0;
   } catch (const std::exception& e) {
     std::cerr << "sparsetrain_serve: " << e.what() << '\n';
     return 1;
