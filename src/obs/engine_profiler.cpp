@@ -6,7 +6,8 @@ namespace sparsetrain::obs {
 
 namespace {
 
-const char* const kKnownStages[] = {"forward", "gta", "gtw", "fc"};
+const char* const kKnownStages[] = {"forward", "gta", "gtw", "fc",
+                                    "operands"};
 
 }  // namespace
 

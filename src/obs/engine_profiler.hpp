@@ -26,7 +26,7 @@ class EngineProfiler final : public sim::ExactProfiler {
     Counter* row_ops = nullptr;
     Counter* tiles = nullptr;
   };
-  static constexpr std::size_t kStages = 4;
+  static constexpr std::size_t kStages = 5;
 
   StageHandles& handles_for(const char* stage) noexcept;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <type_traits>
@@ -51,12 +50,23 @@ isa::RowBlock block_from(const dataflow::ConvGeometry& geo,
   return b;
 }
 
+/// A RowSet must hold exactly the rows of `shape`: the stage tables are
+/// sized from the rows and indexed from the shape.
+void require_rows(const CompressedRows& rows, const Shape& shape,
+                  const char* what) {
+  ST_REQUIRE(rows.rows() == shape.n * shape.c * shape.h &&
+                 rows.row_length() == shape.w,
+             std::string(what) + " rows do not match shape " +
+                 shape.to_string());
+}
+
 /// Per-worker-thread scratch. Capacities grow to the stage's steady state
 /// within the first few tasks, after which evaluating a task performs no
 /// heap allocation at all (the zero-alloc contract of the hot path).
 struct TaskScratch {
   std::vector<std::uint64_t> gta_blocked;  ///< GTA: blocked dO positions
   std::vector<std::uint32_t> gta_oy;  ///< GTA: source dO rows, ky order
+  std::vector<std::uint32_t> gta_counts;  ///< GTA: ingested, per (oy, f)
 };
 
 TaskScratch& task_scratch() {
@@ -331,17 +341,7 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
 
   // The profiler is the only source of timing in the engine: when it is
   // null (the default) no clock is read anywhere on this path.
-  ExactProfiler* const profiler = opts_.profiler;
-  std::chrono::steady_clock::time_point prof_start{};
-  if (profiler != nullptr) prof_start = std::chrono::steady_clock::now();
-  const auto prof_record = [&](std::uint64_t tiles_used) {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      prof_start)
-            .count();
-    profiler->record_stage(Kernel::kStage, seconds, result.tasks,
-                           result.row_ops, tiles_used);
-  };
+  const StageTimer timer(opts_.profiler, Kernel::kStage);
 
   ArenaLease lease = acquire_arena();
   StageArena& arena = *lease.arena;
@@ -356,7 +356,7 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
   GroupHeap sched(arena.loads.data(), arena.heap.data(), cfg_.pe_groups);
 
   if (task_count == 0) {
-    if (profiler != nullptr) prof_record(0);
+    timer.record(result.tasks, result.row_ops, 0);
     return result;
   }
   // Stage-wide tables are part of the stage: built inside the profiled
@@ -469,9 +469,8 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
   result.activity.macs = totals.macs + kernel.stage_macs;
   result.activity.reg_accesses = totals.reg;
   result.cycles = sched.max_load();
-  if (profiler != nullptr) {
-    prof_record(pool == nullptr || tiles <= 1 ? 1 : tiles);
-  }
+  timer.record(result.tasks, result.row_ops,
+               pool == nullptr || tiles <= 1 ? 1 : tiles);
   return result;
 }
 
@@ -522,18 +521,19 @@ struct ForwardKernel {
 /// An MSRC op's cycles depend only on how many of its dO nonzeros the
 /// mask look-ahead ingests, and whether position p is ingested depends
 /// only on p and the task's mask row (lower_mask). The stage builds, once,
-/// every dO row's occupancy bits and its count of nonzeros the all-pass
-/// mask ingests. A task lowers its mask row into the positions it blocks
-/// among those, and each op's count is that per-row count minus an AND +
-/// popcount against the row's bits; a task that blocks nothing reads the
-/// count alone. MACs are counted once per stage (box_macs); ops fold into
-/// the reducer with macs = 0, in the same order as the per-op evaluation.
+/// the dO occupancy as planes over f — word w of row (n, f, oy) at
+/// ((n·OH + oy)·words + w)·F + f — and each row's count of nonzeros the
+/// all-pass mask ingests, as columns over f at (n·OH + oy)·F + f. A task
+/// lowers its mask row into the positions it blocks among those; for each
+/// source row oy it then computes all F counts in one contiguous AND +
+/// popcount sweep per blocking word, and folds them in (f, ky) order. A
+/// task that blocks nothing reads the counts alone. MACs are counted once
+/// per stage (box_macs); ops fold into the reducer with macs = 0.
 struct GtaKernel {
   static constexpr const char* kStage = "gta";
-  const std::uint64_t* go_bits;    ///< occupancy bits, `words` per dO row
-  const std::uint32_t* go_active;  ///< per dO row: all-pass ingested count
-  std::size_t words;
-  std::size_t go_len;              ///< dO row length (bits per row)
+  const std::uint64_t* go_bits;    ///< occupancy planes over f
+  const std::uint32_t* go_active;  ///< all-pass ingested counts over f
+  std::size_t words;               ///< 64-bit words per dO row
   const dataflow::ConvGeometry& geo;
   Shape out;
   Shape in_shape;
@@ -549,6 +549,7 @@ struct GtaKernel {
     const std::size_t c = (index / in_shape.h) % geo.in_channels;
     const std::size_t n = index / (in_shape.h * geo.in_channels);
     const std::size_t nw = words;
+    const std::size_t fs = geo.out_channels;
     TaskScratch& scratch = task_scratch();
     // The positions this task's mask blocks among those the all-pass
     // mask ingests (its own active set is a subset of those).
@@ -556,7 +557,7 @@ struct GtaKernel {
     blocked.assign(nw, 0);
     bool any_blocked = false;
     if (prev_mask != nullptr) {
-      lower_mask(prev_mask->row(n, c, iy).data(), in_shape.w, go_len, geo,
+      lower_mask(prev_mask->row(n, c, iy).data(), in_shape.w, out.w, geo,
                  blocked.data());
       for (std::size_t w = 0; w < nw; ++w) {
         blocked[w] = all_active[w] & ~blocked[w];
@@ -564,8 +565,9 @@ struct GtaKernel {
       }
     }
     // oy·S + ky − P = iy → every (oy, ky) pair writing this row, in ky
-    // order. The mapping depends only on iy, so resolve it once per task
-    // instead of once per (f, ky).
+    // order, kept as the (n, oy) plane index n·OH + oy. The mapping
+    // depends only on iy, so resolve it once per task instead of once per
+    // (f, ky).
     std::vector<std::uint32_t>& src = scratch.gta_oy;
     src.clear();
     for (std::size_t ky = 0; ky < geo.kernel; ++ky) {
@@ -577,28 +579,39 @@ struct GtaKernel {
       const auto oy = static_cast<std::size_t>(
           num / static_cast<std::int64_t>(geo.stride));
       if (oy >= out.h) continue;
-      src.push_back(static_cast<std::uint32_t>(oy));
+      src.push_back(static_cast<std::uint32_t>(n * out.h + oy));
     }
     const auto fold = [&](const auto& ingested) {
       red.begin_task();
-      for (std::size_t f = 0; f < geo.out_channels; ++f) {
-        const std::size_t plane = (n * out.c + f) * out.h;
-        for (const std::uint32_t oy : src) {
-          red.add(pe.msrc_cost(ingested(plane + oy), 0, wl));
+      for (std::size_t f = 0; f < fs; ++f) {
+        for (std::size_t j = 0; j < src.size(); ++j) {
+          red.add(pe.msrc_cost(ingested(j, f), 0, wl));
         }
       }
       return red.end_task();
     };
     if (!any_blocked) {
-      return fold([&](std::size_t row) { return std::size_t{go_active[row]}; });
+      return fold([&](std::size_t j, std::size_t f) {
+        return std::size_t{go_active[src[j] * fs + f]};
+      });
     }
-    return fold([&](std::size_t row) {
-      const std::uint64_t* go = go_bits + row * nw;
-      std::size_t count = go_active[row];
+    std::vector<std::uint32_t>& counts = scratch.gta_counts;
+    counts.resize(src.size() * fs);
+    for (std::size_t j = 0; j < src.size(); ++j) {
+      std::uint32_t* count = counts.data() + j * fs;
+      const std::uint32_t* active = go_active + src[j] * fs;
+      std::copy(active, active + fs, count);
       for (std::size_t w = 0; w < nw; ++w) {
-        count -= popcount64(go[w] & blocked[w]);
+        const std::uint64_t b = blocked[w];
+        if (b == 0) continue;
+        const std::uint64_t* plane = go_bits + (src[j] * nw + w) * fs;
+        for (std::size_t f = 0; f < fs; ++f) {
+          count[f] -= static_cast<std::uint32_t>(popcount64(plane[f] & b));
+        }
       }
-      return count;
+    }
+    return fold([&](std::size_t j, std::size_t f) {
+      return std::size_t{counts[j * fs + f]};
     });
   }
 };
@@ -607,12 +620,13 @@ struct GtaKernel {
 /// (zero dO rows schedule nothing).
 ///
 /// An OSRC op's cycles depend only on nnz(I row) and ⌈nnz(dO row)/K⌉, so
-/// each op is priced from two row lengths; MACs — the only field that
-/// needs the window intersection — are counted once per stage (box_macs).
+/// each op is priced from two flat tables the stage builds once; MACs —
+/// the only field that needs the window intersection — are counted once
+/// per stage (box_macs).
 struct GtwKernel {
   static constexpr const char* kStage = "gtw";
-  const CompressedRows& go_rows;
-  const CompressedRows& in_rows;
+  const std::uint32_t* go_chunks;  ///< per dO row: ⌈nnz/K⌉ (0: empty)
+  const std::uint32_t* in_nnz;     ///< per I row: nnz
   const dataflow::ConvGeometry& geo;
   Shape out;
   Shape in;
@@ -625,21 +639,16 @@ struct GtwKernel {
     const std::size_t c = index % geo.in_channels;
     const std::size_t f = (index / geo.in_channels) % geo.out_channels;
     const std::size_t n = index / (geo.in_channels * geo.out_channels);
-    const std::size_t go_base = (n * out.c + f) * out.h;
-    const std::size_t in_base = (n * in.c + c) * in.h;
+    const std::uint32_t* chunks = go_chunks + (n * out.c + f) * out.h;
+    const std::uint32_t* nnz = in_nnz + (n * in.c + c) * in.h;
     red.begin_task();
     for (std::size_t oy = 0; oy < out.h; ++oy) {
-      const std::size_t go_nnz = go_rows.row_nnz(go_base + oy);
-      if (go_nnz == 0) continue;  // zero dO row: nothing scheduled
-      // The dO chunk count depends only on this oy's row — reuse it for
-      // every kernel tap the row pairs with.
-      const std::size_t chunks = PeExact::osrc_chunks(go_nnz, geo.kernel);
+      if (chunks[oy] == 0) continue;  // zero dO row: nothing scheduled
       // Valid taps are one contiguous ky range (see valid_ky_range); the
       // op order per oy — ky ascending — is the same as the per-tap test.
       const auto [ky_lo, ky_hi, iy0] = valid_ky_range(oy, geo, in.h);
       for (std::size_t t = 0; t < ky_hi - ky_lo; ++t) {
-        red.add(pe.osrc_cost(in_rows.row_nnz(in_base + iy0 + t), chunks, 0,
-                             wl));
+        red.add(pe.osrc_cost(nnz[iy0 + t], chunks[oy], 0, wl));
       }
     }
     return red.end_task();
@@ -681,6 +690,7 @@ ExactStageResult ExactEngine::run_forward(
 ExactStageResult ExactEngine::run_forward(
     const RowSet& rows, const Shape& in_shape,
     const dataflow::ConvGeometry& geo) const {
+  require_rows(rows, in_shape, "forward input");
   const Shape out_shape = dataflow::conv_output_shape(geo, in_shape);
   const isa::RowBlock b =
       block_from(geo, in_shape.w, out_shape.w, isa::RowOpKind::SRC);
@@ -714,6 +724,9 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
                                       const Shape& out, const Shape& input_shape,
                                       const Tensor* prev_mask,
                                       const dataflow::ConvGeometry& geo) const {
+  require_rows(go_rows, out, "GTA dO");
+  ST_REQUIRE(out == dataflow::conv_output_shape(geo, input_shape),
+             "GTA dO shape is not the conv output of the input shape");
   ST_REQUIRE(prev_mask == nullptr || prev_mask->shape() == input_shape,
              "GTA mask must have the input's shape");
   const isa::RowBlock b =
@@ -723,27 +736,32 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
       out.n * geo.in_channels * input_shape.h;
   return run_tasks(
       task_count, geo.out_channels * geo.kernel, [&](StageArena& arena) {
-        // The active bitset of the all-pass mask, then every dO row's
-        // occupancy bits and its count of nonzeros in that set (see
-        // GtaKernel; masked tasks lower their own active sets).
-        const std::size_t go_len = go_rows.row_length();
-        const std::size_t words = (go_len + 63) / 64;
+        // The active bitset of the all-pass mask, then the dO occupancy
+        // planes and all-pass counts (see GtaKernel; masked tasks lower
+        // their own active sets).
+        const std::size_t fs = out.c;
+        const std::size_t words = (out.w + 63) / 64;
         arena.all_active.assign(words, 0);
-        lower_mask(nullptr, input_shape.w, go_len, geo,
+        lower_mask(nullptr, input_shape.w, out.w, geo,
                    arena.all_active.data());
-        arena.go_bits.assign(go_rows.rows() * words, 0);
-        arena.go_active.resize(go_rows.rows());
-        for (std::size_t r = 0; r < go_rows.rows(); ++r) {
-          std::uint64_t* bits = arena.go_bits.data() + r * words;
-          for (const std::uint32_t x : go_rows.row(r).offsets) {
-            bits[x >> 6] |= std::uint64_t{1} << (x & 63);
+        const std::uint64_t* all_active = arena.all_active.data();
+        arena.go_bits.assign(out.n * out.h * words * fs, 0);
+        arena.go_active.resize(out.n * out.h * fs);
+        for (std::size_t n = 0; n < out.n; ++n) {
+          for (std::size_t f = 0; f < fs; ++f) {
+            for (std::size_t oy = 0; oy < out.h; ++oy) {
+              const std::size_t plane = n * out.h + oy;
+              std::uint64_t* bits = arena.go_bits.data() + plane * words * fs;
+              std::uint32_t count = 0;
+              for (const std::uint32_t x :
+                   go_rows.row((n * fs + f) * out.h + oy).offsets) {
+                const std::uint64_t bit = std::uint64_t{1} << (x & 63);
+                bits[(x >> 6) * fs + f] |= bit;
+                count += (all_active[x >> 6] & bit) != 0 ? 1 : 0;
+              }
+              arena.go_active[plane * fs + f] = count;
+            }
           }
-          std::uint32_t count = 0;
-          for (std::size_t w = 0; w < words; ++w) {
-            count += static_cast<std::uint32_t>(
-                popcount64(bits[w] & arena.all_active[w]));
-          }
-          arena.go_active[r] = count;
         }
 
         // MACs: box sums over the channel-summed mask (a null mask
@@ -769,12 +787,11 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
         return GtaKernel{arena.go_bits.data(),
                          arena.go_active.data(),
                          words,
-                         go_len,
                          geo,
                          out,
                          input_shape,
                          pe_,
-                         arena.all_active.data(),
+                         all_active,
                          prev_mask,
                          pe_.weight_load(b),
                          geo.kernel,
@@ -793,6 +810,10 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
                                       const Shape& out, const RowSet& in_rows,
                                       const Shape& in,
                                       const dataflow::ConvGeometry& geo) const {
+  require_rows(go_rows, out, "GTW dO");
+  require_rows(in_rows, in, "GTW input");
+  ST_REQUIRE(out == dataflow::conv_output_shape(geo, in),
+             "GTW dO shape is not the conv output of the input shape");
   const isa::RowBlock b =
       block_from(geo, out.w, geo.kernel, isa::RowOpKind::OSRC);
 
@@ -807,8 +828,19 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
              : go_rows.nonempty_rows() * out.h * geo.kernel /
                    go_rows.rows());
   return run_tasks(task_count, est_ops, [&](StageArena& arena) {
+    // The two count tables every op is priced from (see GtwKernel).
+    arena.go_chunks.resize(go_rows.rows());
+    for (std::size_t r = 0; r < go_rows.rows(); ++r) {
+      arena.go_chunks[r] = static_cast<std::uint32_t>(
+          PeExact::osrc_chunks(go_rows.row_nnz(r), geo.kernel));
+    }
+    arena.in_nnz.resize(in_rows.rows());
+    for (std::size_t r = 0; r < in_rows.rows(); ++r) {
+      arena.in_nnz[r] = static_cast<std::uint32_t>(in_rows.row_nnz(r));
+    }
+
     // MACs: box sums over the channel-summed occupancy of I.
-    const BoxLayout l{in.h, in_rows.row_length()};
+    const BoxLayout l{in.h, in.w};
     std::vector<std::size_t>& table = arena.box_table;
     table.assign(out.n * l.plane(), 0);
     for (std::size_t n = 0; n < out.n; ++n) {
@@ -824,8 +856,8 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
     }
     integrate(table.data(), out.n, l);
     const std::size_t macs = box_macs(go_rows, out, geo, table.data(), l);
-    return GtwKernel{go_rows, in_rows, geo,        out,       in,
-                     pe_,     pe_.weight_load(b), geo.kernel, macs};
+    return GtwKernel{arena.go_chunks.data(), arena.in_nnz.data(), geo,
+                     out, in, pe_, pe_.weight_load(b), geo.kernel, macs};
   });
 }
 

@@ -15,14 +15,18 @@
 //    (ForwardKernel/GtaKernel/GtwKernel/FcKernel, see the .cpp) run by a
 //    run_tasks template, so the task loop, the per-op cost and the
 //    group-round fold (PeGroupReducer) all inline into one loop. Each op
-//    costs O(1): forward folds a per-input-row cost table, GTW prices an
-//    OSRC op from nnz(I row) and ⌈nnz(dO row)/K⌉, and GTA counts an MSRC
-//    op's ingested nonzeros with an AND + popcount of occupancy bits. GTA
-//    and GTW MACs — the only field that needs the window intersections —
-//    are counted once per stage, as K×K box sums over a summed-area table
-//    of channel-summed occupancy. No per-task cost record is
+//    costs O(1) and the engine works from counts alone. Forward folds a
+//    per-input-row cost table. GTW prices an OSRC op from two flat
+//    tables, nnz per I row and ⌈nnz/K⌉ per dO row. GTA counts an MSRC
+//    op's ingested nonzeros from all-pass counts and, under a mask, one
+//    AND + popcount sweep over occupancy planes laid out over f. GTA and
+//    GTW MACs — the only field that needs the window intersections —
+//    are counted once per stage, as K×K box sums over a summed-area
+//    table of channel-summed occupancy. No per-task cost record is
 //    materialised: a tile aggregates busy/MAC/register counters locally
-//    and emits only a per-task cycle count into a pooled per-stage arena.
+//    and emits only a per-task cycle count into a pooled per-stage
+//    arena. Every RowSet overload checks its rows against the shapes it
+//    is given once, at entry, so the tables need no per-op bounds check.
 //  * Streaming merge — per-task cycles feed the least-loaded-group
 //    scheduler through a flat indexed d-ary heap sized pe_groups,
 //    consumed strictly in task order (the identical deterministic stream
@@ -38,11 +42,12 @@
 //
 // The hot path is allocation-free in steady state: operand tensors live
 // in CompressedRows arenas, each worker thread reuses a scratch buffer
-// (a GTA task's blocked-position bits), and the per-stage cycle spans,
-// scheduler arrays and stage-wide tables (forward's row costs, GTA's dO
-// occupancy bits, the MAC tables) live in a pooled arena reused across
-// stages (tests/test_exact_alloc.cpp counts allocations;
-// tests/test_exact_oracle.cpp re-derives GTA/GTW op by op).
+// (a GTA task's blocked-position bits and per-row counts), and the
+// per-stage cycle spans, scheduler arrays and stage-wide tables
+// (forward's row costs, GTA's occupancy planes and counts, GTW's count
+// tables, the MAC tables) live in a pooled arena reused across stages
+// (tests/test_exact_alloc.cpp counts allocations;
+// tests/test_exact_oracle.cpp re-derives every stage op by op).
 // Whole networks run through sim::run_exact, which schedules independent
 // (layer, stage) units concurrently on the same pool — see
 // exact_network.hpp.
@@ -120,7 +125,9 @@ class ExactEngine {
   /// row (n, c, y). The arena holds each distinct row once, so a caller
   /// running several stages over the same tensor (Forward + GTW share I,
   /// GTA + GTW share dO) should compress() once and pass the rows to the
-  /// row-set overloads below.
+  /// row-set overloads below. Each overload throws ContractError unless
+  /// every RowSet holds exactly the N·C·H rows of width W of the shape
+  /// passed with it, and a dO shape is the conv output of the input's.
   using RowSet = CompressedRows;
 
   /// Compresses every row of `t` into one arena (tiled across the pool;
@@ -178,9 +185,11 @@ class ExactEngine {
     std::vector<std::size_t> loads;        ///< per-group schedule load
     std::vector<std::uint32_t> heap;       ///< d-ary heap of group ids
     std::vector<PeCost> src_costs;         ///< forward: per-input-row cost
-    std::vector<std::uint64_t> go_bits;    ///< GTA: dO occupancy bits
-    std::vector<std::uint32_t> go_active;  ///< GTA: per-row active count
-    std::vector<std::uint64_t> all_active; ///< unmasked GTA: active bits
+    std::vector<std::uint64_t> go_bits;    ///< GTA: dO occupancy over f
+    std::vector<std::uint32_t> go_active;  ///< GTA: all-pass counts over f
+    std::vector<std::uint64_t> all_active; ///< GTA: all-pass active bits
+    std::vector<std::uint32_t> go_chunks;  ///< GTW: ⌈nnz/K⌉ per dO row
+    std::vector<std::uint32_t> in_nnz;     ///< GTW: nnz per I row
     std::vector<std::size_t> box_table;    ///< GTA/GTW: MAC box sums
   };
 

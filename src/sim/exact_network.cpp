@@ -4,6 +4,7 @@
 #include <mutex>
 #include <optional>
 
+#include "sim/profile_hook.hpp"
 #include "util/hash.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -19,13 +20,25 @@ namespace {
 /// subset the program contains.
 enum : std::uint64_t { kInput = 1, kGrad = 2, kMask = 3, kFcBase = 4 };
 
-Rng stream(std::uint64_t seed, std::size_t layer, std::uint64_t tag) {
-  return Rng(mix64(mix64(seed, layer), tag));
+/// The seed of one operand tensor's stream.
+std::uint64_t stream(std::uint64_t seed, std::size_t layer,
+                     std::uint64_t tag) {
+  return mix64(mix64(seed, layer), tag);
+}
+
+/// Runs `synthesise`, which builds one operand tensor of `shape`, and
+/// profiles it as an `operands` stage of shape's N·C·H rows.
+template <typename Fn>
+void synthesise_operand(ExactProfiler* profiler, const Shape& shape,
+                        const Fn& synthesise) {
+  const StageTimer timer(profiler, "operands");
+  synthesise();
+  timer.record(1, shape.n * shape.c * shape.h, 1);
 }
 
 /// Lazily synthesised operands of one layer, held in compressed-row form
 /// so every stage sharing a tensor (Forward + GTW share I, GTA + GTW
-/// share dO) compresses it exactly once per whole-program run — whatever
+/// share dO) synthesises it exactly once per whole-program run — whatever
 /// order the stage graph executes its units in (call_once gates each
 /// operand, so a unit that needs a tensor another unit is already
 /// synthesising simply waits for it: the "operand-cache readiness" edges
@@ -91,15 +104,21 @@ SimReport run_exact(const ExactEngine& engine, const isa::Program& program,
     units.push_back(&inst);
   }
 
+  // Operands are synthesised as positions only (sparse_normal_rows): no
+  // exact stage reads a value, and each mask is its rows' 0/1 expansion.
+  ExactProfiler* const profiler = engine.options().profiler;
+  auto input_shape = [&](std::size_t li) {
+    const auto& l = net.layers[li];
+    return Shape{batch, l.in_channels, l.in_h, l.in_w};
+  };
   auto input_of = [&](std::size_t li) -> const ExactEngine::RowSet& {
     LayerOperands& t = operands[li];
     std::call_once(t.input_once, [&] {
-      const auto& l = net.layers[li];
-      Rng rng = stream(seed, li, kInput);
-      Tensor x(Shape{batch, l.in_channels, l.in_h, l.in_w});
-      x.fill_sparse_normal(rng, profile.layer(li).input_acts);
-      t.input_shape = x.shape();
-      t.input = engine.compress(x);
+      t.input_shape = input_shape(li);
+      synthesise_operand(profiler, t.input_shape, [&] {
+        t.input = sparse_normal_rows(stream(seed, li, kInput), t.input_shape,
+                                     profile.layer(li).input_acts);
+      });
     });
     return *t.input;
   };
@@ -107,11 +126,11 @@ SimReport run_exact(const ExactEngine& engine, const isa::Program& program,
     LayerOperands& t = operands[li];
     std::call_once(t.grad_once, [&] {
       const auto& l = net.layers[li];
-      Rng rng = stream(seed, li, kGrad);
-      Tensor g(Shape{batch, l.out_channels, l.out_h(), l.out_w()});
-      g.fill_sparse_normal(rng, profile.layer(li).output_grads);
-      t.grad_shape = g.shape();
-      t.grad = engine.compress(g);
+      t.grad_shape = Shape{batch, l.out_channels, l.out_h(), l.out_w()};
+      synthesise_operand(profiler, t.grad_shape, [&] {
+        t.grad = sparse_normal_rows(stream(seed, li, kGrad), t.grad_shape,
+                                    profile.layer(li).output_grads);
+      });
     });
     return *t.grad;
   };
@@ -120,13 +139,17 @@ SimReport run_exact(const ExactEngine& engine, const isa::Program& program,
     if (rho >= 1.0) return nullptr;  // all-pass
     LayerOperands& t = operands[li];
     std::call_once(t.mask_once, [&] {
-      const auto& l = net.layers[li];
-      Rng rng = stream(seed, li, kMask);
-      Tensor m(Shape{batch, l.in_channels, l.in_h, l.in_w});
-      m.fill_sparse_normal(rng, rho);
-      for (float& v : m.flat())
-        if (v != 0.0f) v = 1.0f;
-      t.mask = std::move(m);
+      const Shape shape = input_shape(li);
+      synthesise_operand(profiler, shape, [&] {
+        const CompressedRows rows =
+            sparse_normal_rows(stream(seed, li, kMask), shape, rho);
+        Tensor m(shape);
+        const std::span<float> flat = m.flat();
+        for (std::size_t r = 0; r < rows.rows(); ++r) {
+          decompress_into(rows.row(r), flat.subspan(r * shape.w, shape.w));
+        }
+        t.mask = std::move(m);
+      });
     });
     return &*t.mask;
   };
@@ -169,10 +192,12 @@ SimReport run_exact(const ExactEngine& engine, const isa::Program& program,
         ST_REQUIRE(b.tasks % batch == 0,
                    "FC block tasks not divisible by program batch");
         const std::size_t groups = b.tasks / batch;
-        Rng rng = stream(seed, li,
-                         kFcBase + static_cast<std::uint64_t>(inst.stage));
         Tensor vec(Shape{batch, 1, 1, b.in_len});
-        vec.fill_sparse_normal(rng, b.density_in);
+        synthesise_operand(profiler, vec.shape(), [&] {
+          Rng rng(stream(seed, li,
+                         kFcBase + static_cast<std::uint64_t>(inst.stage)));
+          vec.fill_sparse_normal(rng, b.density_in);
+        });
         r = engine.run_fc(vec, groups, b.fc_lanes);
         break;
       }

@@ -6,11 +6,14 @@
 //
 // The hook is called once per engine stage (forward, gta, gtw, fc)
 // after the stage's tasks complete — never inside the per-task loop —
-// so the zero-allocation, byte-identical hot path is untouched. When
-// ExactOptions::profiler is null (the default) the engine takes no
-// timestamps at all.
+// so the zero-allocation, byte-identical hot path is untouched.
+// sim::run_exact also calls it once per synthesised operand tensor under
+// the stage `operands` (tasks 1, row_ops = the tensor's rows, tiles 1).
+// When ExactOptions::profiler is null (the default) neither takes any
+// timestamp at all.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 
 namespace sparsetrain::sim {
@@ -25,6 +28,33 @@ class ExactProfiler {
   virtual void record_stage(const char* stage, double seconds,
                             std::uint64_t tasks, std::uint64_t row_ops,
                             std::uint64_t tiles) noexcept = 0;
+};
+
+/// Times one stage for a profiler: the clock is read at construction and
+/// at record(), and never when the profiler is null.
+class StageTimer {
+ public:
+  StageTimer(ExactProfiler* profiler, const char* stage)
+      : profiler_(profiler), stage_(stage) {
+    if (profiler_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+
+  /// Reports the time since construction with the stage's counts.
+  void record(std::uint64_t tasks, std::uint64_t row_ops,
+              std::uint64_t tiles) const {
+    if (profiler_ == nullptr) return;
+    profiler_->record_stage(
+        stage_,
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start_)
+            .count(),
+        tasks, row_ops, tiles);
+  }
+
+ private:
+  ExactProfiler* profiler_;
+  const char* stage_;
+  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace sparsetrain::sim

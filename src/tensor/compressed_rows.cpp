@@ -1,6 +1,7 @@
 #include "tensor/compressed_rows.hpp"
 
 #include "tensor/tensor.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sparsetrain {
@@ -83,6 +84,36 @@ CompressedRows compress_tensor(const Tensor& t, util::ThreadPool* pool) {
                        for (std::size_t r = first; r < last; ++r)
                          rows.fill_row(r, flat.subspan(r * w, w));
                      });
+  return rows;
+}
+
+CompressedRows sparse_normal_rows(std::uint64_t seed, const Shape& shape,
+                                  double density) {
+  ST_REQUIRE(density >= 0.0 && density <= 1.0, "density must be in [0,1]");
+  // Replays Tensor::fill_sparse_normal draw for draw: an element survives
+  // its Bernoulli draw, then stores the next normal variate, which is
+  // nonzero exactly when Rng::normal_nonzero() says so.
+  Rng rng(seed);
+  const std::size_t n_rows = shape.n * shape.c * shape.h;
+  const std::size_t w = shape.w;
+  CompressedRows rows;
+  rows.row_len_ = static_cast<std::uint32_t>(w);
+  rows.row_ptr_.resize(n_rows + 1);
+  rows.row_ptr_[0] = 0;
+  // The expected count plus a margin, so a draw above the mean rarely
+  // reallocates.
+  rows.offsets_.reserve(static_cast<std::size_t>(
+      density * static_cast<double>(n_rows * w) * 1.05 + 64.0));
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    for (std::uint32_t x = 0; x < w; ++x) {
+      if (rng.bernoulli(density) && rng.normal_nonzero()) {
+        rows.offsets_.push_back(x);
+      }
+    }
+    rows.row_ptr_[r + 1] = rows.offsets_.size();
+    if (rows.row_ptr_[r + 1] != rows.row_ptr_[r]) ++rows.nonempty_rows_;
+  }
+  rows.values_.assign(rows.offsets_.size(), 1.0f);
   return rows;
 }
 

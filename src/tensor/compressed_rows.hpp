@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "tensor/shape.hpp"
 #include "tensor/sparse_row.hpp"
 #include "util/require.hpp"
 
@@ -82,6 +83,10 @@ class CompressedRows {
   void fill_row(std::size_t i, std::span<const float> dense);
 
  private:
+  friend CompressedRows sparse_normal_rows(std::uint64_t seed,
+                                           const Shape& shape,
+                                           double density);
+
   std::uint32_t row_len_ = 0;
   std::size_t nonempty_rows_ = 0;       ///< rows with nnz > 0
   std::vector<std::uint32_t> offsets_;  ///< all rows' offsets, concatenated
@@ -94,5 +99,14 @@ class CompressedRows {
 /// byte-identical for any pool/worker count (and to the serial build).
 CompressedRows compress_tensor(const Tensor& t,
                                util::ThreadPool* pool = nullptr);
+
+/// The rows compress_tensor() builds from a tensor of `shape` after
+/// fill_sparse_normal(rng, density) on a fresh Rng(seed): the same
+/// offsets and row index, drawn from the same stream, but no value is
+/// ever evaluated. Every stored value is the placeholder 1.0f, so callers
+/// that read positions only (the exact engine) skip the Box–Muller math
+/// and the dense tensor, and decompressing a row gives a 0/1 mask row.
+CompressedRows sparse_normal_rows(std::uint64_t seed, const Shape& shape,
+                                  double density);
 
 }  // namespace sparsetrain

@@ -16,8 +16,17 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
+/// The variates (r·cos θ, r·sin θ) of the Box–Muller pair drawn as
+/// (u1, u2).
+struct NormalPair {
+  double first;
+  double second;
+};
+
+NormalPair box_muller(double u1, double u2) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  return {r * std::cos(theta), r * std::sin(theta)};
 }
 
 }  // namespace
@@ -25,23 +34,6 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -61,23 +53,41 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
 double Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
+    if (cached_unevaluated_) {
+      cached_unevaluated_ = false;
+      return box_muller(cached_normal_, cached_u2_).second;
+    }
     return cached_normal_;
   }
   double u1 = uniform();
   while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_normal_ = r * std::sin(theta);
+  const NormalPair pair = box_muller(u1, uniform());
+  cached_normal_ = pair.second;
   has_cached_normal_ = true;
-  return r * std::cos(theta);
+  return pair.first;
+}
+
+bool Rng::normal_nonzero() {
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    if (cached_unevaluated_) {
+      cached_unevaluated_ = false;
+      return cached_u2_ != 0.0;
+    }
+    return cached_normal_ != 0.0;
+  }
+  double u1 = uniform();
+  while (u1 <= 0.0) u1 = uniform();
+  cached_normal_ = u1;
+  cached_u2_ = uniform();
+  has_cached_normal_ = true;
+  cached_unevaluated_ = true;
+  return true;
 }
 
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
-
-bool Rng::bernoulli(double p) { return uniform() < p; }
 
 Rng Rng::split() { return Rng((*this)()); }
 

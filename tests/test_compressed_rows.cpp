@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "dataflow/row_ops.hpp"
@@ -135,6 +137,47 @@ TEST(CompressedRows, BuilderRejectsCountMismatch) {
   // Row actually has 3 nonzeros, counted as 2.
   const std::vector<float> dense = {1.0f, 2.0f, 3.0f, 0.0f};
   EXPECT_THROW(rows.fill_row(0, dense), ContractError);
+}
+
+// sparse_normal_rows replays fill_sparse_normal's draws without values:
+// on the same stream it must store exactly the offsets and row index
+// compress_tensor stores, and its rows must expand to the 0/1 mask that
+// binarising the filled tensor gives.
+TEST(CompressedRows, SparseNormalRowsMatchCompressedFill) {
+  for (const std::uint64_t seed : {1ull, 0x5eedull, 0x9e3779b97f4a7c15ull}) {
+    for (const double density : {0.0, 0.05, 0.45, 1.0}) {
+      for (const std::size_t w : {1u, 63u, 64u, 65u, 227u}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " density=" + std::to_string(density) +
+                     " w=" + std::to_string(w));
+        const Shape shape{3, 2, 4, w};
+        const Tensor t = random_tensor(shape, density, seed);
+        const CompressedRows want = compress_tensor(t);
+        const CompressedRows got = sparse_normal_rows(seed, shape, density);
+        EXPECT_TRUE(got.valid());
+        ASSERT_EQ(got.rows(), want.rows());
+        ASSERT_EQ(got.row_length(), want.row_length());
+        EXPECT_EQ(got.total_nnz(), want.total_nnz());
+        EXPECT_EQ(got.nonempty_rows(), want.nonempty_rows());
+        std::vector<float> mask(w);
+        for (std::size_t r = 0; r < got.rows(); ++r) {
+          const SparseRowView g = got.row(r);
+          const SparseRowView e = want.row(r);
+          ASSERT_EQ(g.nnz(), e.nnz()) << "row " << r;
+          EXPECT_TRUE(std::equal(g.offsets.begin(), g.offsets.end(),
+                                 e.offsets.begin()))
+              << "row " << r;
+          decompress_into(g, mask);
+          const std::span<const float> dense = t.flat().subspan(r * w, w);
+          for (std::size_t x = 0; x < w; ++x) {
+            ASSERT_EQ(mask[x], dense[x] != 0.0f ? 1.0f : 0.0f)
+                << "row " << r << " x " << x;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_THROW(sparse_normal_rows(1, Shape{1, 1, 1, 4}, 1.5), ContractError);
 }
 
 // --------------------------------------------------------------- BitMask

@@ -101,6 +101,57 @@ TEST(ExactEngine, MaskReducesGtaWork) {
                ContractError);
 }
 
+// Every RowSet overload sizes its stage tables from the rows and indexes
+// them from the shape passed alongside, so a mismatch — rows or width
+// off, or a dO shape that is not the input's conv output — must throw
+// instead of reading past a table.
+TEST(ExactEngine, RowSetOverloadsRejectMismatchedShapes) {
+  ArchConfig cfg;
+  ExactEngine engine(cfg);
+  Rng rng(5);
+  const dataflow::ConvGeometry geo = geo_3x3(4, 2);
+  const Shape in{1, 4, 6, 6};
+  const Shape out = dataflow::conv_output_shape(geo, in);
+  auto rows_of = [&](const Shape& shape) {
+    Tensor t(shape);
+    t.fill_sparse_normal(rng, 0.5);
+    return engine.compress(t);
+  };
+  const auto in_rows = rows_of(in);
+  const auto go_rows = rows_of(out);
+  EXPECT_GT(engine.run_forward(in_rows, in, geo).cycles, 0u);
+  EXPECT_GT(engine.run_gta(go_rows, out, in, nullptr, geo).cycles, 0u);
+  EXPECT_GT(engine.run_gtw(go_rows, out, in_rows, in, geo).cycles, 0u);
+
+  const auto two_channels = rows_of(Shape{1, 2, 6, 6});  // passed as 4
+  const auto narrow_in = rows_of(Shape{1, 4, 6, 5});
+  const auto one_filter = rows_of(Shape{1, 1, out.h, out.w});
+  const auto narrow_go = rows_of(Shape{1, 2, out.h, out.w - 1});
+  const Shape short_out{1, 2, out.h - 1, out.w};
+  const auto short_go = rows_of(short_out);
+
+  EXPECT_THROW(engine.run_forward(two_channels, in, geo), ContractError);
+  EXPECT_THROW(engine.run_forward(narrow_in, in, geo), ContractError);
+
+  EXPECT_THROW(engine.run_gta(one_filter, out, in, nullptr, geo),
+               ContractError);
+  EXPECT_THROW(engine.run_gta(narrow_go, out, in, nullptr, geo),
+               ContractError);
+  EXPECT_THROW(engine.run_gta(short_go, short_out, in, nullptr, geo),
+               ContractError);
+
+  EXPECT_THROW(engine.run_gtw(one_filter, out, in_rows, in, geo),
+               ContractError);
+  EXPECT_THROW(engine.run_gtw(narrow_go, out, in_rows, in, geo),
+               ContractError);
+  EXPECT_THROW(engine.run_gtw(go_rows, out, two_channels, in, geo),
+               ContractError);
+  EXPECT_THROW(engine.run_gtw(go_rows, out, narrow_in, in, geo),
+               ContractError);
+  EXPECT_THROW(engine.run_gtw(short_go, short_out, in_rows, in, geo),
+               ContractError);
+}
+
 TEST(ExactEngine, MoreGroupsShortenMakespan) {
   Rng rng(9);
   Tensor input(Shape{1, 4, 12, 12});

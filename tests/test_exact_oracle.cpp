@@ -1,15 +1,16 @@
-// Per-op oracle for the exact engine's GTA and GTW stages.
+// Per-op oracle for the exact engine's forward, GTA and GTW stages.
 //
-// The engine prices GTA/GTW row ops from counts (per-row nonzeros,
-// occupancy bits) and counts both stages' MACs once per stage from
-// summed-area tables. This test re-derives every stage field the slow
-// way: each task's row ops run through the view-based
-// PeExact::run_msrc(BitMask) / run_osrc — one window intersection per
-// nonzero — folded by PeGroupReducer, and the per-task cycles go to an
-// independent std::priority_queue least-loaded scheduler. All six
-// ExactStageResult fields must match for serial and parallel engines,
-// across kernel sizes, strides, paddings, widths on both sides of the
-// 64-bit word edges, batch sizes, masks and densities.
+// The engine folds forward ops from a per-input-row cost table, prices
+// GTA/GTW row ops from counts (per-row nonzeros, occupancy bits) and
+// counts both backward stages' MACs once per stage from summed-area
+// tables. This test re-derives every stage field the slow way: each
+// task's row ops run through the view-based PeExact::run_src /
+// run_msrc(BitMask) / run_osrc — one window intersection per nonzero —
+// folded by PeGroupReducer, and the per-task cycles go to an independent
+// std::priority_queue least-loaded scheduler. All six ExactStageResult
+// fields must match for serial and parallel engines, across kernel
+// sizes, strides, paddings, widths on both sides of the 64-bit word
+// edges, batch sizes, masks and densities.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -83,6 +84,32 @@ isa::RowBlock row_block(const dataflow::ConvGeometry& geo, isa::RowOpKind kind,
   b.stride = static_cast<std::uint32_t>(geo.stride);
   b.padding = static_cast<std::uint32_t>(geo.padding);
   return b;
+}
+
+/// Forward: one task per output row (n, f, oy); op (c, ky) runs SRC over
+/// input row (n, c, iy) with iy = oy·S + ky − P.
+ExactStageResult forward_oracle(const ArchConfig& cfg,
+                                const CompressedRows& input, const Shape& in,
+                                const Shape& out,
+                                const dataflow::ConvGeometry& geo) {
+  const PeExact pe(cfg.timing);
+  const isa::RowBlock b = row_block(geo, isa::RowOpKind::SRC, in.w, out.w);
+  return fold_tasks(
+      cfg, geo.kernel, in.n * geo.out_channels * out.h,
+      [&](std::size_t i, PeGroupReducer& red) {
+        const std::size_t oy = i % out.h;
+        const std::size_t n = i / (out.h * geo.out_channels);
+        for (std::size_t c = 0; c < geo.in_channels; ++c) {
+          for (std::size_t ky = 0; ky < geo.kernel; ++ky) {
+            const auto iy = static_cast<std::int64_t>(oy * geo.stride + ky) -
+                            static_cast<std::int64_t>(geo.padding);
+            if (iy < 0 || iy >= static_cast<std::int64_t>(in.h)) continue;
+            red.add(pe.run_src(
+                input.row((n * in.c + c) * in.h + static_cast<std::size_t>(iy)),
+                b));
+          }
+        }
+      });
 }
 
 /// GTA: one task per dI row (n, c, iy); op (f, ky) scatters dO row
@@ -166,7 +193,7 @@ Tensor sparse_tensor(Rng& rng, const Shape& shape, double density) {
   return t;
 }
 
-TEST(ExactOracle, GtaAndGtwMatchPerOpEvaluation) {
+TEST(ExactOracle, ConvStagesMatchPerOpEvaluation) {
   ArchConfig cfg;
   cfg.pe_groups = 5;  // few groups: every makespan depends on the order
   const ExactEngine serial(cfg);
@@ -209,6 +236,8 @@ TEST(ExactOracle, GtaAndGtwMatchPerOpEvaluation) {
 
     const CompressedRows in_rows = compress_tensor(input);
     const CompressedRows go_rows = compress_tensor(grad);
+    const ExactStageResult fwd_want =
+        forward_oracle(cfg, in_rows, in, out, geo);
     const ExactStageResult gta_want =
         gta_oracle(cfg, go_rows, out, in, mask_ptr, geo);
     const ExactStageResult gtw_want =
@@ -227,6 +256,8 @@ TEST(ExactOracle, GtaAndGtwMatchPerOpEvaluation) {
     for (const ExactEngine* engine : {&serial, &par}) {
       const std::string who =
           what + (engine == &serial ? " serial" : " parallel");
+      expect_same(engine->run_forward(in_rows, in, geo), fwd_want,
+                  who + " forward");
       expect_same(engine->run_gta(go_rows, out, in, mask_ptr, geo), gta_want,
                   who + " gta");
       expect_same(engine->run_gtw(go_rows, out, in_rows, in, geo), gtw_want,

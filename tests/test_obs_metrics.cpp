@@ -1,7 +1,7 @@
 // Metrics registry: histogram bin boundaries, underflow/overflow
 // buckets, quantile error bounds, concurrent recording totals, registry
-// identity/kind rules, and both export formats (sparsetrain.metrics/v1
-// JSON, Prometheus text).
+// identity/kind rules, both export formats (sparsetrain.metrics/v1
+// JSON, Prometheus text), and the engine profiler's stage series.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,9 +10,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/session.hpp"
 #include "obs/metrics.hpp"
 #include "serve/json.hpp"
 #include "util/require.hpp"
+#include "workload/layer_config.hpp"
+#include "workload/sparsity_profile.hpp"
 
 namespace sparsetrain {
 namespace {
@@ -262,6 +265,49 @@ TEST(Registry, CounterResetSupportsViews) {
   c.inc(9);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Engine profiler
+
+// A serial exact run with profile_engine exports operand synthesis as
+// its own `operands` series. On one thread the stage and operand spans
+// are disjoint and all inside the simulate phase, so together they never
+// exceed session_simulate_seconds.
+TEST(EngineProfiler, SerialExactRunAttributesOperandSynthesis) {
+  Registry reg;
+  core::SessionConfig cfg;
+  cfg.workers = 1;
+  cfg.metrics = &reg;
+  cfg.profile_engine = true;
+  core::Session session(cfg);
+  const auto net = workload::tiny_workload();
+  core::Session::JobOptions options;
+  options.sim.engine = isa::EngineKind::Exact;
+  session.wait(session.submit(net,
+                              workload::SparsityProfile::pruned(net, 0.9),
+                              {core::Session::kSparseBackend}, options));
+
+  const std::string text = reg.prometheus();
+  EXPECT_NE(text.find("engine_stage_seconds_count{stage=\"operands\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("engine_stage_row_ops_total{stage=\"operands\"}"),
+            std::string::npos);
+
+  const Labels operands = {{"stage", "operands"}};
+  EXPECT_GT(reg.histogram("engine_stage_seconds", operands).count(), 0u);
+  EXPECT_GT(reg.counter("engine_stage_row_ops_total", operands).value(), 0u);
+  double attributed = 0.0;
+  for (const char* stage : {"forward", "gta", "gtw", "fc", "operands"}) {
+    attributed +=
+        reg.histogram("engine_stage_seconds", {{"stage", stage}})
+            .sum_seconds();
+  }
+  EXPECT_GT(reg.histogram("engine_stage_seconds", {{"stage", "forward"}})
+                .count(),
+            0u);
+  EXPECT_LE(attributed,
+            reg.histogram("session_simulate_seconds").sum_seconds());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -75,6 +76,23 @@ TEST(Rng, NormalMomentsMatch) {
   for (int i = 0; i < 200000; ++i) stats.add(rng.normal());
   EXPECT_NEAR(stats.mean(), 0.0, 0.02);
   EXPECT_NEAR(stats.stddev(), 1.0, 0.02);
+}
+
+TEST(Rng, NormalNonzeroTracksNormalStream) {
+  // Any mix of normal_nonzero() and normal() calls consumes the stream
+  // exactly as normal() alone does, and a normal() call that takes a pair
+  // normal_nonzero() cached unevaluated returns the same bits.
+  Rng ref(23), mixed(23);
+  for (int i = 0; i < 20000; ++i) {
+    const double want = ref.normal();
+    if (i % 3 == 1 || i % 7 == 0) {
+      ASSERT_EQ(mixed.normal_nonzero(), want != 0.0) << "draw " << i;
+    } else {
+      const double got = mixed.normal();
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "draw " << i;
+    }
+  }
+  EXPECT_EQ(mixed(), ref());
 }
 
 TEST(Rng, NormalWithParams) {
