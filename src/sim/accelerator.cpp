@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <vector>
 
+#include "sim/least_loaded.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -148,10 +147,7 @@ double row_op_sram_bytes(const isa::RowBlock& b, bool sparse) {
 }  // namespace
 
 Accelerator::Accelerator(ArchConfig cfg) : cfg_(std::move(cfg)) {
-  ST_REQUIRE(cfg_.pe_groups > 0 && cfg_.pes_per_group > 0,
-             "architecture needs PEs");
-  ST_REQUIRE(cfg_.buffer_bytes > 0, "architecture needs a buffer");
-  ST_REQUIRE(cfg_.clock_ghz > 0.0, "clock must be positive");
+  cfg_.validate();
 }
 
 SimReport Accelerator::run(const isa::Program& program,
@@ -175,7 +171,9 @@ SimReport Accelerator::run(const isa::Program& program,
   report.profile_name = profile.name();
   report.total_pes = total_pes();
 
-  std::vector<double> group_load(cfg_.pe_groups, 0.0);
+  // One scheduler per stage: Run blocks of a stage keep adding to the
+  // same group loads.
+  LeastLoaded<double> groups;
   StageReport stage;
   bool stage_open = false;
 
@@ -187,14 +185,12 @@ SimReport Accelerator::run(const isa::Program& program,
     stage.layer_name = net.layers[inst.layer_index].name;
     stage.stage = inst.stage;
     stage_open = true;
-    std::fill(group_load.begin(), group_load.end(), 0.0);
+    groups.reset(cfg_.pe_groups);
   };
 
   auto close_stage = [&]() {
     if (!stage_open) return;
-    const double makespan =
-        *std::max_element(group_load.begin(), group_load.end());
-    stage.cycles = static_cast<std::size_t>(std::llround(makespan));
+    stage.cycles = static_cast<std::size_t>(std::llround(groups.max_load()));
     stage.energy = price(stage.activity, cfg_.energy);
     report.total_cycles += stage.cycles;
     report.activity += stage.activity;
@@ -252,10 +248,6 @@ SimReport Accelerator::run(const isa::Program& program,
         const std::size_t samples = std::min(b.tasks, cfg_.max_sched_samples);
         const std::size_t bundle = b.tasks / samples;
         std::size_t remainder = b.tasks % samples;
-        using Slot = std::pair<double, std::size_t>;
-        std::priority_queue<Slot, std::vector<Slot>, std::greater<>> heap;
-        for (std::size_t g = 0; g < cfg_.pe_groups; ++g)
-          heap.emplace(group_load[g], g);
         for (std::size_t s = 0; s < samples; ++s) {
           std::size_t tasks_here = bundle + (remainder > 0 ? 1 : 0);
           if (remainder > 0) --remainder;
@@ -263,15 +255,8 @@ SimReport Accelerator::run(const isa::Program& program,
           const double mean = task_mean * static_cast<double>(tasks_here);
           const double sd =
               std::sqrt(task_var * static_cast<double>(tasks_here));
-          const double t = std::max(
-              static_cast<double>(tasks_here), rng.normal(mean, sd));
-          auto [load, g] = heap.top();
-          heap.pop();
-          heap.emplace(load + t, g);
-        }
-        while (!heap.empty()) {
-          group_load[heap.top().second] = heap.top().first;
-          heap.pop();
+          groups.assign(std::max(static_cast<double>(tasks_here),
+                                 rng.normal(mean, sd)));
         }
 
         // Expected-value activity accounting (dispatched ops only).

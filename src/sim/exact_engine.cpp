@@ -180,60 +180,6 @@ void lower_mask(const float* mask, std::size_t len, std::size_t positions,
   }
 }
 
-/// Flat indexed d-ary min-heap over the PE groups' loads, keyed by
-/// (load, group id) — the identical order std::priority_queue<pair,
-/// greater<>> gave the old merge, so task→group assignment (and thus
-/// every makespan) is byte-identical to the PR-3 engine. Only the root
-/// ever changes (assign = add to the least-loaded group, sift down), and
-/// the final makespan is a direct scan of the load array instead of
-/// destructively popping a heap.
-class GroupHeap {
- public:
-  GroupHeap(std::size_t* loads, std::uint32_t* heap, std::size_t n)
-      : loads_(loads), heap_(heap), n_(n) {}
-
-  /// Assigns a task of `cycles` to the least-loaded group.
-  void assign(std::size_t cycles) {
-    loads_[heap_[0]] += cycles;
-    sift_down_root();
-  }
-
-  std::size_t max_load() const {
-    std::size_t m = 0;
-    for (std::size_t g = 0; g < n_; ++g) m = std::max(m, loads_[g]);
-    return m;
-  }
-
- private:
-  static constexpr std::size_t kArity = 4;
-
-  bool before(std::uint32_t a, std::uint32_t b) const {
-    return loads_[a] != loads_[b] ? loads_[a] < loads_[b] : a < b;
-  }
-
-  void sift_down_root() {
-    std::size_t i = 0;
-    const std::uint32_t moved = heap_[0];
-    for (;;) {
-      const std::size_t first = i * kArity + 1;
-      if (first >= n_) break;
-      const std::size_t last = std::min(first + kArity, n_);
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < last; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
-      }
-      if (!before(heap_[best], moved)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = moved;
-  }
-
-  std::size_t* loads_;
-  std::uint32_t* heap_;
-  std::size_t n_;
-};
-
 /// Shared coordination state of one tiled stage. Heap-held behind a
 /// shared_ptr: helper tasks that reach the pool after the stage finished
 /// must still fail their tile claim safely. Helpers touch the kernel and
@@ -273,9 +219,8 @@ double ExactStageResult::utilization(std::size_t total_pes) const {
 
 ExactEngine::ExactEngine(ArchConfig cfg, ExactOptions opts)
     : cfg_(std::move(cfg)), opts_(opts), pe_(cfg_.timing) {
+  cfg_.validate();
   ST_REQUIRE(cfg_.sparse, "the exact engine models the sparse architecture");
-  ST_REQUIRE(cfg_.pe_groups > 0 && cfg_.pes_per_group > 0,
-             "architecture needs PEs");
   if (opts_.shared_pool == nullptr && opts_.workers != 1) {
     pool_ = std::make_unique<util::ThreadPool>(opts_.workers);
   }
@@ -346,14 +291,8 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
   ArenaLease lease = acquire_arena();
   StageArena& arena = *lease.arena;
 
-  // Group scheduler state. heap[i] = i is a valid (load, id) min-heap
-  // when every load is zero, because parent indices are smaller ids.
-  arena.loads.assign(cfg_.pe_groups, 0);
-  arena.heap.resize(cfg_.pe_groups);
-  for (std::size_t g = 0; g < cfg_.pe_groups; ++g) {
-    arena.heap[g] = static_cast<std::uint32_t>(g);
-  }
-  GroupHeap sched(arena.loads.data(), arena.heap.data(), cfg_.pe_groups);
+  LeastLoaded<std::size_t>& sched = arena.sched;
+  sched.reset(cfg_.pe_groups);
 
   if (task_count == 0) {
     timer.record(result.tasks, result.row_ops, 0);

@@ -28,7 +28,7 @@
 //    arena. Every RowSet overload checks its rows against the shapes it
 //    is given once, at entry, so the tables need no per-op bounds check.
 //  * Streaming merge — per-task cycles feed the least-loaded-group
-//    scheduler through a flat indexed d-ary heap sized pe_groups,
+//    scheduler (LeastLoaded, shared with the statistical engine),
 //    consumed strictly in task order (the identical deterministic stream
 //    the serial path produces). The merge of tile i overlaps the
 //    evaluation of tile i+1: the merging thread consumes tiles as their
@@ -43,7 +43,7 @@
 // The hot path is allocation-free in steady state: operand tensors live
 // in CompressedRows arenas, each worker thread reuses a scratch buffer
 // (a GTA task's blocked-position bits and per-row counts), and the
-// per-stage cycle spans, scheduler arrays and stage-wide tables
+// per-stage cycle spans, the scheduler's tree and stage-wide tables
 // (forward's row costs, GTA's occupancy planes and counts, GTW's count
 // tables, the MAC tables) live in a pooled arena reused across stages
 // (tests/test_exact_alloc.cpp counts allocations;
@@ -60,6 +60,7 @@
 
 #include "dataflow/conv_decompose.hpp"
 #include "sim/accelerator.hpp"
+#include "sim/least_loaded.hpp"
 #include "tensor/compressed_rows.hpp"
 #include "tensor/tensor.hpp"
 #include "util/thread_pool.hpp"
@@ -182,8 +183,7 @@ class ExactEngine {
   struct StageArena {
     std::vector<std::size_t> cycles;       ///< per-task cycles (tiled path)
     std::vector<TileTotals> tile_totals;   ///< per-tile aggregates
-    std::vector<std::size_t> loads;        ///< per-group schedule load
-    std::vector<std::uint32_t> heap;       ///< d-ary heap of group ids
+    LeastLoaded<std::size_t> sched;        ///< least-loaded group merge
     std::vector<PeCost> src_costs;         ///< forward: per-input-row cost
     std::vector<std::uint64_t> go_bits;    ///< GTA: dO occupancy over f
     std::vector<std::uint32_t> go_active;  ///< GTA: all-pass counts over f

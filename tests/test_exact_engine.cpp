@@ -37,6 +37,16 @@ TEST(ExactEngine, RequiresSparseMode) {
   EXPECT_THROW(ExactEngine{cfg}, ContractError);
 }
 
+TEST(ExactEngine, ValidatesArchitectureOnConstruction) {
+  // weight_load divides by the port width.
+  ArchConfig no_port;
+  no_port.timing.weight_port_width = 0;
+  EXPECT_THROW(ExactEngine{no_port}, ContractError);
+  ArchConfig no_samples;
+  no_samples.max_sched_samples = 0;
+  EXPECT_THROW(ExactEngine{no_samples}, ContractError);
+}
+
 TEST(ExactEngine, ForwardCountsMatchHandComputation) {
   // 1 group, 1 PE per group → makespan = sum of all op cycles.
   ArchConfig cfg;

@@ -505,7 +505,10 @@ TEST(Router, ServesTheWireProtocolOverAListener) {
 // Protocol additions the router rides on.
 
 TEST(RouterProtocol, HexCodecRoundTripsAndRejectsGarbage) {
-  const std::string bytes = std::string("\x00\x7f\xff\x10az", 6);
+  // Split literal: "\x10az" would lex as one out-of-range escape.
+  const std::string bytes = std::string("\x00\x7f\xff\x10" "az", 6);
+  ASSERT_EQ(bytes[3], '\x10');
+  EXPECT_EQ(serve::hex_encode(bytes), "007fff10617a");
   EXPECT_EQ(serve::hex_decode(serve::hex_encode(bytes)), bytes);
   EXPECT_EQ(serve::hex_encode(""), "");
   EXPECT_THROW(serve::hex_decode("abc"), ContractError);   // odd length

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "baseline/eyeriss_like.hpp"
 #include "compiler/compiler.hpp"
 #include "core/session.hpp"
 #include "sim/accelerator.hpp"
 #include "sim/pe_model.hpp"
+#include "util/hash.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 #include "workload/layer_config.hpp"
@@ -280,6 +284,17 @@ TEST(Accelerator, RunsTinyWorkload) {
   EXPECT_EQ(report.stages.size(), 5u);  // 2×Forward + 1×GTA + 2×GTW
 }
 
+TEST(Accelerator, ValidatesArchitectureOnConstruction) {
+  // run() divides by both: tasks / samples and the weight-load
+  // ceil_div(kernel, weight_port_width).
+  ArchConfig no_samples;
+  no_samples.max_sched_samples = 0;
+  EXPECT_THROW(Accelerator{no_samples}, ContractError);
+  ArchConfig no_port;
+  no_port.timing.weight_port_width = 0;
+  EXPECT_THROW(Accelerator{no_port}, ContractError);
+}
+
 TEST(Accelerator, DeterministicForSameSeed) {
   const auto net = workload::tiny_workload();
   const auto profile = SparsityProfile::natural(net);
@@ -348,6 +363,85 @@ TEST(Session, DenseProfileGivesNoSpeedup) {
   const auto result = session.compare(net, dense_p);
   // Same dense work on both architectures → ratio near 1.
   EXPECT_NEAR(result.speedup(), 1.0, 0.15);
+}
+
+TEST(Session, StatisticalEnginePinnedOnZoo) {
+  // Every zoo workload on both backends with the Fig. 8 Table-II p = 0.9
+  // profiles, as bench_fig8_latency runs them. The statistical engine's
+  // cycles depend on its scheduling-noise draw order and on each sample
+  // going to the least-loaded group, so a change to either moves these
+  // constants. (Which of several equally loaded groups wins cannot move
+  // a makespan; test_least_loaded pins that tie-break.) Digest = mix64
+  // chained over the per-stage cycles.
+  struct Pin {
+    const char* workload;
+    const char* backend;
+    std::size_t total_cycles;
+    std::uint64_t stage_digest;
+  };
+  static const Pin kPins[] = {
+      {"AlexNet/CIFAR", "sparsetrain", 581932, 0x7553f01daa17a71bULL},
+      {"AlexNet/CIFAR", "eyeriss-dense", 2968552, 0xf56ced512fa43943ULL},
+      {"VGG-16/CIFAR", "sparsetrain", 1425388, 0x96b6161c159595bdULL},
+      {"VGG-16/CIFAR", "eyeriss-dense", 5438832, 0x996505a423bc7883ULL},
+      {"ResNet-18/CIFAR", "sparsetrain", 219974, 0x973bad91ae358d53ULL},
+      {"ResNet-18/CIFAR", "eyeriss-dense", 664002, 0xdaf49ff3f1cf8e03ULL},
+      {"ResNet-34/CIFAR", "sparsetrain", 459097, 0x34f6ef5b64956c8fULL},
+      {"ResNet-34/CIFAR", "eyeriss-dense", 1266754, 0xc3cf16e62625ccebULL},
+      {"AlexNet/ImageNet", "sparsetrain", 2925260, 0x2d053082338b7efcULL},
+      {"AlexNet/ImageNet", "eyeriss-dense", 16251396, 0xa182292d2691cdc5ULL},
+      {"VGG-16/ImageNet", "sparsetrain", 42891701, 0xdf4572a44bca86a8ULL},
+      {"VGG-16/ImageNet", "eyeriss-dense", 874714536, 0x6ff1c0548cc4c796ULL},
+      {"ResNet-18/ImageNet", "sparsetrain", 17211372, 0xd70de20dd08efcc8ULL},
+      {"ResNet-18/ImageNet", "eyeriss-dense", 53778943, 0x82a4c528c3913962ULL},
+      {"ResNet-34/ImageNet", "sparsetrain", 30901981, 0xd6685708702ff82eULL},
+      {"ResNet-34/ImageNet", "eyeriss-dense", 94398963, 0x718a3a43bf694476ULL},
+  };
+
+  core::Session session;
+  const std::vector<std::string> backends = {core::Session::kSparseBackend,
+                                             core::Session::kDenseBackend};
+  std::vector<core::Session::JobHandle> jobs;
+  for (const auto& w : workload::workload_zoo()) {
+    const auto profile = SparsityProfile::calibrated(
+        w.net, workload::paper_act_density(w.family),
+        workload::paper_table2_do_density(w.family, w.imagenet, 0.9),
+        "table2-p90");
+    jobs.push_back(session.submit(w.net, profile, backends));
+  }
+
+  // On a mismatch the failure prints every row in kPins' own syntax,
+  // marking the rows that moved.
+  std::string table;
+  std::size_t row = 0;
+  bool same = true;
+  for (const auto& job : jobs) {
+    const core::EvalResult& r = session.wait(job);
+    for (const auto& backend : backends) {
+      const SimReport& report = r.report(backend);
+      std::uint64_t digest = 0;
+      for (const auto& s : report.stages) digest = mix64(digest, s.cycles);
+      const Pin* want = row < std::size(kPins) ? &kPins[row] : nullptr;
+      const bool match = want != nullptr && r.net.name == want->workload &&
+                         backend == want->backend &&
+                         report.total_cycles == want->total_cycles &&
+                         digest == want->stage_digest;
+      same = same && match;
+      ++row;
+      char line[160];
+      std::snprintf(line, sizeof line,
+                    "  {\"%s\", \"%s\", %zu, 0x%016llxULL},%s\n",
+                    r.net.name.c_str(), backend.c_str(), report.total_cycles,
+                    static_cast<unsigned long long>(digest),
+                    match ? "" : "  // moved");
+      table += line;
+    }
+  }
+  if (!same || row != std::size(kPins)) {
+    ADD_FAILURE() << "statistical engine cycles moved (" << row << " runs, "
+                  << std::size(kPins) << " pinned):\n"
+                  << table;
+  }
 }
 
 TEST(Session, BaselineSramShareMatchesPaperBand) {
