@@ -121,13 +121,6 @@ double time_stage(const Fn& fn, double min_time, int* reps_out = nullptr) {
   return timer.seconds() / reps;
 }
 
-void json_escape(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
 /// One entry of a prior run loaded via --baseline: the timing to compare
 /// against plus the simulated fields, which must match exactly.
 struct BaselineEntry {
@@ -351,11 +344,9 @@ int main(int argc, char** argv) {
 
       if (!first_entry) json += ",\n";
       first_entry = false;
-      std::string wl_escaped, layer_escaped;
-      json_escape(wl_escaped, bc.workload);
-      json_escape(layer_escaped, l.name);
-      json += "    {\"workload\": \"" + wl_escaped + "\", \"layer\": \"" +
-              layer_escaped + "\", \"stage\": \"" + sr.stage + "\"";
+      json += "    {\"workload\": \"" + json_escape(bc.workload) +
+              "\", \"layer\": \"" + json_escape(l.name) +
+              "\", \"stage\": \"" + sr.stage + "\"";
       json += ", \"tasks\": " + std::to_string(sr.tasks);
       json += ", \"row_ops\": " + std::to_string(sr.row_ops);
       json += ", \"macs\": " + std::to_string(sr.macs);

@@ -1,7 +1,5 @@
 #include "baseline/eyeriss_like.hpp"
 
-#include "util/require.hpp"
-
 namespace sparsetrain::baseline {
 
 sim::ArchConfig eyeriss_like_config() {
@@ -14,11 +12,5 @@ sim::ArchConfig eyeriss_like_config() {
   cfg.buffer_bytes = 386 * 1024;
   return cfg;
 }
-
-EyerissLikeBaseline::EyerissLikeBaseline(sim::ArchConfig cfg)
-    : accel_([&] {
-        ST_REQUIRE(!cfg.sparse, "the baseline must run in dense mode");
-        return std::move(cfg);
-      }()) {}
 
 }  // namespace sparsetrain::baseline

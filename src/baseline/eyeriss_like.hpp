@@ -17,23 +17,4 @@ namespace sparsetrain::baseline {
 /// budget as the SparseTrain configuration it is compared against).
 sim::ArchConfig eyeriss_like_config();
 
-/// Convenience wrapper: a dense-mode Accelerator. Programs must be
-/// compiled with a dense profile (the baseline cannot exploit sparsity,
-/// and its cycle model ignores densities anyway).
-class EyerissLikeBaseline {
- public:
-  explicit EyerissLikeBaseline(sim::ArchConfig cfg = eyeriss_like_config());
-
-  const sim::ArchConfig& config() const { return accel_.config(); }
-
-  sim::SimReport run(const isa::Program& program,
-                     const workload::NetworkConfig& net,
-                     const workload::SparsityProfile& profile) const {
-    return accel_.run(program, net, profile);
-  }
-
- private:
-  sim::Accelerator accel_;
-};
-
 }  // namespace sparsetrain::baseline

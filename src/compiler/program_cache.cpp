@@ -112,17 +112,4 @@ std::size_t ProgramCache::size() const {
   return cache_.size();
 }
 
-void ProgramCache::reset_stats() {
-  std::lock_guard lock(mu_);
-  hits_->reset();
-  misses_->reset();
-}
-
-void ProgramCache::clear() {
-  std::lock_guard lock(mu_);
-  cache_.clear();
-  hits_->reset();
-  misses_->reset();
-}
-
 }  // namespace sparsetrain::compiler

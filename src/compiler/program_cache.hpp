@@ -63,18 +63,7 @@ class ProgramCache {
 
   Stats stats() const;
 
-  /// Atomic counter snapshot — the canonical way services export the
-  /// hit/miss numbers (identical to stats(); named for symmetry with
-  /// reset_stats()).
-  Stats snapshot() const { return stats(); }
-
-  /// Zeroes the counters without dropping any compiled program, so a
-  /// long-lived service can report per-window rates while keeping its
-  /// warm cache.
-  void reset_stats();
-
   std::size_t size() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;

@@ -1,45 +1,14 @@
 #include "core/export.hpp"
 
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "util/csv.hpp"
+#include "util/format.hpp"
 #include "util/require.hpp"
 
 namespace sparsetrain::core {
 
 namespace {
-
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(10);
-  os << v;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void report_json(std::ostream& out, const sim::SimReport& r,
                  const std::string& indent) {
@@ -50,22 +19,25 @@ void report_json(std::ostream& out, const sim::SimReport& r,
       << "\",\n"
       << indent << " \"profile\": \"" << json_escape(r.profile_name)
       << "\",\n"
-      << indent << " \"clock_ghz\": " << num(r.clock_ghz) << ",\n"
+      << indent << " \"clock_ghz\": " << format_number(r.clock_ghz) << ",\n"
       << indent << " \"total_pes\": " << r.total_pes << ",\n"
       << indent << " \"total_cycles\": " << r.total_cycles << ",\n"
-      << indent << " \"latency_ms\": " << num(r.latency_ms()) << ",\n"
-      << indent << " \"utilization\": " << num(r.utilization()) << ",\n"
-      << indent << " \"energy_pj\": {\"comb\": " << num(r.energy.comb_pj)
-      << ", \"reg\": " << num(r.energy.reg_pj)
-      << ", \"sram\": " << num(r.energy.sram_pj)
-      << ", \"dram\": " << num(r.energy.dram_pj) << "},\n"
+      << indent << " \"latency_ms\": " << format_number(r.latency_ms())
+      << ",\n"
+      << indent << " \"utilization\": " << format_number(r.utilization())
+      << ",\n"
+      << indent << " \"energy_pj\": {\"comb\": "
+      << format_number(r.energy.comb_pj)
+      << ", \"reg\": " << format_number(r.energy.reg_pj)
+      << ", \"sram\": " << format_number(r.energy.sram_pj)
+      << ", \"dram\": " << format_number(r.energy.dram_pj) << "},\n"
       << indent << " \"stages\": [";
   for (std::size_t i = 0; i < r.stages.size(); ++i) {
     const auto& s = r.stages[i];
     if (i) out << ", ";
     out << "{\"layer\": \"" << json_escape(s.layer_name) << "\", \"stage\": \""
         << isa::stage_name(s.stage) << "\", \"cycles\": " << s.cycles
-        << ", \"on_chip_pj\": " << num(s.energy.on_chip_pj()) << '}';
+        << ", \"on_chip_pj\": " << format_number(s.energy.on_chip_pj()) << '}';
   }
   out << "]}";
 }
@@ -88,11 +60,14 @@ void export_csv(const std::vector<EvalResult>& results, std::ostream& out) {
       // all-dense profile whatever the job submitted (matches the JSON).
       csv.add_row({job.net.name, r.profile_name, run.backend, r.arch_name,
                    isa::engine_name(r.engine),
-                   std::to_string(r.total_cycles), num(r.latency_ms()),
-                   num(r.utilization()), num(r.energy.comb_pj * 1e-6),
-                   num(r.energy.reg_pj * 1e-6), num(r.energy.sram_pj * 1e-6),
-                   num(r.energy.on_chip_pj() * 1e-6),
-                   num(r.energy.dram_pj * 1e-6)});
+                   std::to_string(r.total_cycles),
+                   format_number(r.latency_ms()),
+                   format_number(r.utilization()),
+                   format_number(r.energy.comb_pj * 1e-6),
+                   format_number(r.energy.reg_pj * 1e-6),
+                   format_number(r.energy.sram_pj * 1e-6),
+                   format_number(r.energy.on_chip_pj() * 1e-6),
+                   format_number(r.energy.dram_pj * 1e-6)});
     }
   }
 }
@@ -130,7 +105,7 @@ void export_json(const std::vector<EvalResult>& results,
 
 ServiceStats service_stats(const Session& session) {
   ServiceStats s;
-  s.cache = session.program_cache().snapshot();
+  s.cache = session.program_cache().stats();
   if (session.result_store()) {
     s.store_attached = true;
     s.store = session.result_store()->stats();
@@ -151,7 +126,7 @@ void export_stats_json(const ServiceStats& s, std::ostream& out) {
   if (s.store_attached) {
     out << ",\n \"store\": {\"hits\": " << s.store.hits
         << ", \"misses\": " << s.store.misses
-        << ", \"hit_rate\": " << num(s.store.hit_rate())
+        << ", \"hit_rate\": " << format_number(s.store.hit_rate())
         << ", \"puts\": " << s.store.puts
         << ", \"evictions\": " << s.store.evictions
         << ", \"torn_skipped\": " << s.store.torn_skipped

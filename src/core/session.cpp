@@ -1,6 +1,7 @@
 #include "core/session.hpp"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "baseline/eyeriss_like.hpp"
@@ -39,14 +40,69 @@ class Phase {
   std::chrono::steady_clock::time_point start_{};
 };
 
-/// The per-run content seed: mix(session seed, compiler fingerprint) per
-/// profile kind, then mix in the backend name. Kept in one place so
-/// start_job and run_fingerprint cannot drift.
-std::uint64_t derive_run_seed(std::uint64_t session_seed,
-                              std::uint64_t program_fp,
-                              const std::string& backend_name) {
-  return mix64(mix64(session_seed, program_fp), fnv1a(backend_name));
-}
+/// Derives the backend runs of one job: the profile each run simulates,
+/// its compile options, program fingerprint and seed. Dense backends run
+/// an all-dense profile with a statistical program (the baseline has no
+/// exact semantics). start_job and run_fingerprint both derive runs here,
+/// so the key a job records in the store and the key services route and
+/// coalesce on cannot drift apart. Each profile kind is materialised and
+/// fingerprinted at most once per job.
+class RunDeriver {
+ public:
+  struct Run {
+    std::shared_ptr<const workload::SparsityProfile> profile;
+    compiler::CompileOptions copts;
+    std::uint64_t program_fp = 0;
+    std::uint64_t seed = 0;
+
+    /// The run's persistent-store key (serve::fingerprint_v1).
+    std::uint64_t store_key(const workload::NetworkConfig& net,
+                            const sim::Backend& backend) const {
+      return serve::fingerprint_v1(net, *profile, copts, backend.name(),
+                                   backend.kind(), backend.arch(), seed);
+    }
+  };
+
+  RunDeriver(const SessionConfig& cfg, const workload::NetworkConfig& net,
+             std::shared_ptr<const workload::SparsityProfile> profile,
+             const Session::JobOptions& options)
+      : session_seed_(cfg.seed), net_(net), submitted_(std::move(profile)) {
+    copts_.batch = options.batch != 0 ? options.batch : cfg.batch;
+    copts_.engine = options.sim.engine;
+  }
+
+  Run operator()(const sim::Backend& backend) {
+    std::optional<Run>& kind = backend.sparse() ? sparse_ : dense_;
+    if (!kind) {
+      Run r;
+      r.profile = submitted_;
+      r.copts = copts_;
+      if (!backend.sparse()) {
+        r.profile = std::make_shared<const workload::SparsityProfile>(
+            workload::SparsityProfile::dense(net_));
+        r.copts.engine = isa::EngineKind::Statistical;
+      }
+      r.program_fp =
+          compiler::ProgramCache::fingerprint(net_, *r.profile, r.copts);
+      kind = std::move(r);
+    }
+    // Seed from the evaluation's content (compiler inputs + backend
+    // name), not from submission order: identical evaluations reproduce
+    // bit-exactly anywhere in any session.
+    Run run = *kind;
+    run.seed = mix64(mix64(session_seed_, run.program_fp),
+                     fnv1a(backend.name()));
+    return run;
+  }
+
+ private:
+  std::uint64_t session_seed_;
+  const workload::NetworkConfig& net_;
+  std::shared_ptr<const workload::SparsityProfile> submitted_;
+  compiler::CompileOptions copts_;
+  std::optional<Run> sparse_;
+  std::optional<Run> dense_;
+};
 
 }  // namespace
 
@@ -112,7 +168,7 @@ double ComparisonResult::energy_efficiency() const {
 }
 
 Session::Session(SessionConfig cfg)
-    : cfg_(std::move(cfg)), store_(cfg_.store), pool_(cfg_.workers) {
+    : cfg_(std::move(cfg)), pool_(cfg_.workers) {
   ST_REQUIRE(cfg_.batch > 0, "batch must be positive");
   ST_REQUIRE(cfg_.sparse_arch.sparse,
              "the sparse architecture must have sparse semantics");
@@ -188,48 +244,20 @@ void Session::start_job(Job& job, const workload::NetworkConfig& net,
     backends.push_back(std::move(b));
   }
 
-  compiler::CompileOptions copts;
-  copts.batch = options.batch != 0 ? options.batch : cfg_.batch;
-  copts.engine = options.sim.engine;
-  // The dense baseline has no exact semantics: its program (and cache
-  // entry) always stays statistical, whatever the job requested.
-  compiler::CompileOptions dense_copts = copts;
-  dense_copts.engine = isa::EngineKind::Statistical;
-
-  // Shared immutable inputs for the worker tasks. The dense profile is
-  // materialised once per job and shared by every dense backend.
+  // Shared immutable inputs for the worker tasks. Every run is derived
+  // before any is enqueued, so a derivation error throws on the caller's
+  // thread with no task in flight.
   auto shared_net = std::make_shared<const workload::NetworkConfig>(net);
-  auto shared_profile =
-      std::make_shared<const workload::SparsityProfile>(profile);
-  std::shared_ptr<const workload::SparsityProfile> shared_dense;
-  for (const auto& b : backends) {
-    if (!b->sparse()) {
-      shared_dense = std::make_shared<const workload::SparsityProfile>(
-          workload::SparsityProfile::dense(net));
-      break;
-    }
-  }
+  RunDeriver derive(cfg_, net,
+                    std::make_shared<const workload::SparsityProfile>(profile),
+                    options);
+  std::vector<RunDeriver::Run> runs;
+  runs.reserve(backends.size());
+  for (const auto& b : backends) runs.push_back(derive(*b));
 
   job.result.net = net;
   job.result.profile_name = profile.name();
   job.result.runs.resize(backends.size());
-
-  // Seed from the evaluation's *content* (compiler inputs + backend
-  // name), not from submission order: identical evaluations reproduce
-  // bit-exactly anywhere in any session, and adding or reordering
-  // unrelated jobs in a driver cannot shift published numbers. At most
-  // two distinct program fingerprints exist per job (submitted + dense
-  // profile); each is computed only if a backend of that kind is present.
-  bool any_sparse = false;
-  for (const auto& b : backends) any_sparse |= b->sparse();
-  const std::uint64_t sparse_prog_fp =
-      any_sparse ? compiler::ProgramCache::fingerprint(
-                       *shared_net, *shared_profile, copts)
-                 : 0;
-  const std::uint64_t dense_prog_fp =
-      shared_dense ? compiler::ProgramCache::fingerprint(
-                         *shared_net, *shared_dense, dense_copts)
-                   : 0;
 
   // Exact jobs borrow the session's own pool instead of spawning one per
   // run: the engine's stage tiles and the stage-graph units then
@@ -249,20 +277,13 @@ void Session::start_job(Job& job, const workload::NetworkConfig& net,
   try {
     for (std::size_t i = 0; i < backends.size(); ++i) {
       auto backend = backends[i];
-      const bool sparse = backend->sparse();
-      auto run_profile = sparse ? shared_profile : shared_dense;
-      const auto run_copts = sparse ? copts : dense_copts;
-      const std::uint64_t prog_fp = sparse ? sparse_prog_fp : dense_prog_fp;
-      const std::uint64_t seed =
-          derive_run_seed(cfg_.seed, prog_fp, backend->name());
       job.result.runs[i].backend = backend->name();
       // Each task writes only its own pre-sized slot, so no result lock
       // is needed; completion is ordered by the futures.
       job.pending.push_back(pool_.submit(
           [this, backend = std::move(backend), shared_net,
-           run_profile = std::move(run_profile), run_copts, seed, prog_fp,
-           exact = exact_opts, store = store_, trace = options.trace,
-           out = &job.result.runs[i]] {
+           run = std::move(runs[i]), exact = exact_opts, store = cfg_.store,
+           trace = options.trace, out = &job.result.runs[i]] {
             // Persistent store first: a hit costs one record read — no
             // compile, no simulation — and is byte-identical to the run
             // it replaces (serve::fingerprint_v1 covers every input the
@@ -271,10 +292,7 @@ void Session::start_job(Job& job, const workload::NetworkConfig& net,
             if (store) {
               Phase phase(hist_.store_lookup, trace, "store.lookup");
               phase.span().attr("backend", backend->name());
-              fp = serve::fingerprint_v1(*shared_net, *run_profile,
-                                         run_copts, backend->name(),
-                                         backend->kind(), backend->arch(),
-                                         seed);
+              fp = run.store_key(*shared_net, *backend);
               out->fingerprint = fp;
               sim::SimReport stored;
               if (store->get_result(fp, stored)) {
@@ -289,13 +307,13 @@ void Session::start_job(Job& job, const workload::NetworkConfig& net,
             {
               Phase phase(hist_.compile, trace, "compile");
               phase.span().attr("backend", backend->name());
-              program = cache_.get(*shared_net, *run_profile, run_copts);
+              program = cache_.get(*shared_net, *run.profile, run.copts);
             }
             {
               Phase phase(hist_.simulate, trace, "simulate");
               phase.span().attr("backend", backend->name());
               out->report = backend->run(*program, *shared_net,
-                                         *run_profile, seed, exact);
+                                         *run.profile, run.seed, exact);
             }
             // Publication is strictly best-effort: a store that degraded
             // to read-only (sick disk) drops the put and the session
@@ -304,9 +322,9 @@ void Session::start_job(Job& job, const workload::NetworkConfig& net,
               Phase phase(hist_.store_publish, trace, "store.publish");
               phase.span().attr("backend", backend->name());
               store->put_result(fp, out->report);
-              if (!store->contains_program(prog_fp)) {
+              if (!store->contains_program(run.program_fp)) {
                 store->put_program(
-                    prog_fp,
+                    run.program_fp,
                     {program->name, program->engine, program->batch,
                      program->instructions.size()});
               }
@@ -330,25 +348,10 @@ std::uint64_t Session::run_fingerprint(const workload::NetworkConfig& net,
   const auto backend = registry_.find(backend_name);
   ST_REQUIRE(backend != nullptr,
              "no backend registered under '" + backend_name + "'");
-  compiler::CompileOptions copts;
-  copts.batch = options.batch != 0 ? options.batch : cfg_.batch;
-  copts.engine = options.sim.engine;
-  // Mirror start_job's dense substitution: dense backends always run an
-  // all-dense profile with a statistical-engine program.
-  if (backend->sparse()) {
-    const std::uint64_t prog_fp =
-        compiler::ProgramCache::fingerprint(net, profile, copts);
-    return serve::fingerprint_v1(
-        net, profile, copts, backend->name(), backend->kind(),
-        backend->arch(), derive_run_seed(cfg_.seed, prog_fp, backend->name()));
-  }
-  copts.engine = isa::EngineKind::Statistical;
-  const auto dense = workload::SparsityProfile::dense(net);
-  const std::uint64_t prog_fp =
-      compiler::ProgramCache::fingerprint(net, dense, copts);
-  return serve::fingerprint_v1(
-      net, dense, copts, backend->name(), backend->kind(), backend->arch(),
-      derive_run_seed(cfg_.seed, prog_fp, backend->name()));
+  RunDeriver derive(cfg_, net,
+                    std::make_shared<const workload::SparsityProfile>(profile),
+                    options);
+  return derive(*backend).store_key(net, *backend);
 }
 
 std::uint64_t Session::run_fingerprint(
@@ -387,13 +390,6 @@ const EvalResult& Session::wait(const JobHandle& handle) {
   Job& job = job_at(handle);
   collect(job);
   return job.result;
-}
-
-EvalResult Session::evaluate_now(
-    const workload::NetworkConfig& net,
-    const workload::SparsityProfile& profile,
-    const std::vector<std::string>& backend_names) {
-  return evaluate(net, profile, backend_names, JobOptions{});
 }
 
 EvalResult Session::evaluate(const workload::NetworkConfig& net,
@@ -439,7 +435,7 @@ std::vector<EvalResult> Session::results() {
 
 ComparisonResult Session::compare(const workload::NetworkConfig& net,
                                   const workload::SparsityProfile& profile) {
-  EvalResult r = evaluate_now(net, profile, {kSparseBackend, kDenseBackend});
+  EvalResult r = evaluate(net, profile, {kSparseBackend, kDenseBackend});
   ComparisonResult result;
   result.net = std::move(r.net);
   result.sparse = r.report(kSparseBackend);
@@ -449,13 +445,11 @@ ComparisonResult Session::compare(const workload::NetworkConfig& net,
 
 sim::SimReport Session::run_sparse(const workload::NetworkConfig& net,
                                    const workload::SparsityProfile& profile) {
-  return evaluate_now(net, profile, {kSparseBackend})
-      .report(kSparseBackend);
+  return evaluate(net, profile, {kSparseBackend}).report(kSparseBackend);
 }
 
 sim::SimReport Session::run_dense(const workload::NetworkConfig& net) {
-  return evaluate_now(net, workload::SparsityProfile::dense(net),
-                      {kDenseBackend})
+  return evaluate(net, workload::SparsityProfile::dense(net), {kDenseBackend})
       .report(kDenseBackend);
 }
 

@@ -125,10 +125,6 @@ struct ComparisonResult {
 
   /// Energy improvement (dense on-chip energy / sparse on-chip energy).
   double energy_efficiency() const;
-
-  /// Per-sample latency in milliseconds.
-  double sparse_latency_ms() const { return sparse.latency_ms(); }
-  double dense_latency_ms() const { return dense.latency_ms(); }
 };
 
 class Session {
@@ -182,13 +178,7 @@ class Session {
 
   /// The persistent result store, or nullptr when none is attached.
   const std::shared_ptr<serve::ResultStore>& result_store() const {
-    return store_;
-  }
-
-  /// Attaches (or detaches, with nullptr) the persistent store. Not
-  /// thread-safe against in-flight jobs: call between submissions.
-  void attach_store(std::shared_ptr<serve::ResultStore> store) {
-    store_ = std::move(store);
+    return cfg_.store;
   }
 
   /// The store key this session would use for one backend run of
@@ -276,12 +266,6 @@ class Session {
                  const std::vector<std::string>& backend_names,
                  const JobOptions& options);
 
-  /// Runs one unregistered job to completion (the legacy wrappers —
-  /// nothing is retained in jobs_).
-  EvalResult evaluate_now(const workload::NetworkConfig& net,
-                          const workload::SparsityProfile& profile,
-                          const std::vector<std::string>& backend_names);
-
   Job& job_at(const JobHandle& handle);
   /// Drains every future (even past the first failure), then rethrows the
   /// first error — on this and every later wait of the same job.
@@ -290,7 +274,6 @@ class Session {
   SessionConfig cfg_;
   sim::BackendRegistry registry_;
   compiler::ProgramCache cache_;
-  std::shared_ptr<serve::ResultStore> store_;  ///< may be nullptr
   /// Per-phase latency histograms (null without SessionConfig::metrics —
   /// and with them null the task path reads no clocks).
   struct PhaseHist {

@@ -303,7 +303,13 @@ ExploreResult Explorer::explore(
     result.store.evictions = store_after.evictions - store_before.evictions;
     result.store.torn_skipped =
         store_after.torn_skipped - store_before.torn_skipped;
-    // Size figures are absolute, not deltas — current store shape.
+    result.store.publish_failures =
+        store_after.publish_failures - store_before.publish_failures;
+    result.store.dropped_publishes =
+        store_after.dropped_publishes - store_before.dropped_publishes;
+    // Health and size figures are absolute, not deltas — current store
+    // state.
+    result.store.read_only = store_after.read_only;
     result.store.entries = store_after.entries;
     result.store.program_entries = store_after.program_entries;
     result.store.bytes = store_after.bytes;

@@ -104,8 +104,9 @@ struct ExploreResult {
   /// ProgramCache stats delta over this exploration (valid when nothing
   /// else used the session's cache concurrently).
   compiler::ProgramCache::Stats cache;
-  /// Persistent-store stats delta over this exploration (all zero when
-  /// the session has no store attached).
+  /// Persistent-store counter deltas over this exploration, plus the
+  /// store's read_only flag and sizes at its end (all zero when the
+  /// session has no store attached).
   bool store_attached = false;
   serve::StoreStats store;
 

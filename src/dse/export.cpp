@@ -1,31 +1,14 @@
 #include "dse/export.hpp"
 
 #include <fstream>
-#include <sstream>
 
 #include "util/csv.hpp"
+#include "util/format.hpp"
 #include "util/require.hpp"
 
 namespace sparsetrain::dse {
 
 namespace {
-
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(10);
-  os << v;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 std::vector<std::string> point_row(const PointResult& p) {
   const DesignPoint& pt = p.point;
@@ -40,14 +23,14 @@ std::vector<std::string> point_row(const PointResult& p) {
           std::to_string(pt.arch.pe_groups),
           std::to_string(pt.arch.pes_per_group),
           std::to_string(pt.arch.buffer_bytes),
-          num(pt.arch.clock_ghz),
+          format_number(pt.arch.clock_ghz),
           pt.arch.sparse ? "1" : "0",
-          num(p.objectives.latency_ms),
-          num(p.objectives.energy_uj),
-          num(p.objectives.area),
+          format_number(p.objectives.latency_ms),
+          format_number(p.objectives.energy_uj),
+          format_number(p.objectives.area),
           status,
-          p.exact_validated ? num(p.exact_objectives.latency_ms) : "",
-          p.exact_validated ? num(p.exact_objectives.energy_uj) : ""};
+          p.exact_validated ? format_number(p.exact_objectives.latency_ms) : "",
+          p.exact_validated ? format_number(p.exact_objectives.energy_uj) : ""};
 }
 
 }  // namespace
@@ -90,7 +73,7 @@ void export_json(const ExploreResult& result, std::ostream& out) {
   out << " \"evaluations\": " << result.evaluations << ",\n";
   out << " \"cache\": {\"hits\": " << result.cache.hits
       << ", \"misses\": " << result.cache.misses
-      << ", \"hit_rate\": " << num(result.cache_hit_rate()) << "},\n";
+      << ", \"hit_rate\": " << format_number(result.cache_hit_rate()) << "},\n";
   out << " \"frontier\": [";
   for (std::size_t i = 0; i < result.frontier.size(); ++i) {
     if (i) out << ", ";
@@ -107,28 +90,29 @@ void export_json(const ExploreResult& result, std::ostream& out) {
         << ",\n   \"arch\": {\"pe_groups\": " << pt.arch.pe_groups
         << ", \"pes_per_group\": " << pt.arch.pes_per_group
         << ", \"buffer_bytes\": " << pt.arch.buffer_bytes
-        << ", \"clock_ghz\": " << num(pt.arch.clock_ghz)
+        << ", \"clock_ghz\": " << format_number(pt.arch.clock_ghz)
         << ", \"sparse\": " << (pt.arch.sparse ? "true" : "false") << "},\n"
         << "   \"objectives\": {\"latency_ms\": "
-        << num(p.objectives.latency_ms)
-        << ", \"energy_uj\": " << num(p.objectives.energy_uj)
-        << ", \"area\": " << num(p.objectives.area) << "},\n   \"evals\": [";
+        << format_number(p.objectives.latency_ms)
+        << ", \"energy_uj\": " << format_number(p.objectives.energy_uj)
+        << ", \"area\": " << format_number(p.objectives.area)
+        << "},\n   \"evals\": [";
     for (std::size_t e = 0; e < p.evals.size(); ++e) {
       const WorkloadEval& we = p.evals[e];
       if (e) out << ", ";
       out << "{\"workload\": \"" << json_escape(we.workload)
           << "\", \"cycles\": " << we.report.total_cycles
-          << ", \"latency_ms\": " << num(we.report.latency_ms())
+          << ", \"latency_ms\": " << format_number(we.report.latency_ms())
           << ", \"on_chip_uj\": "
-          << num(we.report.energy.on_chip_pj() * 1e-6) << "}";
+          << format_number(we.report.energy.on_chip_pj() * 1e-6) << "}";
     }
     out << "],\n   \"complete\": " << (p.complete ? "true" : "false")
         << ", \"pruned\": " << (p.pruned ? "true" : "false")
         << ", \"on_front\": " << (p.on_front ? "true" : "false");
     if (p.exact_validated) {
       out << ",\n   \"exact_objectives\": {\"latency_ms\": "
-          << num(p.exact_objectives.latency_ms)
-          << ", \"energy_uj\": " << num(p.exact_objectives.energy_uj)
+          << format_number(p.exact_objectives.latency_ms)
+          << ", \"energy_uj\": " << format_number(p.exact_objectives.energy_uj)
           << "}";
     }
     out << "}" << (i + 1 < result.points.size() ? "," : "") << '\n';

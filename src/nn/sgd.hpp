@@ -25,9 +25,6 @@ class Sgd {
   /// Clears all gradients without updating.
   void zero_grad();
 
-  void set_learning_rate(float lr) { cfg_.learning_rate = lr; }
-  float learning_rate() const { return cfg_.learning_rate; }
-
  private:
   std::vector<Param*> params_;
   SgdConfig cfg_;

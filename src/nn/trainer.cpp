@@ -25,8 +25,6 @@ TrainResult Trainer::fit(const data::Dataset& train,
       (train.size() + cfg_.batch_size - 1) / cfg_.batch_size;
 
   for (std::size_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
-    if (schedule_ != nullptr)
-      optimizer_.set_learning_rate(schedule_->rate(epoch));
     double loss_sum = 0.0;
     std::size_t hits = 0;
     std::size_t seen = 0;

@@ -6,7 +6,6 @@
 
 #include "data/dataset.hpp"
 #include "nn/loss.hpp"
-#include "nn/lr_schedule.hpp"
 #include "nn/sequential.hpp"
 #include "nn/sgd.hpp"
 
@@ -52,17 +51,12 @@ class Trainer {
 
   void set_step_hook(StepHook hook) { step_hook_ = std::move(hook); }
 
-  /// Optional per-epoch learning-rate policy (non-owning; must outlive
-  /// fit()). Without one, cfg.sgd.learning_rate is used throughout.
-  void set_lr_schedule(const LrSchedule* schedule) { schedule_ = schedule; }
-
  private:
   Sequential& net_;
   TrainConfig cfg_;
   Sgd optimizer_;
   SoftmaxCrossEntropy loss_;
   StepHook step_hook_;
-  const LrSchedule* schedule_ = nullptr;
 };
 
 }  // namespace sparsetrain::nn

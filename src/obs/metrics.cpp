@@ -2,44 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "util/format.hpp"
 #include "util/require.hpp"
 
 namespace sparsetrain::obs {
 
 namespace {
-
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(10);
-  os << v;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Prometheus label values escape \ " and newline only.
 std::string prom_escape(const std::string& s) {
@@ -201,7 +171,7 @@ std::string Registry::json() const {
   const auto& b = Histogram::bounds();
   for (std::size_t i = 0; i < b.size(); ++i) {
     if (i > 0) os << ", ";
-    os << num(b[i]);
+    os << format_number(b[i]);
   }
   os << "], \"metrics\": [";
   std::lock_guard lock(mu_);
@@ -217,15 +187,17 @@ std::string Registry::json() const {
         os << ", \"kind\": \"counter\", \"value\": " << e.counter->value();
         break;
       case Kind::Gauge:
-        os << ", \"kind\": \"gauge\", \"value\": " << num(e.gauge->value());
+        os << ", \"kind\": \"gauge\", \"value\": "
+           << format_number(e.gauge->value());
         break;
       case Kind::Histogram: {
         const Histogram::Snapshot s = e.histogram->snapshot();
         os << ", \"kind\": \"histogram\", \"count\": " << s.count
-           << ", \"sum_seconds\": " << num(s.sum_seconds)
-           << ", \"p50\": " << num(s.quantile(0.50))
-           << ", \"p90\": " << num(s.quantile(0.90))
-           << ", \"p99\": " << num(s.quantile(0.99)) << ", \"bins\": [";
+           << ", \"sum_seconds\": " << format_number(s.sum_seconds)
+           << ", \"p50\": " << format_number(s.quantile(0.50))
+           << ", \"p90\": " << format_number(s.quantile(0.90))
+           << ", \"p99\": " << format_number(s.quantile(0.99))
+           << ", \"bins\": [";
         for (std::size_t i = 0; i < s.bins.size(); ++i) {
           if (i > 0) os << ", ";
           os << s.bins[i];
@@ -260,7 +232,8 @@ std::string Registry::prometheus() const {
         os << e.name << suffix << ' ' << e.counter->value() << '\n';
         break;
       case Kind::Gauge:
-        os << e.name << suffix << ' ' << num(e.gauge->value()) << '\n';
+        os << e.name << suffix << ' ' << format_number(e.gauge->value())
+           << '\n';
         break;
       case Kind::Histogram: {
         const Histogram::Snapshot s = e.histogram->snapshot();
@@ -272,14 +245,14 @@ std::string Registry::prometheus() const {
         std::uint64_t cum = 0;
         for (std::size_t i = 0; i < b.size(); ++i) {
           cum += s.bins[i];
-          with_le.back().second = num(b[i]);
+          with_le.back().second = format_number(b[i]);
           os << e.name << "_bucket" << label_suffix(with_le) << ' ' << cum
              << '\n';
         }
         with_le.back().second = "+Inf";
         os << e.name << "_bucket" << label_suffix(with_le) << ' ' << s.count
            << '\n';
-        os << e.name << "_sum" << suffix << ' ' << num(s.sum_seconds)
+        os << e.name << "_sum" << suffix << ' ' << format_number(s.sum_seconds)
            << '\n';
         os << e.name << "_count" << suffix << ' ' << s.count << '\n';
         break;

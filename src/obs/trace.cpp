@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/format.hpp"
 #include "util/hash.hpp"
 
 #ifdef _WIN32
@@ -22,29 +23,6 @@ void hex16(std::uint64_t v, char out[17]) {
     v >>= 4;
   }
   out[16] = '\0';
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::int64_t wall_now_us() {

@@ -38,7 +38,7 @@ struct EvalJob {
   workload::SparsityProfile profile;
   compiler::CompileOptions copts;
   std::string backend;       ///< registry name
-  std::string backend_kind;  ///< sim::Backend::kind(): "accelerator"/"exact"
+  std::string backend_kind;  ///< sim::Backend::kind(), e.g. "accelerator"
   sim::ArchConfig arch;
   std::uint64_t run_seed = 0;  ///< seed actually passed to Backend::run
 };

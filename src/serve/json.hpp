@@ -15,6 +15,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/format.hpp"
+
 namespace sparsetrain::serve {
 
 class JsonValue {
@@ -71,7 +73,8 @@ class JsonValue {
 /// exhaust the process. Throws ContractError when malformed.
 JsonValue parse_json(std::string_view text);
 
-/// Escapes `s` for embedding in a JSON string literal (no quotes added).
-std::string json_escape(const std::string& s);
+/// The shared JSON string escaper (util/format.hpp), under the name the
+/// serving code and its clients use.
+using sparsetrain::json_escape;
 
 }  // namespace sparsetrain::serve

@@ -4,18 +4,12 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/format.hpp"
 #include "util/require.hpp"
 
 namespace sparsetrain::serve {
 
 namespace {
-
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(10);
-  os << v;
-  return os.str();
-}
 
 std::string hex16(std::uint64_t v) {
   char buf[17];
@@ -151,7 +145,7 @@ std::string format_response(const Response& r) {
     os << ", \"shard\": \"" << json_escape(r.shard) << '"';
   }
   if (r.elapsed_ms >= 0.0) {
-    os << ", \"elapsed_ms\": " << num(r.elapsed_ms);
+    os << ", \"elapsed_ms\": " << format_number(r.elapsed_ms);
   }
   if (r.type == "result" && r.status == "ok") {
     os << ", \"workload\": \"" << json_escape(r.workload)
@@ -159,10 +153,10 @@ std::string format_response(const Response& r) {
        << "\", \"engine\": \"" << json_escape(r.engine)
        << "\", \"fingerprint\": \"" << hex16(r.fingerprint)
        << "\", \"cycles\": " << r.cycles
-       << ", \"latency_ms\": " << num(r.latency_ms)
-       << ", \"utilization\": " << num(r.utilization)
-       << ", \"on_chip_uj\": " << num(r.on_chip_uj)
-       << ", \"dram_uj\": " << num(r.dram_uj);
+       << ", \"latency_ms\": " << format_number(r.latency_ms)
+       << ", \"utilization\": " << format_number(r.utilization)
+       << ", \"on_chip_uj\": " << format_number(r.on_chip_uj)
+       << ", \"dram_uj\": " << format_number(r.dram_uj);
     if (!r.report_hex.empty()) {
       os << ", \"report\": \"" << r.report_hex << '"';  // hex: no escapes
     }

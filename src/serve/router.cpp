@@ -521,37 +521,4 @@ void Router::probe(std::size_t shard) {
   }
 }
 
-RouterClient::RouterClient(const std::string& endpoints_spec,
-                           RouterOptions opts)
-    : router_([&]() {
-        opts.endpoints = split_endpoints(endpoints_spec);
-        return std::move(opts);
-      }()) {}
-
-Response RouterClient::request(const std::string& json_line) {
-  return router_.handle(json_line);
-}
-
-Response RouterClient::submit(const Request& eval_request) {
-  return router_.handle(format_request(eval_request));
-}
-
-Response RouterClient::stats() {
-  Request r;
-  r.type = "stats";
-  return router_.handle(format_request(r));
-}
-
-Response RouterClient::status() {
-  Request r;
-  r.type = "status";
-  return router_.handle(format_request(r));
-}
-
-Response RouterClient::shutdown() {
-  Request r;
-  r.type = "shutdown";
-  return router_.handle(format_request(r));
-}
-
 }  // namespace sparsetrain::serve

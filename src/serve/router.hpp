@@ -42,11 +42,10 @@
 // serve_listener are the shared serve::Daemon skeleton
 // (serve/daemon.hpp).
 //
-// Two front ends: RouterClient embeds a Router behind the Client call
-// surface (submit/stats/status/shutdown) for in-process use with a
-// multi-endpoint spec ("a:1234,b:1235,unix:/tmp/s.sock"); and
-// tools/sparsetrain_route serves the same NDJSON protocol over a
-// listener, so existing serve::Client code talks to the pool unchanged.
+// In-process callers hand Router::handle a request line
+// (format_request(req)); tools/sparsetrain_route serves the same NDJSON
+// protocol over a listener, so existing serve::Client code talks to the
+// pool unchanged.
 #pragma once
 
 #include <chrono>
@@ -225,26 +224,6 @@ class Router : public Daemon {
   std::condition_variable prober_cv_;
   bool prober_stop_ = false;
   std::thread prober_;  ///< declared last: joined before members die
-};
-
-/// Client-compatible front end over an embedded Router. The spec is a
-/// comma-separated endpoint list; options default to RouterOptions
-/// (pass one to tune replication/breakers).
-class RouterClient {
- public:
-  explicit RouterClient(const std::string& endpoints_spec,
-                        RouterOptions opts = {});
-
-  Response request(const std::string& json_line);
-  Response submit(const Request& eval_request);
-  Response stats();
-  Response status();
-  Response shutdown();
-
-  Router& router() { return router_; }
-
- private:
-  Router router_;
 };
 
 /// Splits "a:1234,b:1235,unix:/tmp/s.sock" into endpoint specs

@@ -418,16 +418,4 @@ StoreStats ResultStore::stats() const {
   return s;
 }
 
-void ResultStore::reset_stats() {
-  std::lock_guard lock(mu_);
-  c_.hits->reset();
-  c_.misses->reset();
-  c_.puts->reset();
-  c_.evictions->reset();
-  c_.torn_skipped->reset();
-  c_.tmp_cleaned->reset();
-  c_.publish_failures->reset();
-  c_.dropped_publishes->reset();
-}
-
 }  // namespace sparsetrain::serve

@@ -157,7 +157,6 @@ class ResultStore {
   std::string last_publish_error() const;
 
   StoreStats stats() const;
-  void reset_stats();  ///< zeroes the counters; the index is untouched
 
  private:
   struct Entry {

@@ -27,21 +27,6 @@ SimReport AcceleratorBackend::run(const isa::Program& program,
   return report;
 }
 
-ExactBackend::ExactBackend(std::string name, ArchConfig cfg, ExactOptions opts)
-    : name_(std::move(name)), engine_(std::move(cfg), opts) {
-  ST_REQUIRE(!name_.empty(), "backend name must be non-empty");
-}
-
-SimReport ExactBackend::run(const isa::Program& program,
-                            const workload::NetworkConfig& net,
-                            const workload::SparsityProfile& profile,
-                            std::uint64_t seed,
-                            const ExactOptions& /*exact*/) const {
-  SimReport report = run_exact(engine_, program, net, profile, seed);
-  report.backend = name_;
-  return report;
-}
-
 void BackendRegistry::add(std::shared_ptr<Backend> backend) {
   ST_REQUIRE(backend != nullptr, "cannot register a null backend");
   const std::string& name = backend->name();
@@ -59,15 +44,6 @@ std::shared_ptr<Backend> BackendRegistry::register_arch(std::string name,
                                                         ArchConfig cfg) {
   auto backend =
       std::make_shared<AcceleratorBackend>(std::move(name), std::move(cfg));
-  add(backend);
-  return backend;
-}
-
-std::shared_ptr<Backend> BackendRegistry::register_exact(std::string name,
-                                                         ArchConfig cfg,
-                                                         ExactOptions opts) {
-  auto backend =
-      std::make_shared<ExactBackend>(std::move(name), std::move(cfg), opts);
   add(backend);
   return backend;
 }

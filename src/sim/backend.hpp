@@ -38,11 +38,11 @@ class Backend {
   /// Registry name (stable identifier used by Session::submit).
   virtual const std::string& name() const = 0;
 
-  /// Execution kind ("accelerator" = engine follows the program's
-  /// metadata, "exact" = pinned to the exact engine). Part of the
-  /// persistent store's job canonicalisation (serve::fingerprint_v1):
-  /// two backends with identical architectures but different kinds
-  /// produce different reports and must never share a store key.
+  /// Execution kind ("accelerator": the engine follows the program's
+  /// metadata). Part of the persistent store's job canonicalisation
+  /// (serve::fingerprint_v1): two backends with identical architectures
+  /// but different kinds produce different reports and must never share
+  /// a store key.
   virtual const char* kind() const = 0;
 
   /// The architecture this backend simulates.
@@ -58,21 +58,6 @@ class Backend {
                         const workload::SparsityProfile& profile,
                         std::uint64_t seed,
                         const ExactOptions& exact) const = 0;
-
-  /// Runs with default parallelism.
-  SimReport run(const isa::Program& program,
-                const workload::NetworkConfig& net,
-                const workload::SparsityProfile& profile,
-                std::uint64_t seed) const {
-    return run(program, net, profile, seed, ExactOptions{});
-  }
-
-  /// Runs with the architecture's own seed.
-  SimReport run(const isa::Program& program,
-                const workload::NetworkConfig& net,
-                const workload::SparsityProfile& profile) const {
-    return run(program, net, profile, arch().seed, ExactOptions{});
-  }
 
   /// Whether the backend exploits sparsity. Dense backends are handed an
   /// all-dense profile (and the matching program) by the Session.
@@ -93,7 +78,6 @@ class AcceleratorBackend : public Backend {
   const char* kind() const override { return "accelerator"; }
   const ArchConfig& arch() const override { return accel_.config(); }
 
-  using Backend::run;
   SimReport run(const isa::Program& program,
                 const workload::NetworkConfig& net,
                 const workload::SparsityProfile& profile,
@@ -102,32 +86,6 @@ class AcceleratorBackend : public Backend {
  private:
   std::string name_;
   Accelerator accel_;
-};
-
-/// Backend pinned to the exact tensor-driven engine: every program runs
-/// through sim::run_exact with the parallelism options fixed at
-/// registration, whatever engine the program was compiled for (only its
-/// stage structure is read). Register one next to its statistical twin to
-/// A/B the two engines on identical submissions. Holds one long-lived
-/// engine (and worker pool) for its lifetime; concurrent jobs share it.
-class ExactBackend : public Backend {
- public:
-  ExactBackend(std::string name, ArchConfig cfg, ExactOptions opts = {});
-
-  const std::string& name() const override { return name_; }
-  const char* kind() const override { return "exact"; }
-  const ArchConfig& arch() const override { return engine_.config(); }
-  const ExactOptions& exact_options() const { return engine_.options(); }
-
-  using Backend::run;
-  SimReport run(const isa::Program& program,
-                const workload::NetworkConfig& net,
-                const workload::SparsityProfile& profile,
-                std::uint64_t seed, const ExactOptions& exact) const override;
-
- private:
-  std::string name_;
-  ExactEngine engine_;
 };
 
 /// Name → backend map with stable registration order.
@@ -144,11 +102,6 @@ class BackendRegistry {
   /// Convenience: registers an AcceleratorBackend for `cfg` under `name`
   /// and returns it.
   std::shared_ptr<Backend> register_arch(std::string name, ArchConfig cfg);
-
-  /// Convenience: registers an ExactBackend (exact tensor-driven engine,
-  /// parallelised per `opts`) for `cfg` under `name` and returns it.
-  std::shared_ptr<Backend> register_exact(std::string name, ArchConfig cfg,
-                                          ExactOptions opts = {});
 
   /// nullptr when no backend has that name.
   std::shared_ptr<const Backend> find(const std::string& name) const;

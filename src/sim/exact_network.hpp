@@ -35,7 +35,7 @@
 namespace sparsetrain::sim {
 
 /// Runs `program` exactly on `engine` (a long-lived engine amortises its
-/// worker pool across jobs — see ExactBackend). `seed` drives the tensor
+/// worker pool across runs). `seed` drives the tensor
 /// synthesis; the engine's options only affect wall-clock time (results
 /// are byte-identical for any workers/tile combination).
 SimReport run_exact(const ExactEngine& engine, const isa::Program& program,

@@ -2,21 +2,9 @@
 
 #include <fstream>
 
+#include "util/format.hpp"
+
 namespace sparsetrain::sim {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
-  }
-  return out;
-}
-
-}  // namespace
 
 bool write_chrome_trace(const SimReport& report, const std::string& path) {
   std::ofstream out(path, std::ios::trunc);

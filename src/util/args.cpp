@@ -8,25 +8,6 @@
 
 namespace sparsetrain {
 
-Args::Args(int argc, const char* const argv[]) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positionals_.push_back(std::move(arg));
-      continue;
-    }
-    arg = arg.substr(2);
-    const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
-    } else {
-      values_[arg] = "";  // boolean flag
-    }
-  }
-}
-
 Args::Args(int argc, const char* const argv[], std::vector<Flag> spec)
     : spec_(std::move(spec)) {
   if (argc > 0) prog_ = argv[0];

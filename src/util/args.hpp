@@ -24,15 +24,10 @@ class Args {
     bool takes_value = true;
   };
 
-  /// Parse-only constructor (no spec — tests and embedders). Unknown
-  /// flags are kept; a bare flag consumes the next non-flag token as its
-  /// value. Drivers should use the spec constructor below instead.
-  Args(int argc, const char* const argv[]);
-
-  /// Strict constructor: every --flag must appear in `spec` (--help is
-  /// always accepted, see help_requested()). Unrecognised flags,
-  /// positional arguments, and value-less occurrences of value flags
-  /// throw ContractError with the usage dump in the message.
+  /// Every --flag must appear in `spec` (--help is always accepted, see
+  /// help_requested()). Unrecognised flags, positional arguments, and
+  /// value-less occurrences of value flags throw ContractError with the
+  /// usage dump in the message.
   Args(int argc, const char* const argv[], std::vector<Flag> spec);
 
   bool has(const std::string& key) const;
@@ -44,18 +39,15 @@ class Args {
   double get(const std::string& key, double fallback) const;
   long get(const std::string& key, long fallback) const;
 
-  const std::vector<std::string>& positionals() const { return positionals_; }
-
-  /// True when --help was passed to the strict constructor; the driver
-  /// should print usage() and exit 0.
+  /// True when --help was passed; the driver should print usage() and
+  /// exit 0.
   bool help_requested() const { return help_requested_; }
 
-  /// Usage dump built from the spec (strict constructor only).
+  /// Usage dump built from the spec.
   std::string usage(const std::string& prog) const;
 
  private:
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positionals_;
   std::vector<Flag> spec_;
   std::string prog_ = "prog";
   bool help_requested_ = false;

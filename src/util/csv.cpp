@@ -6,7 +6,7 @@ namespace sparsetrain {
 
 namespace {
 std::string escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
+  if (s.find_first_of(",\"\r\n") == std::string::npos) return s;
   std::string out = "\"";
   for (char ch : s) {
     if (ch == '"') out += '"';

@@ -10,7 +10,7 @@
 namespace sparsetrain {
 
 /// Streams rows into a CSV file (or any ostream). Values containing
-/// commas/quotes/newlines are quoted per RFC 4180.
+/// commas, quotes, CR or LF are quoted per RFC 4180.
 class CsvWriter {
  public:
   /// Opens (truncates) the file and writes the header row.

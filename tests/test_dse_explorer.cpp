@@ -1,8 +1,8 @@
 // Explorer tests: space enumeration, byte-identical exploration output
 // across session worker counts, strategy behaviour (random sampling,
 // successive halving, prune callback, exact promotion), ProgramCache
-// sharing, ArchConfig validation at every boundary, and the acceptance
-// grid (≥200 architectures × 2 zoo workloads, ≥50% cache hit-rate,
+// sharing, ArchConfig validation at every boundary, valid JSON export
+// for any scenario name, and the acceptance grid (≥200 architectures × 2 zoo workloads, ≥50% cache hit-rate,
 // brute-force-verified frontier).
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "core/session.hpp"
 #include "dse/explorer.hpp"
 #include "dse/export.hpp"
+#include "serve/json.hpp"
 #include "util/require.hpp"
 #include "workload/layer_config.hpp"
 
@@ -296,6 +297,21 @@ TEST(Explorer, ProgramCacheSharedAcrossArchitectures) {
 }
 
 // ------------------------------------------------------------- find helper
+
+TEST(Explorer, JsonExportEscapesControlCharactersInNames) {
+  SpaceSpec space = tiny_space();
+  space.pe_groups = {4};
+  space.pes_per_group = {2};
+  space.sparse = {true};
+  space.batch = {1};
+  space.scenarios = {Scenario::calibrated("table\tII", 0.5, 0.4)};
+  const ExploreResult result = explore_tiny(1, ExploreOptions{}, space);
+  const serve::JsonValue doc = serve::parse_json(to_json(result));
+  ASSERT_NE(doc.find("points"), nullptr);
+  const auto& points = doc.find("points")->as_array();
+  ASSERT_EQ(points.size(), 1u);
+  EXPECT_EQ(points[0].get_string("scenario", ""), "table\tII");
+}
 
 TEST(Explorer, FindLocatesCompletePointsOnly) {
   const ExploreResult r = explore_tiny(1, {});

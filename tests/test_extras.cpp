@@ -1,151 +1,13 @@
-// Tests for the auxiliary production features: LR schedules, checkpoints,
-// fp16 quantisation, the oracle pruner.
+// Tests for the oracle pruner, the exact-threshold reference the FIFO
+// predictor is measured against.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdio>
-#include <limits>
-
-#include "data/synthetic.hpp"
-#include "nn/checkpoint.hpp"
-#include "nn/init.hpp"
-#include "nn/lr_schedule.hpp"
-#include "nn/models/model_builder.hpp"
-#include "nn/trainer.hpp"
 #include "pruning/gradient_pruner.hpp"
 #include "pruning/oracle_pruner.hpp"
-#include "util/fp16.hpp"
-#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace sparsetrain {
 namespace {
-
-TEST(LrSchedules, ConstantIsConstant) {
-  nn::ConstantLr lr(0.1f);
-  EXPECT_FLOAT_EQ(lr.rate(0), 0.1f);
-  EXPECT_FLOAT_EQ(lr.rate(100), 0.1f);
-  EXPECT_THROW(nn::ConstantLr(0.0f), ContractError);
-}
-
-TEST(LrSchedules, StepDecayAtMilestones) {
-  nn::StepDecayLr lr(1.0f, {3, 6}, 0.1f);
-  EXPECT_FLOAT_EQ(lr.rate(0), 1.0f);
-  EXPECT_FLOAT_EQ(lr.rate(2), 1.0f);
-  EXPECT_FLOAT_EQ(lr.rate(3), 0.1f);
-  EXPECT_FLOAT_EQ(lr.rate(5), 0.1f);
-  EXPECT_NEAR(lr.rate(6), 0.01f, 1e-9f);
-}
-
-TEST(LrSchedules, StepDecayRejectsUnsortedMilestones) {
-  EXPECT_THROW(nn::StepDecayLr(1.0f, {6, 3}), ContractError);
-}
-
-TEST(LrSchedules, CosineAnnealsToFloor) {
-  nn::CosineLr lr(1.0f, 10, 0.1f);
-  EXPECT_FLOAT_EQ(lr.rate(0), 1.0f);
-  EXPECT_NEAR(lr.rate(10), 0.1f, 1e-6f);
-  EXPECT_NEAR(lr.rate(5), 0.55f, 1e-6f);  // midpoint of [0.1, 1.0]
-  // Monotone decreasing.
-  for (std::size_t e = 1; e <= 10; ++e) EXPECT_LE(lr.rate(e), lr.rate(e - 1));
-}
-
-TEST(LrSchedules, TrainerAppliesSchedule) {
-  data::SyntheticConfig dcfg;
-  dcfg.samples = 32;
-  const data::SyntheticDataset train(dcfg);
-  nn::models::ModelInput mi{dcfg.channels, dcfg.height, dcfg.width,
-                            dcfg.classes};
-  auto net = nn::models::tiny_cnn(mi, 4);
-  Rng rng(1);
-  nn::kaiming_init(*net, rng);
-  nn::TrainConfig tcfg;
-  tcfg.batch_size = 16;
-  tcfg.epochs = 2;
-  nn::Trainer trainer(*net, tcfg);
-  nn::StepDecayLr schedule(0.05f, {1}, 0.1f);
-  trainer.set_lr_schedule(&schedule);
-  // Just verifies the wiring executes end-to-end.
-  EXPECT_NO_THROW(trainer.fit(train, train));
-}
-
-TEST(Checkpoint, RoundTripsParameters) {
-  const std::string path = "test_ckpt.bin";
-  nn::models::ModelInput mi{3, 16, 16, 4};
-  auto a = nn::models::tiny_cnn(mi, 4);
-  auto b = nn::models::tiny_cnn(mi, 4);
-  Rng rng(2);
-  nn::kaiming_init(*a, rng);
-
-  ASSERT_TRUE(nn::save_checkpoint(*a, path));
-  ASSERT_TRUE(nn::load_checkpoint(*b, path));
-
-  const auto pa = a->params();
-  const auto pb = b->params();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i)
-    EXPECT_TRUE(allclose(pa[i]->value, pb[i]->value, 0.0f));
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, RejectsMismatchedArchitecture) {
-  const std::string path = "test_ckpt_bad.bin";
-  nn::models::ModelInput mi{3, 16, 16, 4};
-  auto a = nn::models::tiny_cnn(mi, 4);
-  auto b = nn::models::tiny_cnn(mi, 8);  // different widths
-  ASSERT_TRUE(nn::save_checkpoint(*a, path));
-  EXPECT_THROW((void)nn::load_checkpoint(*b, path), ContractError);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, MissingFileReturnsFalse) {
-  nn::models::ModelInput mi{3, 16, 16, 4};
-  auto net = nn::models::tiny_cnn(mi, 4);
-  EXPECT_FALSE(nn::load_checkpoint(*net, "does_not_exist.bin"));
-}
-
-TEST(Fp16, ExactValuesRoundTrip) {
-  for (float v : {0.0f, 1.0f, -1.0f, 0.5f, 2.0f, 1024.0f, -0.25f}) {
-    EXPECT_EQ(quantize_half(v), v) << v;
-  }
-}
-
-TEST(Fp16, RelativeErrorWithinHalfUlp) {
-  Rng rng(3);
-  for (int i = 0; i < 10000; ++i) {
-    const float v = static_cast<float>(rng.normal() * 10.0);
-    const float q = quantize_half(v);
-    // binary16 has 11 significand bits → rel. error ≤ 2⁻¹¹.
-    EXPECT_LE(std::abs(q - v), std::abs(v) * (1.0f / 2048.0f) + 1e-7f) << v;
-  }
-}
-
-TEST(Fp16, HandlesSpecials) {
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(quantize_half(inf), inf);
-  EXPECT_EQ(quantize_half(-inf), -inf);
-  EXPECT_TRUE(std::isnan(quantize_half(std::numeric_limits<float>::quiet_NaN())));
-  // Overflow saturates to infinity.
-  EXPECT_EQ(quantize_half(1e6f), inf);
-  // Tiny values flush toward zero or subnormals.
-  EXPECT_NEAR(quantize_half(1e-8f), 0.0f, 1e-7f);
-}
-
-TEST(Fp16, SubnormalsPreserved) {
-  // Smallest binary16 subnormal is 2⁻²⁴ ≈ 5.96e-8.
-  const float sub = 6.0e-8f;
-  const float q = quantize_half(sub);
-  EXPECT_GT(q, 0.0f);
-  EXPECT_NEAR(q, sub, 3e-8f);
-}
-
-TEST(Fp16, InplaceReportsWorstError) {
-  std::vector<float> xs = {1.0f, 1.0001f, 3.14159f};
-  const float worst = quantize_half_inplace(xs);
-  EXPECT_GT(worst, 0.0f);
-  EXPECT_LT(worst, 1e-2f);
-  EXPECT_EQ(xs[0], 1.0f);
-}
 
 TEST(OraclePrunerTest, MatchesTargetOnFirstBatch) {
   // Unlike the FIFO pruner, the oracle needs no warm-up.

@@ -8,6 +8,7 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/im2col.hpp"
+#include "serve/json.hpp"
 #include "sim/trace.hpp"
 #include "util/args.hpp"
 #include "util/require.hpp"
@@ -100,7 +101,7 @@ TEST(TraceExport, WritesValidChromeTrace) {
   s1.stage = isa::Stage::Forward;
   s1.cycles = 1000;
   sim::StageReport s2;
-  s2.layer_name = "conv1";
+  s2.layer_name = "conv\n2\t\"b\"";  // control characters must be escaped
   s2.stage = isa::Stage::GTW;
   s2.cycles = 500;
   report.stages = {s1, s2};
@@ -111,38 +112,28 @@ TEST(TraceExport, WritesValidChromeTrace) {
   std::ifstream in(path);
   std::stringstream ss;
   ss << in.rdbuf();
-  const std::string json = ss.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"conv1\""), std::string::npos);
-  EXPECT_NE(json.find("\"GTW\""), std::string::npos);
-  EXPECT_NE(json.find("thread_name"), std::string::npos);
   std::remove(path.c_str());
-}
 
-TEST(ArgsParse, KeyValueForms) {
-  // A bare flag followed by a non-flag token consumes it as its value, so
-  // positionals go before flags (or use --key=value).
-  const char* argv[] = {"prog", "positional", "--p=0.9", "--groups", "56",
-                        "--verbose"};
-  Args args(6, argv);
-  EXPECT_TRUE(args.has("p"));
-  EXPECT_DOUBLE_EQ(args.get("p", 0.0), 0.9);
-  EXPECT_EQ(args.get("groups", 0L), 56L);
-  EXPECT_TRUE(args.has("verbose"));
-  EXPECT_EQ(args.get("missing", std::string("dflt")), "dflt");
-  ASSERT_EQ(args.positionals().size(), 1u);
-  EXPECT_EQ(args.positionals()[0], "positional");
+  const serve::JsonValue doc = serve::parse_json(ss.str());
+  ASSERT_NE(doc.find("traceEvents"), nullptr);
+  const auto& events = doc.find("traceEvents")->as_array();
+  ASSERT_EQ(events.size(), 5u);  // two stages + three lane names
+  EXPECT_EQ(events[0].get_string("name", ""), "conv1");
+  EXPECT_EQ(events[1].get_string("name", ""), s2.layer_name);
+  EXPECT_EQ(events[1].get_string("cat", ""), "GTW");
+  EXPECT_EQ(events[2].get_string("name", ""), "thread_name");
 }
 
 TEST(ArgsParse, MalformedNumberThrows) {
-  const char* argv[] = {"prog", "--p=abc"};
-  Args args(2, argv);
+  const char* argv[] = {"prog", "--p=abc", "--n=12x"};
+  Args args(3, argv, {{"p", "pruning rate"}, {"n", "count"}});
   EXPECT_THROW(args.get("p", 0.0), ContractError);
+  EXPECT_THROW(args.get("n", 0L), ContractError);
 }
 
 TEST(ArgsParse, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
-  Args args(1, argv);
+  Args args(1, argv, {{"p", "pruning rate"}, {"n", "count"}});
   EXPECT_DOUBLE_EQ(args.get("p", 0.5), 0.5);
   EXPECT_EQ(args.get("n", 7L), 7L);
   EXPECT_FALSE(args.has("p"));
@@ -187,9 +178,8 @@ TEST(ArgsStrict, RejectsPositionalsAndMissingValues) {
 }
 
 TEST(ArgsStrict, BooleanFlagsNeverConsumeTheNextToken) {
-  // The permissive parser's footgun: `--quick value` swallowed `value`.
-  // With a spec, boolean flags stand alone and values after them are
-  // (correctly) rejected as positionals.
+  // Boolean flags stand alone: `--quick value` never swallows `value`,
+  // which is (correctly) rejected as a positional.
   const std::vector<Args::Flag> spec = {{"quick", "fast subset", false},
                                         {"out", "output path"}};
   const char* argv[] = {"prog", "--quick", "--out", "x.json"};

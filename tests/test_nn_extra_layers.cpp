@@ -1,8 +1,7 @@
-// Tests for the classic-AlexNet extras: LRN, Dropout, windowed AvgPool,
-// and the classic model builder.
+// Tests for the classic-AlexNet extras: LRN, Dropout and the classic
+// model builder.
 #include <gtest/gtest.h>
 
-#include "nn/avgpool.hpp"
 #include "nn/dropout.hpp"
 #include "nn/lrn.hpp"
 #include "nn/models/model_builder.hpp"
@@ -107,31 +106,6 @@ TEST(DropoutLayer, BackwardUsesSameMask) {
 TEST(DropoutLayer, RejectsInvalidRate) {
   EXPECT_THROW(Dropout(1.0f, Rng(1)), ContractError);
   EXPECT_THROW(Dropout(-0.1f, Rng(1)), ContractError);
-}
-
-TEST(AvgPoolLayer, AveragesWindows) {
-  AvgPool2D pool(2, 2);
-  Tensor in(Shape{1, 1, 2, 4}, {1, 2, 3, 4, 5, 6, 7, 8});
-  const Tensor out = pool.forward(in, true);
-  EXPECT_EQ(out.shape(), (Shape{1, 1, 1, 2}));
-  EXPECT_FLOAT_EQ(out.at(0, 0, 0, 0), (1 + 2 + 5 + 6) / 4.0f);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 0, 1), (3 + 4 + 7 + 8) / 4.0f);
-}
-
-TEST(AvgPoolLayer, BackwardSpreadsUniformly) {
-  AvgPool2D pool(2, 2);
-  Tensor in(Shape{1, 1, 2, 2});
-  (void)pool.forward(in, true);
-  Tensor g(Shape{1, 1, 1, 1}, {8.0f});
-  const Tensor gi = pool.backward(g);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(gi[i], 2.0f);
-}
-
-TEST(AvgPoolLayer, OverlappingWindowsSupported) {
-  // AlexNet's 3x3/2 overlapping pooling geometry.
-  AvgPool2D pool(3, 2);
-  Tensor in(Shape{1, 1, 7, 7});
-  EXPECT_EQ(pool.output_shape(in.shape()), (Shape{1, 1, 3, 3}));
 }
 
 TEST(ClassicAlexNet, BuildsAndTrains) {

@@ -271,12 +271,13 @@ TEST(TraceEndToEnd, RouterAndShardLogsStitchIntoOneTree) {
     ro.replicas = 1;
     ro.trace_path = router_log;
     ro.trace_sample_rate = 1.0;
-    serve::RouterClient rc(sockets[0] + "," + sockets[1], ro);
+    ro.endpoints = {sockets[0], sockets[1]};
+    serve::Router router(ro);
     serve::Request eval;
     eval.type = "eval";
     eval.id = "traced-1";
     eval.workload = "tiny";
-    const serve::Response resp = rc.submit(eval);
+    const serve::Response resp = router.handle(serve::format_request(eval));
     ASSERT_EQ(resp.status, "ok") << resp.error;
     EXPECT_EQ(resp.source, "computed");
     EXPECT_GE(resp.elapsed_ms, 0.0);

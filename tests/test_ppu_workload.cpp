@@ -1,80 +1,12 @@
-// PPU functional model + workload geometry tests.
+// Workload geometry and paper-density profile tests.
 #include <gtest/gtest.h>
 
-#include "pruning/threshold.hpp"
-#include "sim/ppu.hpp"
 #include "util/require.hpp"
-#include "util/rng.hpp"
 #include "workload/layer_config.hpp"
 #include "workload/sparsity_profile.hpp"
 
 namespace sparsetrain {
 namespace {
-
-TEST(Ppu, AccumulatesPartialSums) {
-  sim::Ppu ppu;
-  ppu.accumulate(std::vector<float>{1.0f, -2.0f, 3.0f});
-  ppu.accumulate(std::vector<float>{0.5f, 1.0f, -4.0f});
-  const SparseRow row = ppu.flush(/*apply_relu=*/false);
-  const auto dense = decompress_row(row);
-  EXPECT_FLOAT_EQ(dense[0], 1.5f);
-  EXPECT_FLOAT_EQ(dense[1], -1.0f);
-  EXPECT_FLOAT_EQ(dense[2], -1.0f);
-}
-
-TEST(Ppu, ReluBeforeCompression) {
-  sim::Ppu ppu;
-  ppu.accumulate(std::vector<float>{1.0f, -2.0f, 0.0f, 3.0f});
-  const SparseRow row = ppu.flush(/*apply_relu=*/true);
-  EXPECT_EQ(row.nnz(), 2u);  // −2 clamped, 0 dropped
-  const auto dense = decompress_row(row);
-  EXPECT_FLOAT_EQ(dense[0], 1.0f);
-  EXPECT_FLOAT_EQ(dense[1], 0.0f);
-  EXPECT_FLOAT_EQ(dense[3], 3.0f);
-}
-
-TEST(Ppu, StatisticsFeedBiasGradAndThreshold) {
-  // Σg is the bias gradient; Σ|g| with estimate_sigma reproduces the
-  // threshold-determination statistic — all gathered in the same pass.
-  sim::Ppu ppu;
-  Rng rng(91);
-  const std::size_t n = 50000;
-  double expect_sum = 0.0;
-  for (std::size_t chunk = 0; chunk < n / 100; ++chunk) {
-    std::vector<float> row(100);
-    for (auto& x : row) {
-      x = static_cast<float>(rng.normal(0.0, 0.7));
-      expect_sum += x;
-    }
-    ppu.accumulate(row);
-    (void)ppu.flush(false);
-  }
-  EXPECT_EQ(ppu.count(), n);
-  EXPECT_NEAR(ppu.grad_sum(), expect_sum, 1e-2);
-  const double sigma_hat = pruning::estimate_sigma(ppu.abs_sum(), ppu.count());
-  EXPECT_NEAR(sigma_hat, 0.7, 0.02);
-}
-
-TEST(Ppu, ResetClearsStats) {
-  sim::Ppu ppu;
-  ppu.accumulate(std::vector<float>{5.0f});
-  (void)ppu.flush(false);
-  EXPECT_GT(ppu.abs_sum(), 0.0);
-  ppu.reset_stats();
-  EXPECT_EQ(ppu.abs_sum(), 0.0);
-  EXPECT_EQ(ppu.count(), 0u);
-}
-
-TEST(Ppu, FlushWithoutAccumulateThrows) {
-  sim::Ppu ppu;
-  EXPECT_THROW(ppu.flush(false), ContractError);
-}
-
-TEST(Ppu, MismatchedPartialLengthThrows) {
-  sim::Ppu ppu;
-  ppu.accumulate(std::vector<float>{1.0f, 2.0f});
-  EXPECT_THROW(ppu.accumulate(std::vector<float>{1.0f}), ContractError);
-}
 
 // ---------------------------------------------------------------------------
 // Workload geometry details.

@@ -1,8 +1,7 @@
-// Coverage for SimReport utilities and the logging facility.
+// Coverage for SimReport utilities.
 #include <gtest/gtest.h>
 
 #include "sim/report.hpp"
-#include "util/logging.hpp"
 
 namespace sparsetrain {
 namespace {
@@ -58,26 +57,6 @@ TEST(SimReportUtil, EnergyTotals) {
   b += a;
   EXPECT_DOUBLE_EQ(b.total_pj(), 20.0);
   EXPECT_DOUBLE_EQ(b.on_chip_pj(), 12.0);
-}
-
-TEST(Logging, LevelFiltering) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::Warn);
-  EXPECT_EQ(log_level(), LogLevel::Warn);
-  // Below-threshold messages must not be emitted (no observable side
-  // effect beyond not crashing; this exercises the filter branch).
-  log_debug("dropped ", 42);
-  log_info("dropped too");
-  log_warn("emitted ", 1);
-  log_error("emitted ", 2);
-  set_log_level(saved);
-}
-
-TEST(Logging, ComposesArguments) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::Debug);
-  log_debug("a=", 1, " b=", 2.5, " c=", "str");
-  set_log_level(saved);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // checked-write failures (ENOSPC, EIO, short writes, fsync/rename
 // failures) that never corrupt the previous record, graceful degradation
 // to read-only after persistent publish failure, stale tmp cleanup, and a
-// core::Session that keeps computing while its store is sick.
+// core::Session that keeps computing while its store is sick (and a DSE
+// sweep that reports the degradation).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -14,6 +15,7 @@
 
 #include "core/export.hpp"
 #include "core/session.hpp"
+#include "dse/explorer.hpp"
 #include "serve/io_hooks.hpp"
 #include "serve/report_io.hpp"
 #include "serve/store.hpp"
@@ -267,6 +269,36 @@ TEST(SessionFaults, SessionKeepsComputingWithASickStore) {
   core::export_stats_json(core::service_stats(session), os);
   EXPECT_NE(os.str().find("\"read_only\": true"), std::string::npos);
   EXPECT_NE(os.str().find("\"publish_failures\": 1"), std::string::npos);
+  fs::remove_all(dir);
+}
+
+TEST(SessionFaults, ExplorationReportsAStoreThatDegradedMidSweep) {
+  const std::string dir = fresh_dir("faults_explore");
+  auto hooks = std::make_shared<FaultIoHooks>();
+  StoreOptions sopts = with_hooks(hooks);
+  sopts.read_only_after = 1;
+  core::SessionConfig cfg;
+  cfg.workers = 2;
+  cfg.store = std::make_shared<ResultStore>(dir, sopts);
+  core::Session session(cfg);
+
+  dse::SpaceSpec space;
+  space.pe_groups = {4, 8};
+  space.pes_per_group = {2};
+  space.buffer_bytes = {64 * 1024};
+  space.sparse = {true};
+  space.scenarios = {dse::Scenario::pruned(0.9)};
+  // The disk dies before the sweep's first publication.
+  hooks->arm({.fail_at = 1, .error = ENOSPC, .sticky = true});
+  dse::Explorer explorer(session);
+  const dse::ExploreResult r =
+      explorer.explore(space, {workload::tiny_workload()}, {});
+
+  EXPECT_EQ(r.evaluations, 2u);  // the sweep itself completed
+  EXPECT_TRUE(r.store.read_only);
+  EXPECT_GT(r.store.publish_failures, 0u);
+  EXPECT_GT(r.store.dropped_publishes, 0u);
+  EXPECT_EQ(r.store.puts, 0u);
   fs::remove_all(dir);
 }
 

@@ -34,7 +34,6 @@ using serve::Response;
 using serve::Ring;
 using serve::RingOptions;
 using serve::Router;
-using serve::RouterClient;
 using serve::RouterOptions;
 using serve::Server;
 using serve::ServerOptions;
@@ -232,33 +231,34 @@ Request eval_owned_by(const Router& router, std::size_t target,
 
 TEST(Router, RoutesEvalsAndAnnotatesTheServingShard) {
   Pool pool("route_basic", 3);
-  RouterClient client(pool.shards[0].socket + "," + pool.shards[1].socket +
-                          "," + pool.shards[2].socket,
-                      pool_router_options(pool));
+  Router router(pool_router_options(pool));
 
   const Request req = tiny_eval("r1");
-  const Response resp = client.submit(req);
+  const Response resp = router.handle(serve::format_request(req));
   ASSERT_EQ(resp.status, "ok") << resp.error;
-  const std::string owner = client.router().ring().endpoint(
-      client.router().ring().owner(client.router().placement_key(req)));
+  const std::string owner =
+      router.ring().endpoint(router.ring().owner(router.placement_key(req)));
   EXPECT_EQ(resp.shard, owner);
   EXPECT_EQ(resp.source, "computed");
   EXPECT_TRUE(resp.report_hex.empty());  // not asked for → not leaked
 
   // Identical request again: same shard, now a warm hit (store or the
   // session-level store path).
-  const Response again = client.submit(tiny_eval("r2"));
+  const Response again =
+      router.handle(serve::format_request(tiny_eval("r2")));
   ASSERT_EQ(again.status, "ok") << again.error;
   EXPECT_EQ(again.shard, owner);
   EXPECT_EQ(again.fingerprint, resp.fingerprint);
 
-  const Response stats = client.stats();
+  Request stats_req;
+  stats_req.type = "stats";
+  const Response stats = router.handle(serve::format_request(stats_req));
   EXPECT_EQ(stats.type, "stats");
   EXPECT_NE(stats.payload_json.find("router_stats/v1"), std::string::npos);
   EXPECT_NE(stats.payload_json.find("\"health\": \"up\""),
             std::string::npos);
 
-  const Router::Stats s = client.router().stats();
+  const Router::Stats s = router.stats();
   EXPECT_EQ(s.routed, 2u);
   EXPECT_EQ(s.failovers, 0u);
   EXPECT_EQ(s.rejected, 0u);

@@ -1,8 +1,8 @@
 // Session ↔ store integration: store-first execution (hit skips both the
 // compile and the simulation), fingerprint agreement between
 // run_fingerprint() and the recorded BackendRun, byte-identical
-// warm-store Explorer re-runs with zero backend evaluations, ProgramCache
-// snapshot/reset, and the store-stats JSON export.
+// warm-store Explorer re-runs with zero backend evaluations, and the
+// store-stats JSON export.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -65,14 +65,33 @@ TEST(SessionStore, MissSimulatesHitReplaysByteExact) {
     EXPECT_EQ(s.puts, 2u);
     EXPECT_GT(s.program_entries, 0u);
 
-    // run_fingerprint agrees with what the job actually recorded — the
-    // tripwire against the two derivations drifting apart.
+    // run_fingerprint agrees with what the job actually recorded, on
+    // both backends — the tripwire against the store key and the key
+    // routers and servers place and coalesce on drifting apart.
     EXPECT_EQ(session.run_fingerprint(net, profile,
                                       core::Session::kSparseBackend),
               sparse_fp);
-    EXPECT_NE(session.run_fingerprint(net, profile,
+    EXPECT_EQ(session.run_fingerprint(net, profile,
                                       core::Session::kDenseBackend),
-              sparse_fp);
+              r.runs[1].fingerprint);
+    EXPECT_NE(r.runs[1].fingerprint, sparse_fp);
+
+    // The same for an exact-engine job. Its dense run falls back to the
+    // statistical baseline, so it keys like the statistical job's dense
+    // run and replays that record.
+    core::Session::JobOptions exact;
+    exact.sim.engine = isa::EngineKind::Exact;
+    const core::EvalResult x =
+        session.wait(session.submit(net, profile, backends, exact));
+    EXPECT_EQ(session.run_fingerprint(
+                  net, profile, core::Session::kSparseBackend, exact),
+              x.runs[0].fingerprint);
+    EXPECT_EQ(session.run_fingerprint(
+                  net, profile, core::Session::kDenseBackend, exact),
+              x.runs[1].fingerprint);
+    EXPECT_NE(x.runs[0].fingerprint, sparse_fp);
+    EXPECT_EQ(x.runs[1].fingerprint, r.runs[1].fingerprint);
+    EXPECT_TRUE(x.runs[1].from_store);
   }
 
   // A fresh session on the same store replays without simulating or
@@ -110,33 +129,6 @@ TEST(SessionStore, DetachedSessionNeverTouchesTheStore) {
   EXPECT_NE(session.run_fingerprint(net, profile,
                                     core::Session::kSparseBackend),
             0u);
-}
-
-TEST(ProgramCache, SnapshotAndResetStats) {
-  core::Session session;
-  const auto net = workload::tiny_workload();
-  const auto profile = workload::SparsityProfile::pruned(net, 0.9);
-  session.wait(session.submit(net, profile,
-                              {core::Session::kSparseBackend}));
-  const compiler::ProgramCache::Stats before =
-      session.program_cache().snapshot();
-  EXPECT_GT(before.lookups(), 0u);
-  EXPECT_GT(before.misses, 0u);
-
-  session.program_cache().reset_stats();
-  const compiler::ProgramCache::Stats zero =
-      session.program_cache().snapshot();
-  EXPECT_EQ(zero.lookups(), 0u);
-  EXPECT_EQ(zero.misses, 0u);
-
-  // The compiled programs themselves survive the counter reset: the same
-  // job again is all hits, no new compiles.
-  session.wait(session.submit(net, profile,
-                              {core::Session::kSparseBackend}));
-  const compiler::ProgramCache::Stats after =
-      session.program_cache().snapshot();
-  EXPECT_EQ(after.misses, 0u);
-  EXPECT_GT(after.hits, 0u);
 }
 
 TEST(Export, StoreStatsJson) {

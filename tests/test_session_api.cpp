@@ -89,10 +89,6 @@ TEST(ProgramCache, ChangedOptionsRecompile) {
   EXPECT_NE(a.get(), b.get());
   EXPECT_NE(compiler::ProgramCache::fingerprint(net, profile, batch1),
             compiler::ProgramCache::fingerprint(net, profile, batch4));
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().lookups(), 0u);
 }
 
 // -------------------------------------------------------- BackendRegistry
@@ -302,32 +298,6 @@ TEST(Session, ExactAndStatisticalJobsCacheSeparatePrograms) {
       session.submit(net, profile, {Session::kSparseBackend}, exact));
   EXPECT_EQ(session.program_cache().stats().misses, 2u);
   EXPECT_GT(session.program_cache().stats().hits, 0u);
-}
-
-TEST(Session, RegisteredExactBackendRunsExactlyOnAnyJob) {
-  Session session;
-  sim::ExactOptions opts;
-  opts.workers = 2;
-  session.backends().register_exact("sparsetrain-exact",
-                                    session.config().sparse_arch, opts);
-  const auto net = workload::tiny_workload();
-  const auto profile = SparsityProfile::pruned(net, 0.9);
-  // Plain statistical job: the exact backend still runs exactly.
-  const auto job = session.submit(
-      net, profile, {Session::kSparseBackend, "sparsetrain-exact"});
-  const EvalResult& r = session.wait(job);
-  EXPECT_EQ(r.report("sparsetrain-exact").engine, isa::EngineKind::Exact);
-  EXPECT_EQ(r.report(Session::kSparseBackend).engine,
-            isa::EngineKind::Statistical);
-  EXPECT_GT(r.report("sparsetrain-exact").total_cycles, 0u);
-  // Both engines simulate the same machine on the same workload: the
-  // reports should be in the same ballpark (loose integration band).
-  const double stat =
-      static_cast<double>(r.report(Session::kSparseBackend).total_cycles);
-  const double exact =
-      static_cast<double>(r.report("sparsetrain-exact").total_cycles);
-  EXPECT_LT(stat, 3.0 * exact + 500.0);
-  EXPECT_GT(stat, exact / 3.0 - 500.0);
 }
 
 TEST(Session, TaskErrorsRethrownOnEveryWaitAndSiblingsStillRun) {

@@ -333,9 +333,9 @@ TEST(Accelerator, SparsityReducesCyclesAndEnergy) {
 }
 
 TEST(Baseline, DenseModeRequired) {
-  sim::ArchConfig cfg = baseline::eyeriss_like_config();
-  cfg.sparse = true;
-  EXPECT_THROW(baseline::EyerissLikeBaseline{cfg}, ContractError);
+  core::SessionConfig cfg;
+  cfg.baseline_arch.sparse = true;
+  EXPECT_THROW(core::Session{cfg}, ContractError);
 }
 
 TEST(Baseline, MatchesPaperPeBudget) {

@@ -226,6 +226,7 @@ TEST(Csv, WritesQuotedValues) {
     csv.add_row({"plain", "1"});
     csv.add_row({"with,comma", "2"});
     csv.add_row({"with\"quote", "3"});
+    csv.add_row({"a\rb", "4"});
     EXPECT_TRUE(csv.ok());
   }
   std::ifstream in(path);
@@ -235,6 +236,8 @@ TEST(Csv, WritesQuotedValues) {
   EXPECT_NE(content.find("name,value"), std::string::npos);
   EXPECT_NE(content.find("\"with,comma\""), std::string::npos);
   EXPECT_NE(content.find("\"with\"\"quote\""), std::string::npos);
+  // A bare CR ends a record for RFC 4180 readers, so it must be quoted.
+  EXPECT_NE(content.find("\"a\rb\",4"), std::string::npos);
   std::remove(path.c_str());
 }
 
