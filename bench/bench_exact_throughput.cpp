@@ -8,7 +8,7 @@
 // scaling factor; with --scaling the pass becomes a {1, 2, 4, 8}-worker
 // sweep and each entry carries its whole speedup curve. Results go to
 // stdout as a table and to a JSON file (default BENCH_exact_engine.json —
-// schema sparsetrain.bench_exact_throughput/v4, documented in the
+// schema sparsetrain.bench_exact_throughput/v5, documented in the
 // README's Performance section) so CI can archive the trajectory run
 // over run and gate on the 4-worker speedup.
 //
@@ -27,10 +27,11 @@
 // every zoo workload; --quick benches only the CIFAR AlexNet entry (the
 // CI perf-smoke subset).
 //
-// The simulated numbers (cycles, MACs, row ops) are pure functions of
-// the inputs — only the seconds/throughput fields vary run to run (and
-// with the host: `hw_concurrency` records how many cores the scaling
-// columns could possibly use).
+// The simulated numbers (tasks, row ops, MACs, cycles, busy cycles,
+// register accesses) are pure functions of the inputs — only the
+// seconds/throughput fields vary run to run (and with the host:
+// `hw_concurrency` records how many cores the scaling columns could
+// possibly use).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -84,6 +85,8 @@ struct StageRun {
   std::size_t row_ops = 0;
   std::size_t macs = 0;
   std::size_t cycles = 0;
+  std::size_t busy_cycles = 0;
+  std::size_t reg_accesses = 0;
   double seconds_serial = 0.0;
   double rows_per_s = 0.0;
   double macs_per_s = 0.0;
@@ -122,13 +125,16 @@ double time_stage(const Fn& fn, double min_time, int* reps_out = nullptr) {
 }
 
 /// One entry of a prior run loaded via --baseline: the timing to compare
-/// against plus the simulated fields, which must match exactly.
+/// against plus the simulated fields, which must match exactly (a field
+/// the baseline lacks reads -1, so it matches nothing).
 struct BaselineEntry {
   double seconds_serial = 0.0;
-  std::size_t tasks = 0;
-  std::size_t row_ops = 0;
-  std::size_t macs = 0;
-  std::size_t cycles = 0;
+  double tasks = -1.0;
+  double row_ops = -1.0;
+  double macs = -1.0;
+  double cycles = -1.0;
+  double busy_cycles = -1.0;
+  double reg_accesses = -1.0;
 };
 
 /// Baseline entries keyed by workload|layer|stage.
@@ -158,10 +164,12 @@ bool load_baseline(const std::string& path, Baseline& out) {
     for (const serve::JsonValue& e : entries->as_array()) {
       BaselineEntry be;
       be.seconds_serial = e.get_number("seconds_serial", 0.0);
-      be.tasks = static_cast<std::size_t>(e.get_number("tasks", 0.0));
-      be.row_ops = static_cast<std::size_t>(e.get_number("row_ops", 0.0));
-      be.macs = static_cast<std::size_t>(e.get_number("macs", 0.0));
-      be.cycles = static_cast<std::size_t>(e.get_number("cycles", 0.0));
+      be.tasks = e.get_number("tasks", -1.0);
+      be.row_ops = e.get_number("row_ops", -1.0);
+      be.macs = e.get_number("macs", -1.0);
+      be.cycles = e.get_number("cycles", -1.0);
+      be.busy_cycles = e.get_number("busy_cycles", -1.0);
+      be.reg_accesses = e.get_number("reg_accesses", -1.0);
       out[baseline_key(e.get_string("workload", ""),
                        e.get_string("layer", ""),
                        e.get_string("stage", ""))] = be;
@@ -260,7 +268,7 @@ int main(int argc, char** argv) {
 
   std::string json;
   json += "{\n";
-  json += "  \"schema\": \"sparsetrain.bench_exact_throughput/v4\",\n";
+  json += "  \"schema\": \"sparsetrain.bench_exact_throughput/v5\",\n";
   json += "  \"densities\": {\"input_acts\": " + std::to_string(kInputDensity) +
           ", \"output_grads\": " + std::to_string(kGradDensity) +
           ", \"mask\": " + std::to_string(kMaskDensity) + "},\n";
@@ -302,6 +310,8 @@ int main(int argc, char** argv) {
       sr.row_ops = r.row_ops;
       sr.macs = r.activity.macs;
       sr.cycles = r.cycles;
+      sr.busy_cycles = r.activity.busy_cycles;
+      sr.reg_accesses = r.activity.reg_accesses;
       sr.seconds_serial =
           time_stage([&] { return run_on(serial); }, min_time);
       sr.rows_per_s = static_cast<double>(sr.row_ops) / sr.seconds_serial;
@@ -351,6 +361,8 @@ int main(int argc, char** argv) {
       json += ", \"row_ops\": " + std::to_string(sr.row_ops);
       json += ", \"macs\": " + std::to_string(sr.macs);
       json += ", \"cycles\": " + std::to_string(sr.cycles);
+      json += ", \"busy_cycles\": " + std::to_string(sr.busy_cycles);
+      json += ", \"reg_accesses\": " + std::to_string(sr.reg_accesses);
       json += ", \"seconds_serial\": " + std::to_string(sr.seconds_serial);
       json += ", \"rows_per_s\": " + std::to_string(sr.rows_per_s);
       json += ", \"macs_per_s\": " + std::to_string(sr.macs_per_s);
@@ -374,12 +386,17 @@ int main(int argc, char** argv) {
           const BaselineEntry& be = it->second;
           // Byte-identity gate: the simulated fields are pure functions
           // of the inputs, so any divergence from the baseline is a bug,
-          // not noise.
-          if (be.tasks != sr.tasks || be.row_ops != sr.row_ops ||
-              be.macs != sr.macs || be.cycles != sr.cycles) {
+          // not noise. JSON numbers are doubles, exact below 2^53.
+          const auto same = [](double want, std::size_t got) {
+            return want == static_cast<double>(got);
+          };
+          if (!same(be.tasks, sr.tasks) || !same(be.row_ops, sr.row_ops) ||
+              !same(be.macs, sr.macs) || !same(be.cycles, sr.cycles) ||
+              !same(be.busy_cycles, sr.busy_cycles) ||
+              !same(be.reg_accesses, sr.reg_accesses)) {
             std::fprintf(stderr,
-                         "FATAL: simulated fields diverge from baseline "
-                         "for %s/%s %s\n",
+                         "FATAL: simulated fields diverge from (or are "
+                         "missing in) baseline for %s/%s %s\n",
                          bc.workload.c_str(), l.name.c_str(),
                          sr.stage.c_str());
             return 1;

@@ -1,8 +1,11 @@
 // Reproduces Fig. 8: average training latency per sample for each
 // model × dataset, on the dense Eyeriss-like baseline and on SparseTrain,
-// plus the speedup. Densities come from the paper's published Table II
-// operating points (p = 90%); a natural-sparsity-only row is included for
-// AlexNet since the paper's abstract quotes that configuration.
+// plus the speedup, each stage's share of SparseTrain's cycles, and each
+// stage's own speedup (dense ÷ sparse cycles of that stage), so one run
+// shows which stage the speedup comes from. Densities come from the
+// paper's published Table II operating points (p = 90%); a
+// natural-sparsity-only row is included for AlexNet since the paper's
+// abstract quotes that configuration.
 //
 // All seven jobs are submitted to the Session up front and evaluated in
 // parallel on its thread pool; per-job seeding keeps the numbers
@@ -10,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/export.hpp"
@@ -63,7 +67,8 @@ int main(int argc, char** argv) {
   const auto natural_job = session.submit(alex, natural, backends);
 
   TextTable table({"workload", "baseline ms", "SparseTrain ms", "speedup",
-                   "Fwd cyc%", "GTA cyc%", "GTW cyc%"});
+                   "Fwd cyc%", "GTA cyc%", "GTW cyc%", "Fwd x", "GTA x",
+                   "GTW x"});
   double log_speedup_sum = 0.0;
   std::size_t paper_count = 0;
   double max_speedup = 0.0;
@@ -90,10 +95,20 @@ int main(int argc, char** argv) {
       return TextTable::pct(
           static_cast<double>(sparse.stage_cycles(s)) / total, 0);
     };
+    auto stage_speedup = [&](isa::Stage s) {
+      const std::size_t cycles = sparse.stage_cycles(s);
+      return cycles == 0 ? std::string("-")
+                         : TextTable::times(
+                               static_cast<double>(dense.stage_cycles(s)) /
+                               static_cast<double>(cycles));
+    };
     table.add_row({r.net.name, TextTable::num(dense.latency_ms(), 3),
                    TextTable::num(sparse.latency_ms(), 3),
                    TextTable::times(speedup), pct(isa::Stage::Forward),
-                   pct(isa::Stage::GTA), pct(isa::Stage::GTW)});
+                   pct(isa::Stage::GTA), pct(isa::Stage::GTW),
+                   stage_speedup(isa::Stage::Forward),
+                   stage_speedup(isa::Stage::GTA),
+                   stage_speedup(isa::Stage::GTW)});
   }
   std::printf("%s\n", table.to_string().c_str());
 

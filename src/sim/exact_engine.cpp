@@ -6,6 +6,7 @@
 #include <exception>
 #include <type_traits>
 
+#include "sim/least_loaded.hpp"
 #include "sim/profile_hook.hpp"
 #include "util/require.hpp"
 
@@ -67,12 +68,73 @@ struct TaskScratch {
   std::vector<std::uint64_t> gta_blocked;  ///< GTA: blocked dO positions
   std::vector<std::uint32_t> gta_oy;  ///< GTA: source dO rows, ky order
   std::vector<std::uint32_t> gta_counts;  ///< GTA: ingested, per (oy, f)
+  std::vector<std::size_t> gtw_round;  ///< GTW: open round max per channel
 };
 
 TaskScratch& task_scratch() {
   thread_local TaskScratch scratch;
   return scratch;
 }
+
+/// Row-op activity summed over a tile or a whole stage (integer sums, so
+/// the order they are added in never changes a value).
+struct OpTotals {
+  std::size_t row_ops = 0;
+  std::size_t busy = 0;
+  std::size_t macs = 0;
+  std::size_t reg = 0;
+
+  OpTotals& operator+=(const OpTotals& o) {
+    row_ops += o.row_ops;
+    busy += o.busy;
+    macs += o.macs;
+    reg += o.reg;
+    return *this;
+  }
+};
+
+/// The totals of `ops` row ops that keep PEs busy for `busy` cycles in
+/// all, ingest `ingested` operand elements and perform `macs` multiplies.
+/// Every ingested element reads and writes each of the `lanes`
+/// accumulators and every op drains them once: summed, the register
+/// count PeGroupReducer accumulates op by op.
+OpTotals op_totals(std::size_t ops, std::size_t busy, std::size_t ingested,
+                   std::size_t macs, std::size_t lanes) {
+  return OpTotals{ops, busy, macs, ingested * 2 * lanes + ops * lanes};
+}
+
+void accumulate(PeCost& sum, const PeCost& cost) {
+  sum.cycles += cost.cycles;
+  sum.macs += cost.macs;
+  sum.ingested += cost.ingested;
+}
+
+/// One task's group-round fold (paper Fig. 7a): the group's PEs take the
+/// task's ops `width` at a time, in task order, and each round lasts as
+/// long as its slowest op. PeGroupReducer's fold without its counters —
+/// the stage kernels take those from count sums instead.
+class RoundMax {
+ public:
+  explicit RoundMax(std::size_t width) : width_(width) {}
+
+  void add(std::size_t cycles) {
+    round_ = std::max(round_, cycles);
+    if (++in_round_ == width_) {
+      total_ += round_;
+      round_ = 0;
+      in_round_ = 0;
+    }
+  }
+
+  /// The task's cycles, its partial last round included.
+  std::size_t finish() const { return total_ + round_; }
+
+ private:
+  std::size_t width_;
+  std::size_t total_ = 0;
+  std::size_t round_ = 0;
+  std::size_t in_round_ = 0;
+};
 
 /// Bit count in portable word arithmetic: on baseline x86-64 (no POPCNT)
 /// std::popcount lowers to a libgcc call that costs more than the rest of
@@ -211,6 +273,20 @@ struct TileRun {
 
 }  // namespace
 
+struct ExactEngine::StageArena {
+  std::vector<std::size_t> cycles;       ///< per-task cycles
+  std::vector<OpTotals> tile_totals;     ///< per-tile activity (parallel)
+  LeastLoaded<std::size_t> sched;        ///< least-loaded group merge
+  std::vector<std::size_t> src_cycles;   ///< forward: cycles per input row
+  std::vector<PeCost> src_sums;          ///< forward: channel sums per (n, iy)
+  std::vector<std::uint64_t> go_bits;    ///< GTA: dO occupancy over f
+  std::vector<std::uint32_t> go_active;  ///< GTA: all-pass counts over f
+  std::vector<std::uint64_t> all_active; ///< GTA: all-pass active bits
+  std::vector<std::uint32_t> go_chunks;  ///< GTW: ⌈nnz/K⌉ per dO row
+  std::vector<std::uint32_t> in_nnz;     ///< GTW: nnz per I row, over c
+  std::vector<std::size_t> box_table;    ///< GTA/GTW: summed-area tables
+};
+
 double ExactStageResult::utilization(std::size_t total_pes) const {
   if (cycles == 0 || total_pes == 0) return 0.0;
   return static_cast<double>(activity.busy_cycles) /
@@ -227,6 +303,10 @@ ExactEngine::ExactEngine(ArchConfig cfg, ExactOptions opts)
 }
 
 ExactEngine::~ExactEngine() = default;
+
+ExactEngine::ArenaLease::ArenaLease(const ExactEngine* e,
+                                    std::unique_ptr<StageArena> a)
+    : engine(e), arena(std::move(a)) {}
 
 ExactEngine::ArenaLease::~ArenaLease() {
   if (engine != nullptr && arena != nullptr) {
@@ -255,13 +335,15 @@ ExactEngine::RowSet ExactEngine::compress(const Tensor& t) const {
 }
 
 std::size_t ExactEngine::tile_for(std::size_t task_count,
-                                  std::size_t est_ops_per_task) const {
+                                  std::size_t est_ops_per_task,
+                                  std::size_t run_length) const {
   if (opts_.tile_tasks != 0) return opts_.tile_tasks;
   // Aim for a roughly constant amount of work per tile: GTW tasks often
   // schedule only a handful of row ops (sparse dO rows skip whole
   // slices) and pack thousands of tasks per tile, while op-heavy forward
   // tasks split finely. Then cap so the stage still spreads over the
-  // pool with slack for load balance. Tile size affects wall-clock only,
+  // pool with slack for load balance, and round up to whole runs of the
+  // tasks a kernel evaluates together. Tile size affects wall-clock only,
   // never results (the merge consumes tasks in index order regardless).
   constexpr std::size_t kTileRowOps = 2048;
   constexpr std::size_t kMaxTile = 4096;
@@ -273,12 +355,14 @@ std::size_t ExactEngine::tile_for(std::size_t task_count,
       (pool != nullptr ? pool->worker_count() : 0) + 1;
   const std::size_t balance_cap =
       std::max<std::size_t>(1, task_count / (4 * threads));
-  return std::max<std::size_t>(1, std::min(tile, balance_cap));
+  tile = std::max<std::size_t>(1, std::min(tile, balance_cap));
+  return (tile + run_length - 1) / run_length * run_length;
 }
 
 template <typename MakeKernel>
 ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
                                         std::size_t est_ops_per_task,
+                                        std::size_t run_length,
                                         const MakeKernel& make_kernel) const {
   using Kernel = std::invoke_result_t<const MakeKernel&, StageArena&>;
   ExactStageResult result;
@@ -303,22 +387,18 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
   const Kernel kernel = make_kernel(arena);
 
   util::ThreadPool* pool = worker_pool();
-  const std::size_t tile = tile_for(task_count, est_ops_per_task);
+  const std::size_t tile =
+      tile_for(task_count, est_ops_per_task, run_length);
   const std::size_t tiles = (task_count + tile - 1) / tile;
+  arena.cycles.resize(task_count);
+  std::size_t* cycles = arena.cycles.data();
 
-  TileTotals totals;
+  OpTotals totals = kernel.stage;
   if (pool == nullptr || tiles <= 1) {
-    // Serial: evaluation and merge fuse into one streaming loop — each
-    // task's cycle count goes straight into the scheduler, no per-task
-    // storage at all.
-    PeGroupReducer red(cfg_.pes_per_group, kernel.lanes);
-    for (std::size_t i = 0; i < task_count; ++i) {
-      sched.assign(kernel(i, red));
-    }
-    totals = TileTotals{red.row_ops(), red.busy(), red.macs(), red.reg()};
+    totals += kernel(0, task_count, cycles);
+    for (std::size_t i = 0; i < task_count; ++i) sched.assign(cycles[i]);
   } else {
-    arena.cycles.resize(task_count);
-    arena.tile_totals.assign(tiles, TileTotals{});
+    arena.tile_totals.assign(tiles, OpTotals{});
 
     auto run = std::make_shared<TileRun>(tiles);
     auto eval_tile = [&](std::size_t t) {
@@ -330,12 +410,7 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
         // while it evaluates tiles, and sharing that cache line across
         // threads made parallel GTA slower than serial.
         const Kernel k = kernel;
-        PeGroupReducer red(cfg_.pes_per_group, k.lanes);
-        for (std::size_t i = first; i < last; ++i) {
-          arena.cycles[i] = k(i, red);
-        }
-        arena.tile_totals[t] =
-            TileTotals{red.row_ops(), red.busy(), red.macs(), red.reg()};
+        arena.tile_totals[t] = k(first, last, cycles + first);
       } catch (...) {
         run->record_error();
       }
@@ -384,14 +459,8 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
       }
       const std::size_t first = merged * tile;
       const std::size_t last = std::min(first + tile, task_count);
-      for (std::size_t i = first; i < last; ++i) {
-        sched.assign(arena.cycles[i]);
-      }
-      const TileTotals& tt = arena.tile_totals[merged];
-      totals.row_ops += tt.row_ops;
-      totals.busy += tt.busy;
-      totals.macs += tt.macs;
-      totals.reg += tt.reg;
+      for (std::size_t i = first; i < last; ++i) sched.assign(cycles[i]);
+      totals += arena.tile_totals[merged];
       ++merged;
     }
 
@@ -405,7 +474,7 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
 
   result.row_ops = totals.row_ops;
   result.activity.busy_cycles = totals.busy;
-  result.activity.macs = totals.macs + kernel.stage_macs;
+  result.activity.macs = totals.macs;
   result.activity.reg_accesses = totals.reg;
   result.cycles = sched.max_load();
   timer.record(result.tasks, result.row_ops,
@@ -418,39 +487,37 @@ namespace {
 /// Forward stage kernel: one task per output row (n, f, oy), C·K SRC ops.
 ///
 /// The SRC cost of an op is a pure function of (input row, block) — it
-/// does not depend on the task's output channel f at all, so evaluating
-/// it inline would recompute each input row's cost F times per oy (and
-/// K more times across overlapping oy windows). run_forward instead
-/// precomputes one PeCost per physical input row (`row_costs`, N·C·IH
-/// entries) and the kernel folds table entries. The reducer consumes the
-/// identical PeCost sequence in the identical order, so every simulated
-/// field is byte-identical to the inline evaluation.
+/// does not depend on the task's output channel f at all — so run_forward
+/// prices every physical input row once (`row_cycles`, N·C·IH entries)
+/// and a task folds table entries, in the reference order (c-major, ky
+/// ascending), into its PE rounds. The counters depend only on (n, oy),
+/// so the stage sums them once (`stage`).
 struct ForwardKernel {
   static constexpr const char* kStage = "forward";
-  const PeCost* row_costs;
+  const std::size_t* row_cycles;
   const dataflow::ConvGeometry& geo;
   Shape in_shape;
   Shape out_shape;
-  std::size_t lanes;
-  std::size_t stage_macs = 0;  ///< every op carries its own MACs
+  std::size_t width;  ///< PEs per group
+  OpTotals stage;
 
-  std::size_t operator()(std::size_t index, PeGroupReducer& red) const {
-    const std::size_t oy = index % out_shape.h;
-    const std::size_t n = index / (out_shape.h * geo.out_channels);
-    // iy = oy·S + ky − P is monotone in ky, so the valid taps form one
-    // contiguous ky range — resolve it once per task instead of testing
-    // every (c, ky) pair. Iteration order (c-major, ky ascending) and
-    // thus the reducer's fold are unchanged.
-    const auto [ky_lo, ky_hi, iy0] = valid_ky_range(oy, geo, in_shape.h);
-    const std::size_t taps = ky_hi - ky_lo;
-    red.begin_task();
-    for (std::size_t c = 0; c < geo.in_channels; ++c) {
-      const PeCost* cost = row_costs + (n * in_shape.c + c) * in_shape.h + iy0;
-      for (std::size_t t = 0; t < taps; ++t) {
-        red.add(cost[t]);
+  OpTotals operator()(std::size_t first, std::size_t last,
+                      std::size_t* cycles) const {
+    for (std::size_t i = first; i < last; ++i) {
+      const std::size_t oy = i % out_shape.h;
+      const std::size_t n = i / (out_shape.h * geo.out_channels);
+      // iy = oy·S + ky − P is monotone in ky, so the valid taps form one
+      // contiguous ky range — resolved once per task.
+      const auto [ky_lo, ky_hi, iy0] = valid_ky_range(oy, geo, in_shape.h);
+      const std::size_t taps = ky_hi - ky_lo;
+      const std::size_t* row = row_cycles + n * in_shape.c * in_shape.h + iy0;
+      RoundMax fold(width);
+      for (std::size_t c = 0; c < geo.in_channels; ++c, row += in_shape.h) {
+        for (std::size_t t = 0; t < taps; ++t) fold.add(row[t]);
       }
+      cycles[i - first] = fold.finish();
     }
-    return red.end_task();
+    return {};
   }
 };
 
@@ -466,8 +533,9 @@ struct ForwardKernel {
 /// lowers its mask row into the positions it blocks among those; for each
 /// source row oy it then computes all F counts in one contiguous AND +
 /// popcount sweep per blocking word, and folds them in (f, ky) order. A
-/// task that blocks nothing reads the counts alone. MACs are counted once
-/// per stage (box_macs); ops fold into the reducer with macs = 0.
+/// task that blocks nothing reads the counts alone. The ingested counts
+/// also give the task's busy and register counters, which a tile sums;
+/// MACs are counted once per stage (box_macs).
 struct GtaKernel {
   static constexpr const char* kStage = "gta";
   const std::uint64_t* go_bits;    ///< occupancy planes over f
@@ -480,10 +548,25 @@ struct GtaKernel {
   const std::uint64_t* all_active;  ///< positions the all-pass mask ingests
   const Tensor* prev_mask;
   std::size_t wl;  ///< stage-constant weight-load cycles (hoisted)
-  std::size_t lanes;
-  std::size_t stage_macs;
+  std::size_t width;  ///< PEs per group
+  OpTotals stage;
 
-  std::size_t operator()(std::size_t index, PeGroupReducer& red) const {
+  OpTotals operator()(std::size_t first, std::size_t last,
+                      std::size_t* cycles) const {
+    std::size_t ops = 0;
+    std::size_t ingested = 0;
+    for (std::size_t i = first; i < last; ++i) {
+      cycles[i - first] = task(i, ops, ingested);
+    }
+    // An op that ingests a nonzeros is busy for msrc_cost(0)'s cycles
+    // plus a.
+    return op_totals(ops, ops * pe.msrc_cost(0, 0, wl).cycles + ingested,
+                     ingested, 0, geo.kernel);
+  }
+
+  /// Task `index`'s cycles; adds its op and ingested counts.
+  std::size_t task(std::size_t index, std::size_t& ops,
+                   std::size_t& ingested) const {
     const std::size_t iy = index % in_shape.h;
     const std::size_t c = (index / in_shape.h) % geo.in_channels;
     const std::size_t n = index / (in_shape.h * geo.in_channels);
@@ -520,14 +603,17 @@ struct GtaKernel {
       if (oy >= out.h) continue;
       src.push_back(static_cast<std::uint32_t>(n * out.h + oy));
     }
-    const auto fold = [&](const auto& ingested) {
-      red.begin_task();
+    ops += fs * src.size();
+    const auto fold = [&](const auto& count) {
+      RoundMax rounds(width);
       for (std::size_t f = 0; f < fs; ++f) {
         for (std::size_t j = 0; j < src.size(); ++j) {
-          red.add(pe.msrc_cost(ingested(j, f), 0, wl));
+          const std::size_t a = count(j, f);
+          ingested += a;
+          rounds.add(pe.msrc_cost(a, 0, wl).cycles);
         }
       }
-      return red.end_task();
+      return rounds.finish();
     };
     if (!any_blocked) {
       return fold([&](std::size_t j, std::size_t f) {
@@ -559,63 +645,91 @@ struct GtaKernel {
 /// (zero dO rows schedule nothing).
 ///
 /// An OSRC op's cycles depend only on nnz(I row) and ⌈nnz(dO row)/K⌉, so
-/// each op is priced from two flat tables the stage builds once; MACs —
-/// the only field that needs the window intersection — are counted once
-/// per stage (box_macs).
+/// each op is priced from two flat tables the stage builds once. The C
+/// tasks of one (n, f) are adjacent and share the dO row and every ky
+/// range, so their ops split into the same rounds: the kernel runs them
+/// in lockstep, one pass over (oy, ky) updating every channel's open
+/// round from the channel-minor nnz table. The counters and MACs are
+/// summed once per stage.
 struct GtwKernel {
   static constexpr const char* kStage = "gtw";
   const std::uint32_t* go_chunks;  ///< per dO row: ⌈nnz/K⌉ (0: empty)
-  const std::uint32_t* in_nnz;     ///< per I row: nnz
+  const std::uint32_t* in_nnz;     ///< per I row (n, c, y) at (n·H + y)·C + c
   const dataflow::ConvGeometry& geo;
   Shape out;
   Shape in;
   const PeExact& pe;
   std::size_t wl;  ///< stage-constant weight-load cycles (hoisted)
-  std::size_t lanes;
-  std::size_t stage_macs;
+  std::size_t width;  ///< PEs per group
+  OpTotals stage;
 
-  std::size_t operator()(std::size_t index, PeGroupReducer& red) const {
-    const std::size_t c = index % geo.in_channels;
-    const std::size_t f = (index / geo.in_channels) % geo.out_channels;
-    const std::size_t n = index / (geo.in_channels * geo.out_channels);
-    const std::uint32_t* chunks = go_chunks + (n * out.c + f) * out.h;
-    const std::uint32_t* nnz = in_nnz + (n * in.c + c) * in.h;
-    red.begin_task();
+  OpTotals operator()(std::size_t first, std::size_t last,
+                      std::size_t* cycles) const {
+    // A tile may start or end inside a channel run (pinned tile sizes).
+    for (std::size_t i = first; i < last;) {
+      const std::size_t c_lo = i % in.c;
+      const std::size_t c_hi = std::min(in.c, c_lo + (last - i));
+      channels(i / in.c, c_lo, c_hi, cycles + (i - first));
+      i += c_hi - c_lo;
+    }
+    return {};
+  }
+
+  /// Tasks (n, f, c) for c in [c_lo, c_hi), nf = n·F + f, in lockstep.
+  void channels(std::size_t nf, std::size_t c_lo, std::size_t c_hi,
+                std::size_t* total) const {
+    const std::size_t n = nf / out.c;
+    const std::size_t cs = c_hi - c_lo;
+    std::vector<std::size_t>& round = task_scratch().gtw_round;
+    round.assign(cs, 0);
+    std::fill(total, total + cs, 0);
+    const std::uint32_t* chunks = go_chunks + nf * out.h;
+    std::size_t in_round = 0;
     for (std::size_t oy = 0; oy < out.h; ++oy) {
-      if (chunks[oy] == 0) continue;  // zero dO row: nothing scheduled
-      // Valid taps are one contiguous ky range (see valid_ky_range); the
-      // op order per oy — ky ascending — is the same as the per-tap test.
+      const std::size_t ch = chunks[oy];
+      if (ch == 0) continue;  // zero dO row: nothing scheduled
       const auto [ky_lo, ky_hi, iy0] = valid_ky_range(oy, geo, in.h);
-      for (std::size_t t = 0; t < ky_hi - ky_lo; ++t) {
-        red.add(pe.osrc_cost(nnz[iy0 + t], chunks[oy], 0, wl));
+      const std::uint32_t* nnz = in_nnz + (n * in.h + iy0) * in.c + c_lo;
+      for (std::size_t t = ky_lo; t < ky_hi; ++t, nnz += in.c) {
+        for (std::size_t c = 0; c < cs; ++c) {
+          round[c] =
+              std::max(round[c], pe.osrc_cost(nnz[c], ch, 0, wl).cycles);
+        }
+        if (++in_round == width) {
+          for (std::size_t c = 0; c < cs; ++c) {
+            total[c] += round[c];
+            round[c] = 0;
+          }
+          in_round = 0;
+        }
       }
     }
-    return red.end_task();
+    for (std::size_t c = 0; c < cs; ++c) total[c] += round[c];
   }
 };
 
 /// FC stage kernel: one task per (sample, lane group); every task streams
 /// the sample's compressed vector once into `lanes` accumulators (no
 /// kernel preload — weight columns arrive from the buffer per ingested
-/// element).
+/// element), as one op.
 struct FcKernel {
   static constexpr const char* kStage = "fc";
   const CompressedRows& rows;
   std::size_t groups_per_sample;
   std::size_t drain;
-  std::size_t lanes;
-  std::size_t stage_macs = 0;  ///< every op carries its own MACs
+  OpTotals stage;
 
-  std::size_t operator()(std::size_t index, PeGroupReducer& red) const {
-    const std::size_t n = index / groups_per_sample;
-    const SparseRowView vec = rows.row(n);
-    PeCost op;
-    op.ingested = vec.nnz();
-    op.macs = vec.nnz() * lanes;
-    op.cycles = vec.nnz() + drain;
-    red.begin_task();
-    red.add(op);
-    return red.end_task();
+  /// The op's cycles: one per ingested nonzero plus the drain.
+  std::size_t op_cycles(std::size_t sample) const {
+    return rows.row_nnz(sample) + drain;
+  }
+
+  OpTotals operator()(std::size_t first, std::size_t last,
+                      std::size_t* cycles) const {
+    for (std::size_t i = first; i < last; ++i) {
+      cycles[i - first] = op_cycles(i / groups_per_sample);
+    }
+    return {};
   }
 };
 
@@ -637,17 +751,37 @@ ExactStageResult ExactEngine::run_forward(
   const std::size_t task_count =
       in_shape.n * geo.out_channels * out_shape.h;
   return run_tasks(
-      task_count, geo.in_channels * geo.kernel, [&](StageArena& arena) {
-        // The per-input-row cost table the kernel folds (see
-        // ForwardKernel).
-        std::vector<PeCost>& costs = arena.src_costs;
-        costs.resize(rows.rows());
+      task_count, geo.in_channels * geo.kernel, 1, [&](StageArena& arena) {
+        // Every input row's SRC cost (see ForwardKernel), and its
+        // channel sum per (n, iy).
         const std::size_t wl = pe_.weight_load(b);
+        arena.src_cycles.resize(rows.rows());
+        arena.src_sums.assign(in_shape.n * in_shape.h, PeCost{});
         for (std::size_t r = 0; r < rows.rows(); ++r) {
-          costs[r] = pe_.run_src(rows.row(r), b, wl);
+          const PeCost cost = pe_.run_src(rows.row(r), b, wl);
+          arena.src_cycles[r] = cost.cycles;
+          const std::size_t n = r / (in_shape.c * in_shape.h);
+          accumulate(arena.src_sums[n * in_shape.h + r % in_shape.h], cost);
         }
-        return ForwardKernel{costs.data(), geo, in_shape, out_shape,
-                             geo.kernel};
+        // Each of the F tasks (n, ·, oy) runs the ops of every channel's
+        // rows in oy's window: F × the window sums, over every (n, oy).
+        std::size_t ops = 0;
+        PeCost sum;
+        for (std::size_t n = 0; n < in_shape.n; ++n) {
+          for (std::size_t oy = 0; oy < out_shape.h; ++oy) {
+            const Interval win = clipped_window(oy, geo, in_shape.h);
+            ops += geo.in_channels * (win.hi - win.lo);
+            for (std::size_t iy = win.lo; iy < win.hi; ++iy) {
+              accumulate(sum, arena.src_sums[n * in_shape.h + iy]);
+            }
+          }
+        }
+        const std::size_t fs = geo.out_channels;
+        return ForwardKernel{
+            arena.src_cycles.data(), geo, in_shape, out_shape,
+            cfg_.pes_per_group,
+            op_totals(fs * ops, fs * sum.cycles, fs * sum.ingested,
+                      fs * sum.macs, geo.kernel)};
       });
 }
 
@@ -674,7 +808,7 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
   const std::size_t task_count =
       out.n * geo.in_channels * input_shape.h;
   return run_tasks(
-      task_count, geo.out_channels * geo.kernel, [&](StageArena& arena) {
+      task_count, geo.out_channels * geo.kernel, 1, [&](StageArena& arena) {
         // The active bitset of the all-pass mask, then the dO occupancy
         // planes and all-pass counts (see GtaKernel; masked tasks lower
         // their own active sets).
@@ -733,8 +867,8 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
                          all_active,
                          prev_mask,
                          pe_.weight_load(b),
-                         geo.kernel,
-                         macs};
+                         cfg_.pes_per_group,
+                         OpTotals{.macs = macs}};
       });
 }
 
@@ -766,37 +900,69 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
              ? 1
              : go_rows.nonempty_rows() * out.h * geo.kernel /
                    go_rows.rows());
-  return run_tasks(task_count, est_ops, [&](StageArena& arena) {
-    // The two count tables every op is priced from (see GtwKernel).
+  return run_tasks(task_count, est_ops, in.c, [&](StageArena& arena) {
+    // The two count tables every op is priced from (see GtwKernel) — nnz
+    // channel-minor, so a channel run reads it contiguously — and, for
+    // the MACs, the channel-summed occupancy of I.
     arena.go_chunks.resize(go_rows.rows());
     for (std::size_t r = 0; r < go_rows.rows(); ++r) {
       arena.go_chunks[r] = static_cast<std::uint32_t>(
           PeExact::osrc_chunks(go_rows.row_nnz(r), geo.kernel));
     }
     arena.in_nnz.resize(in_rows.rows());
-    for (std::size_t r = 0; r < in_rows.rows(); ++r) {
-      arena.in_nnz[r] = static_cast<std::uint32_t>(in_rows.row_nnz(r));
-    }
-
-    // MACs: box sums over the channel-summed occupancy of I.
     const BoxLayout l{in.h, in.w};
     std::vector<std::size_t>& table = arena.box_table;
     table.assign(out.n * l.plane(), 0);
     for (std::size_t n = 0; n < out.n; ++n) {
-      for (std::size_t c = 0; c < geo.in_channels; ++c) {
+      for (std::size_t c = 0; c < in.c; ++c) {
         for (std::size_t y = 0; y < l.h; ++y) {
+          const SparseRowView row = in_rows.row((n * in.c + c) * in.h + y);
+          arena.in_nnz[(n * in.h + y) * in.c + c] =
+              static_cast<std::uint32_t>(row.nnz());
           std::size_t* cells = table.data() + l.cell(n, y, 0);
-          for (const std::uint32_t x :
-               in_rows.row((n * in.c + c) * in.h + y).offsets) {
-            ++cells[x];
-          }
+          for (const std::uint32_t x : row.offsets) ++cells[x];
         }
       }
     }
     integrate(table.data(), out.n, l);
     const std::size_t macs = box_macs(go_rows, out, geo, table.data(), l);
-    return GtwKernel{arena.go_chunks.data(), arena.in_nnz.data(), geo,
-                     out, in, pe_, pe_.weight_load(b), geo.kernel, macs};
+
+    // The other counters, per (n, oy) instead of per op: every channel c
+    // pairs each nonempty dO row (n, f, oy), ch = ⌈nnz/K⌉ chunks, with
+    // every I row (n, c, iy) of oy's window, and osrc_cost charges that op
+    // ch·(wl + nnz(I)) + drain cycles for ch·nnz(I) ingested elements. The
+    // table's full-width box over the window's rows is Σ_c Σ_iy nnz(I).
+    std::size_t ops = 0;         // per channel
+    std::size_t chunk_taps = 0;  // Σ ch over one channel's ops
+    std::size_t ingested = 0;
+    for (std::size_t n = 0; n < out.n; ++n) {
+      const std::size_t* sat = table.data() + n * l.plane();
+      for (std::size_t oy = 0; oy < out.h; ++oy) {
+        const Interval win = clipped_window(oy, geo, in.h);
+        const std::size_t taps = win.hi - win.lo;
+        const std::size_t nnz =
+            sat[win.hi * l.pitch() + in.w] - sat[win.lo * l.pitch() + in.w];
+        for (std::size_t f = 0; f < out.c; ++f) {
+          const std::size_t ch = arena.go_chunks[(n * out.c + f) * out.h + oy];
+          ops += ch != 0 ? taps : 0;
+          chunk_taps += ch * taps;
+          ingested += ch * nnz;
+        }
+      }
+    }
+    const std::size_t row_ops = in.c * ops;
+    const std::size_t wl = pe_.weight_load(b);
+    const std::size_t busy = wl * in.c * chunk_taps + ingested +
+                             cfg_.timing.pipeline_drain * row_ops;
+    return GtwKernel{arena.go_chunks.data(),
+                     arena.in_nnz.data(),
+                     geo,
+                     out,
+                     in,
+                     pe_,
+                     wl,
+                     cfg_.pes_per_group,
+                     op_totals(row_ops, busy, ingested, macs, geo.kernel)};
   });
 }
 
@@ -812,9 +978,15 @@ ExactStageResult ExactEngine::run_fc(const Tensor& operands,
   const RowSet rows = compress(operands);
 
   const std::size_t task_count = s.n * groups_per_sample;
-  return run_tasks(task_count, 1, [&](StageArena&) {
-    return FcKernel{rows, groups_per_sample, cfg_.timing.pipeline_drain,
-                    lanes};
+  return run_tasks(task_count, 1, 1, [&](StageArena&) {
+    FcKernel kernel{rows, groups_per_sample, cfg_.timing.pipeline_drain, {}};
+    std::size_t busy = 0;
+    for (std::size_t n = 0; n < s.n; ++n) busy += kernel.op_cycles(n);
+    const std::size_t ingested = rows.total_nnz();
+    kernel.stage = op_totals(task_count, groups_per_sample * busy,
+                             groups_per_sample * ingested,
+                             groups_per_sample * ingested * lanes, lanes);
+    return kernel;
   });
 }
 

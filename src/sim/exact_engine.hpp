@@ -13,41 +13,52 @@
 //
 //  * Tile kernels — each stage is one statically-dispatched kernel struct
 //    (ForwardKernel/GtaKernel/GtwKernel/FcKernel, see the .cpp) run by a
-//    run_tasks template, so the task loop, the per-op cost and the
-//    group-round fold (PeGroupReducer) all inline into one loop. Each op
-//    costs O(1) and the engine works from counts alone. Forward folds a
-//    per-input-row cost table. GTW prices an OSRC op from two flat
-//    tables, nnz per I row and ⌈nnz/K⌉ per dO row. GTA counts an MSRC
-//    op's ingested nonzeros from all-pass counts and, under a mask, one
-//    AND + popcount sweep over occupancy planes laid out over f. GTA and
-//    GTW MACs — the only field that needs the window intersections —
-//    are counted once per stage, as K×K box sums over a summed-area
-//    table of channel-summed occupancy. No per-task cost record is
-//    materialised: a tile aggregates busy/MAC/register counters locally
-//    and emits only a per-task cycle count into a pooled per-stage
-//    arena. Every RowSet overload checks its rows against the shapes it
-//    is given once, at entry, so the tables need no per-op bounds check.
+//    run_tasks template. A kernel takes a task range and writes that
+//    range's cycle counts; per op it folds only what the schedule needs,
+//    the PE-round maximum (a group's PEs take a task's ops
+//    `pes_per_group` at a time, and a round lasts as long as its slowest
+//    op). Each op costs O(1) and the engine works from counts alone.
+//    Forward folds a per-input-row cost table. GTW prices an OSRC op from
+//    two flat tables, nnz per I row (channel-minor) and ⌈nnz/K⌉ per dO
+//    row, and evaluates the C tasks of one (n, f) in lockstep: they share
+//    the dO row and every ky range, so one pass over (oy, ky) updates
+//    every channel's round, and adaptive GTW tiles hold whole channel
+//    runs. GTA counts an MSRC op's ingested nonzeros from all-pass counts
+//    and, under a mask, one AND + popcount sweep over occupancy planes
+//    laid out over f.
+//  * Counters from count sums — row ops, busy cycles, MACs and register
+//    accesses leave the op loop. Forward's depend only on (n, oy) and
+//    GTW's separate the same way, so each stage sums them once from its
+//    tables (forward: F × the per-(n, oy) window sums of the row costs;
+//    GTW: Σ_f ⌈nnz/K⌉ and Σ_c nnz(I row) per (n, oy)). GTA's depend on
+//    each task's mask row, so each task sums them from its own ingested
+//    counts. GTA and GTW MACs — the only field that needs the window
+//    intersections — are K×K box sums over a summed-area table of
+//    channel-summed occupancy. No per-op cost record is materialised,
+//    and every RowSet overload checks its rows against the shapes it is
+//    given once, at entry, so the tables need no per-op bounds check.
 //  * Streaming merge — per-task cycles feed the least-loaded-group
 //    scheduler (LeastLoaded, shared with the statistical engine),
 //    consumed strictly in task order (the identical deterministic stream
 //    the serial path produces). The merge of tile i overlaps the
 //    evaluation of tile i+1: the merging thread consumes tiles as their
 //    ready flags rise and claims unevaluated tiles itself while waiting,
-//    so a stage never barriers on its full task list.
-//  * Tiles are deterministic contiguous task ranges whose boundaries are
-//    adaptive (derived from the estimated row ops per task unless
+//    so a stage never barriers on its full task list. Tiles are
+//    deterministic contiguous task ranges whose boundaries are adaptive
+//    (derived from the estimated row ops per task unless
 //    ExactOptions::tile_tasks pins them) — but neither tiling nor worker
 //    count ever changes any simulated number: results are byte-identical
 //    to the serial path for any ExactOptions.
 //
 // The hot path is allocation-free in steady state: operand tensors live
 // in CompressedRows arenas, each worker thread reuses a scratch buffer
-// (a GTA task's blocked-position bits and per-row counts), and the
-// per-stage cycle spans, the scheduler's tree and stage-wide tables
-// (forward's row costs, GTA's occupancy planes and counts, GTW's count
-// tables, the MAC tables) live in a pooled arena reused across stages
-// (tests/test_exact_alloc.cpp counts allocations;
-// tests/test_exact_oracle.cpp re-derives every stage op by op).
+// (a GTA task's blocked-position bits and per-row counts, GTW's open
+// rounds), and the per-task cycles, the scheduler's tree and stage-wide
+// tables (forward's row costs and sums, GTA's occupancy planes and
+// counts, GTW's count tables, the summed-area tables) live in a pooled
+// arena reused across stages (tests/test_exact_alloc.cpp counts
+// allocations; tests/test_exact_oracle.cpp re-derives every stage op by
+// op through PeGroupReducer, at every PE-group width the DSE grid uses).
 // Whole networks run through sim::run_exact, which schedules independent
 // (layer, stage) units concurrently on the same pool — see
 // exact_network.hpp.
@@ -60,7 +71,6 @@
 
 #include "dataflow/conv_decompose.hpp"
 #include "sim/accelerator.hpp"
-#include "sim/least_loaded.hpp"
 #include "tensor/compressed_rows.hpp"
 #include "tensor/tensor.hpp"
 #include "util/thread_pool.hpp"
@@ -77,7 +87,7 @@ struct ExactOptions {
   std::size_t workers = 1;
   /// Group tasks per tile; 0 = adaptive (sized from the estimated row
   /// ops per task so op-heavy forward tasks get small tiles and sparse
-  /// GTW tasks get large ones).
+  /// GTW tasks get large ones of whole channel runs).
   std::size_t tile_tasks = 0;
   /// Borrowed worker pool (not owned — must outlive the engine). When
   /// set the engine spawns no threads of its own: tile evaluation and
@@ -168,37 +178,17 @@ class ExactEngine {
                           std::size_t lanes) const;
 
  private:
-  /// One tile's locally-aggregated activity (summed into the stage
-  /// result in tile order; integer sums, so order never changes values).
-  struct TileTotals {
-    std::size_t row_ops = 0;
-    std::size_t busy = 0;
-    std::size_t macs = 0;
-    std::size_t reg = 0;
-  };
-
-  /// Per-stage working storage, pooled on the engine so repeated stages
+  /// Per-stage working storage — the per-task cycles, the scheduler and
+  /// the stage-wide tables — pooled on the engine so repeated stages
   /// re-use grown buffers instead of allocating (concurrent stages each
-  /// lease their own arena).
-  struct StageArena {
-    std::vector<std::size_t> cycles;       ///< per-task cycles (tiled path)
-    std::vector<TileTotals> tile_totals;   ///< per-tile aggregates
-    LeastLoaded<std::size_t> sched;        ///< least-loaded group merge
-    std::vector<PeCost> src_costs;         ///< forward: per-input-row cost
-    std::vector<std::uint64_t> go_bits;    ///< GTA: dO occupancy over f
-    std::vector<std::uint32_t> go_active;  ///< GTA: all-pass counts over f
-    std::vector<std::uint64_t> all_active; ///< GTA: all-pass active bits
-    std::vector<std::uint32_t> go_chunks;  ///< GTW: ⌈nnz/K⌉ per dO row
-    std::vector<std::uint32_t> in_nnz;     ///< GTW: nnz per I row
-    std::vector<std::size_t> box_table;    ///< GTA/GTW: MAC box sums
-  };
+  /// lease their own arena). Defined in the .cpp.
+  struct StageArena;
 
   /// RAII lease of one arena from the engine's pool.
   struct ArenaLease {
     const ExactEngine* engine = nullptr;
     std::unique_ptr<StageArena> arena;
-    ArenaLease(const ExactEngine* e, std::unique_ptr<StageArena> a)
-        : engine(e), arena(std::move(a)) {}
+    ArenaLease(const ExactEngine* e, std::unique_ptr<StageArena> a);
     ArenaLease(const ArenaLease&) = delete;
     ArenaLease& operator=(const ArenaLease&) = delete;
     ~ArenaLease();
@@ -208,22 +198,26 @@ class ExactEngine {
   void release_arena(std::unique_ptr<StageArena> arena) const;
 
   /// Tile size for a stage: the explicit override, or the adaptive size
-  /// derived from `est_ops_per_task` (affects wall-clock only).
-  std::size_t tile_for(std::size_t task_count,
-                       std::size_t est_ops_per_task) const;
+  /// derived from `est_ops_per_task`, rounded up to a multiple of
+  /// `run_length` (affects wall-clock only).
+  std::size_t tile_for(std::size_t task_count, std::size_t est_ops_per_task,
+                       std::size_t run_length) const;
 
   /// Builds the stage's kernel with make_kernel(arena) — stage-wide
-  /// tables go into the leased arena — then evaluates kernel(i, reducer)
-  /// for every task i and merges the per-task cycle stream into the
+  /// tables go into the leased arena — then evaluates every task range
+  /// (one per tile) and merges the per-task cycle stream into the
   /// least-loaded-group scheduler in task order. Kernel is a
-  /// statically-dispatched stage struct exposing `lanes`, `stage_macs`
-  /// (MACs counted once for the stage rather than per op) and
-  /// `operator()(std::size_t, PeGroupReducer&) -> cycles`. Byte-identical
-  /// for any workers/tile_tasks. Defined in the .cpp (every instantiation
-  /// lives there).
+  /// statically-dispatched stage struct exposing `stage` (the counters
+  /// summed once for the whole stage) and `operator()(first, last,
+  /// cycles) -> OpTotals`, which writes the cycles of tasks [first, last)
+  /// to cycles[0, last − first) and returns whatever counters the stage
+  /// sum leaves to the tasks. Adaptive tiles hold whole runs of
+  /// `run_length` tasks. Byte-identical for any workers/tile_tasks.
+  /// Defined in the .cpp (every instantiation lives there).
   template <typename MakeKernel>
   ExactStageResult run_tasks(std::size_t task_count,
                              std::size_t est_ops_per_task,
+                             std::size_t run_length,
                              const MakeKernel& make_kernel) const;
 
   ArchConfig cfg_;

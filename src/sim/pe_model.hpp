@@ -139,15 +139,16 @@ class PeExact {
   PeTiming timing_;
 };
 
-/// Streaming fold of one group task's row-op costs into the group's
+/// The reference fold of one group task's row-op costs into the group's
 /// parallel-round timing (paper Fig. 7a): a group's PEs take the task's
 /// ops `width` at a time and each round lasts as long as its slowest op.
-/// The exact engine's tile kernels feed ops one at a time — no PeCost
-/// list is ever materialised — and read the task's cycle count back from
+/// Ops are fed one at a time and the task's cycle count is read back from
 /// end_task(); the busy/MAC/register counters accumulate across every
-/// task fed since construction (one reducer per tile). All arithmetic is
-/// the plain round fold, so the result is byte-identical to reducing a
-/// materialised op list.
+/// task fed since construction. This is the definition the exact engine
+/// is checked against (tests/test_exact_oracle.cpp folds every op through
+/// it), not the engine's inner loop: the engine's kernels fold only each
+/// op's cycles into the round maximum and sum the counters from per-row
+/// counts once per stage or task.
 class PeGroupReducer {
  public:
   PeGroupReducer(std::size_t width, std::size_t lanes)

@@ -1,16 +1,18 @@
 // Per-op oracle for the exact engine's forward, GTA and GTW stages.
 //
-// The engine folds forward ops from a per-input-row cost table, prices
-// GTA/GTW row ops from counts (per-row nonzeros, occupancy bits) and
-// counts both backward stages' MACs once per stage from summed-area
-// tables. This test re-derives every stage field the slow way: each
-// task's row ops run through the view-based PeExact::run_src /
-// run_msrc(BitMask) / run_osrc — one window intersection per nonzero —
-// folded by PeGroupReducer, and the per-task cycles go to an independent
+// The engine folds only each op's cycles into its task's PE rounds —
+// from a per-input-row cost table (forward), from counts (GTA), or for
+// every channel of a GTW (n, f) in lockstep — and sums the row-op, busy,
+// MAC and register counters once per stage or per task from count sums.
+// This test re-derives every stage field the slow way: each task's row
+// ops run through the view-based PeExact::run_src / run_msrc(BitMask) /
+// run_osrc — one window intersection per nonzero — folded op by op by
+// PeGroupReducer, and the per-task cycles go to an independent
 // std::priority_queue least-loaded scheduler. All six ExactStageResult
-// fields must match for serial and parallel engines, across kernel
-// sizes, strides, paddings, widths on both sides of the 64-bit word
-// edges, batch sizes, masks and densities.
+// fields must match for serial and parallel engines (pinned and adaptive
+// tiles), at every PE-group width, across kernel sizes, strides,
+// paddings, widths on both sides of the 64-bit word edges, channel
+// counts, batch sizes, masks and densities.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -193,12 +195,19 @@ Tensor sparse_tensor(Rng& rng, const Shape& shape, double density) {
   return t;
 }
 
-TEST(ExactOracle, ConvStagesMatchPerOpEvaluation) {
+/// PEs per group: 1 (one op per round), the DSE grid's {2, 3, 4}, and 7
+/// (rounds longer than most tasks' op runs).
+class ExactOracle : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ExactOracle, ConvStagesMatchPerOpEvaluation) {
   ArchConfig cfg;
   cfg.pe_groups = 5;  // few groups: every makespan depends on the order
+  cfg.pes_per_group = GetParam();
   const ExactEngine serial(cfg);
+  // Tiles of 1–3 tasks split GTW channel runs; adaptive (0) tiles hold
+  // whole runs.
   std::vector<std::unique_ptr<ExactEngine>> parallel;
-  for (std::size_t tile = 1; tile <= 3; ++tile) {
+  for (std::size_t tile = 0; tile <= 3; ++tile) {
     ExactOptions opts;
     opts.workers = 3;
     opts.tile_tasks = tile;
@@ -211,7 +220,7 @@ TEST(ExactOracle, ConvStagesMatchPerOpEvaluation) {
     dataflow::ConvGeometry geo;
     geo.kernel = kKernels[i % kKernels.size()];
     geo.stride = 1 + (i / kKernels.size()) % 4;
-    geo.in_channels = 1 + rng.uniform_index(3);
+    geo.in_channels = 1 + rng.uniform_index(9);
     geo.out_channels = 1 + rng.uniform_index(4);
     const std::size_t w = kWidths[i % kWidths.size()];
     const std::size_t h = 1 + rng.uniform_index(6);
@@ -244,7 +253,8 @@ TEST(ExactOracle, ConvStagesMatchPerOpEvaluation) {
         gtw_oracle(cfg, go_rows, out, in_rows, in, geo);
 
     const std::string what =
-        "case " + std::to_string(i) + ": K=" + std::to_string(geo.kernel) +
+        "case " + std::to_string(i) + ": PEs/group=" +
+        std::to_string(cfg.pes_per_group) + " K=" + std::to_string(geo.kernel) +
         " S=" + std::to_string(geo.stride) +
         " P=" + std::to_string(geo.padding) + " N=" + std::to_string(in.n) +
         " C=" + std::to_string(in.c) + " F=" + std::to_string(out.c) +
@@ -266,6 +276,9 @@ TEST(ExactOracle, ConvStagesMatchPerOpEvaluation) {
     if (HasFailure()) return;  // one case's report is enough to debug
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(PeWidths, ExactOracle,
+                         ::testing::Values(1, 2, 3, 4, 7));
 
 }  // namespace
 }  // namespace sparsetrain::sim
