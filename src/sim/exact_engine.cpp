@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <exception>
+#include <limits>
 #include <type_traits>
 
 #include "sim/least_loaded.hpp"
@@ -61,13 +62,22 @@ void require_rows(const CompressedRows& rows, const Shape& shape,
                  shape.to_string());
 }
 
+/// A GTA unit's per-channel lanes: blocked flags and ingested counts. An
+/// op ingests at most its dO row's nonzeros, so run_gta admits dO rows of
+/// at most 65,535 positions.
+using GtaLane = std::uint16_t;
+
 /// Per-worker-thread scratch. Capacities grow to the stage's steady state
-/// within the first few tasks, after which evaluating a task performs no
+/// within the first few units, after which evaluating one performs no
 /// heap allocation at all (the zero-alloc contract of the hot path).
 struct TaskScratch {
-  std::vector<std::uint64_t> gta_blocked;  ///< GTA: blocked dO positions
-  std::vector<std::uint32_t> gta_oy;  ///< GTA: source dO rows, ky order
-  std::vector<std::uint32_t> gta_counts;  ///< GTA: ingested, per (oy, f)
+  std::vector<std::uint32_t> gta_oy;     ///< GTA: source dO rows, ky order
+  std::vector<std::uint32_t> gta_allowed;  ///< GTA: mask prefix counts
+  std::vector<GtaLane> gta_lanes;        ///< GTA: blocked lanes at p·C + c
+  std::vector<std::uint32_t> gta_blockers;  ///< GTA: channels blocking p
+  std::vector<GtaLane> gta_count;        ///< GTA: one op's count per channel
+  std::vector<GtaLane> gta_round;        ///< GTA: open round max per channel
+  std::vector<std::size_t> gta_total;    ///< GTA: cycles per channel
   std::vector<std::size_t> gtw_round;  ///< GTW: open round max per channel
 };
 
@@ -135,16 +145,6 @@ class RoundMax {
   std::size_t round_ = 0;
   std::size_t in_round_ = 0;
 };
-
-/// Bit count in portable word arithmetic: on baseline x86-64 (no POPCNT)
-/// std::popcount lowers to a libgcc call that costs more than the rest of
-/// a GTA row op.
-std::size_t popcount64(std::uint64_t x) {
-  x -= (x >> 1) & 0x5555555555555555ull;
-  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
-  return static_cast<std::size_t>((x * 0x0101010101010101ull) >> 56);
-}
 
 /// The positions [lo, hi) of a K-wide window starting at o·S − P on an
 /// axis of length len, clipped to the axis (empty: hi == lo).
@@ -222,26 +222,6 @@ std::size_t box_macs(const CompressedRows& go_rows, const Shape& out,
   return macs;
 }
 
-/// Sets bit p (p < positions) of `active` when MSRC's look-ahead would
-/// ingest a dO nonzero at p: its output window [p·S − P, +K) holds an
-/// allowed position of the dI row's `mask` (null: every position of a
-/// row `len` long is allowed). Windows advance monotonically with p, so
-/// one forward scan over the mask serves every position.
-void lower_mask(const float* mask, std::size_t len, std::size_t positions,
-                const dataflow::ConvGeometry& geo, std::uint64_t* active) {
-  std::size_t x = 0;  // no allowed position in [window lo, x)
-  for (std::size_t p = 0; p < positions; ++p) {
-    const Interval win = clipped_window(p, geo, len);
-    if (win.hi == win.lo) continue;
-    if (mask != nullptr) {
-      x = std::max(x, win.lo);
-      while (x < win.hi && mask[x] == 0.0f) ++x;
-      if (x == win.hi) continue;
-    }
-    active[p >> 6] |= std::uint64_t{1} << (p & 63);
-  }
-}
-
 /// Shared coordination state of one tiled stage. Heap-held behind a
 /// shared_ptr: helper tasks that reach the pool after the stage finished
 /// must still fail their tile claim safely. Helpers touch the kernel and
@@ -279,9 +259,8 @@ struct ExactEngine::StageArena {
   LeastLoaded<std::size_t> sched;        ///< least-loaded group merge
   std::vector<std::size_t> src_cycles;   ///< forward: cycles per input row
   std::vector<PeCost> src_sums;          ///< forward: channel sums per (n, iy)
-  std::vector<std::uint64_t> go_bits;    ///< GTA: dO occupancy over f
-  std::vector<std::uint32_t> go_active;  ///< GTA: all-pass counts over f
-  std::vector<std::uint64_t> all_active; ///< GTA: all-pass active bits
+  std::vector<Interval> gta_windows;     ///< GTA: clipped window per dO position
+  std::vector<GtaLane> go_active;        ///< GTA: all-pass count per dO row
   std::vector<std::uint32_t> go_chunks;  ///< GTW: ⌈nnz/K⌉ per dO row
   std::vector<std::uint32_t> in_nnz;     ///< GTW: nnz per I row, over c
   std::vector<std::size_t> box_table;    ///< GTA/GTW: summed-area tables
@@ -334,35 +313,32 @@ ExactEngine::RowSet ExactEngine::compress(const Tensor& t) const {
   return compress_tensor(t, worker_pool());
 }
 
-std::size_t ExactEngine::tile_for(std::size_t task_count,
-                                  std::size_t est_ops_per_task,
-                                  std::size_t run_length) const {
-  if (opts_.tile_tasks != 0) return opts_.tile_tasks;
-  // Aim for a roughly constant amount of work per tile: GTW tasks often
-  // schedule only a handful of row ops (sparse dO rows skip whole
-  // slices) and pack thousands of tasks per tile, while op-heavy forward
-  // tasks split finely. Then cap so the stage still spreads over the
-  // pool with slack for load balance, and round up to whole runs of the
-  // tasks a kernel evaluates together. Tile size affects wall-clock only,
-  // never results (the merge consumes tasks in index order regardless).
+std::size_t ExactEngine::tile_for(std::size_t unit_count,
+                                  std::size_t est_ops_per_unit) const {
+  // Aim for a roughly constant amount of work per tile: GTW channel runs
+  // often schedule only a handful of row ops per task (sparse dO rows
+  // skip whole slices) and pack many runs per tile, while op-heavy
+  // forward tasks and GTA units split finely. Then cap so the stage still
+  // spreads over the pool with slack for load balance. Tile size affects
+  // wall-clock only, never results (the merge consumes tasks in index
+  // order regardless).
   constexpr std::size_t kTileRowOps = 2048;
   constexpr std::size_t kMaxTile = 4096;
   std::size_t tile =
-      kTileRowOps / std::max<std::size_t>(1, est_ops_per_task);
+      kTileRowOps / std::max<std::size_t>(1, est_ops_per_unit);
   tile = std::clamp<std::size_t>(tile, 1, kMaxTile);
   const util::ThreadPool* pool = worker_pool();
   const std::size_t threads =
       (pool != nullptr ? pool->worker_count() : 0) + 1;
   const std::size_t balance_cap =
-      std::max<std::size_t>(1, task_count / (4 * threads));
-  tile = std::max<std::size_t>(1, std::min(tile, balance_cap));
-  return (tile + run_length - 1) / run_length * run_length;
+      std::max<std::size_t>(1, unit_count / (4 * threads));
+  return std::min(tile, balance_cap);
 }
 
 template <typename MakeKernel>
 ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
-                                        std::size_t est_ops_per_task,
-                                        std::size_t run_length,
+                                        std::size_t est_ops_per_unit,
+                                        Lockstep units,
                                         const MakeKernel& make_kernel) const {
   using Kernel = std::invoke_result_t<const MakeKernel&, StageArena&>;
   ExactStageResult result;
@@ -387,15 +363,17 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
   const Kernel kernel = make_kernel(arena);
 
   util::ThreadPool* pool = worker_pool();
-  const std::size_t tile =
-      tile_for(task_count, est_ops_per_task, run_length);
-  const std::size_t tiles = (task_count + tile - 1) / tile;
+  const std::size_t unit_count = task_count / units.lanes;
+  const std::size_t tile = opts_.tile_tasks != 0
+                               ? opts_.tile_tasks
+                               : tile_for(unit_count, est_ops_per_unit);
+  const std::size_t tiles = (unit_count + tile - 1) / tile;
   arena.cycles.resize(task_count);
   std::size_t* cycles = arena.cycles.data();
 
   OpTotals totals = kernel.stage;
   if (pool == nullptr || tiles <= 1) {
-    totals += kernel(0, task_count, cycles);
+    totals += kernel(0, unit_count, cycles);
     for (std::size_t i = 0; i < task_count; ++i) sched.assign(cycles[i]);
   } else {
     arena.tile_totals.assign(tiles, OpTotals{});
@@ -404,13 +382,13 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
     auto eval_tile = [&](std::size_t t) {
       try {
         const std::size_t first = t * tile;
-        const std::size_t last = std::min(first + tile, task_count);
+        const std::size_t last = std::min(first + tile, unit_count);
         // Each tile reads its own copy of the kernel: the original sits
         // on the merging thread's stack next to data that thread writes
         // while it evaluates tiles, and sharing that cache line across
         // threads made parallel GTA slower than serial.
         const Kernel k = kernel;
-        arena.tile_totals[t] = k(first, last, cycles + first);
+        arena.tile_totals[t] = k(first, last, cycles);
       } catch (...) {
         run->record_error();
       }
@@ -438,9 +416,13 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
       }
     }
 
-    // Merge tiles strictly in tile order (= task order), overlapping the
-    // merge of tile t with the evaluation of later tiles.
+    // Merge tiles strictly in tile order and tasks strictly in task order,
+    // overlapping the merge of tile t with the evaluation of later tiles.
+    // Once units [0, u) are done, so is every task of the whole blocks of
+    // `lanes · span` tasks that their first u / span spans cover.
+    const std::size_t block = units.lanes * units.span;
     std::size_t merged = 0;
+    std::size_t assigned = 0;
     while (merged < tiles) {
       bool is_ready;
       {
@@ -457,9 +439,10 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
         std::unique_lock lock(run->mu);
         run->cv.wait(lock, [&] { return run->ready[merged] != 0; });
       }
-      const std::size_t first = merged * tile;
-      const std::size_t last = std::min(first + tile, task_count);
-      for (std::size_t i = first; i < last; ++i) sched.assign(cycles[i]);
+      const std::size_t done = std::min((merged + 1) * tile, unit_count);
+      const std::size_t last =
+          done == unit_count ? task_count : done / units.span * block;
+      for (; assigned < last; ++assigned) sched.assign(cycles[assigned]);
       totals += arena.tile_totals[merged];
       ++merged;
     }
@@ -515,81 +498,63 @@ struct ForwardKernel {
       for (std::size_t c = 0; c < geo.in_channels; ++c, row += in_shape.h) {
         for (std::size_t t = 0; t < taps; ++t) fold.add(row[t]);
       }
-      cycles[i - first] = fold.finish();
+      cycles[i] = fold.finish();
     }
     return {};
   }
 };
 
 /// GTA stage kernel: one task per dI row (n, c, iy), F·K MSRC ops
-/// scattering into it.
+/// scattering into it, evaluated one (n, iy) unit at a time.
 ///
-/// An MSRC op's cycles depend only on how many of its dO nonzeros the
-/// mask look-ahead ingests, and whether position p is ingested depends
-/// only on p and the task's mask row (lower_mask). The stage builds, once,
-/// the dO occupancy as planes over f — word w of row (n, f, oy) at
-/// ((n·OH + oy)·words + w)·F + f — and each row's count of nonzeros the
-/// all-pass mask ingests, as columns over f at (n·OH + oy)·F + f. A task
-/// lowers its mask row into the positions it blocks among those; for each
-/// source row oy it then computes all F counts in one contiguous AND +
-/// popcount sweep per blocking word, and folds them in (f, ky) order. A
-/// task that blocks nothing reads the counts alone. The ingested counts
-/// also give the task's busy and register counters, which a tile sums;
-/// MACs are counted once per stage (box_macs).
+/// An MSRC op costs wl + drain + the dO nonzeros the mask look-ahead
+/// ingests. The C tasks (n, ·, iy) run the same ops over the same dO rows,
+/// so they share every op's all-pass count (built once per stage, per dO
+/// row) and every round boundary; they differ only in the positions their
+/// mask rows block. A unit lowers every channel's mask row once into a
+/// position-major table of blocked lanes, one per channel, plus a count
+/// per position of the channels blocking it. For each (f, ky) op it sets
+/// every channel's count to the all-pass count minus the blocked lanes of
+/// the dO row's nonzeros and folds a per-channel round max; a round costs
+/// wl + drain + its largest count. The same counts give the unit's busy
+/// and register counters (their blocked total is the sum of the
+/// per-position counts); MACs are counted once per stage (box_macs). A
+/// unit whose masks block nothing folds once for all C tasks.
 struct GtaKernel {
   static constexpr const char* kStage = "gta";
-  const std::uint64_t* go_bits;    ///< occupancy planes over f
-  const std::uint32_t* go_active;  ///< all-pass ingested counts over f
-  std::size_t words;               ///< 64-bit words per dO row
+  const CompressedRows& go_rows;
+  const GtaLane* go_active;  ///< all-pass count per dO row
+  const Interval* windows;   ///< per dO position: its clipped dI window
   const dataflow::ConvGeometry& geo;
   Shape out;
-  Shape in_shape;
-  const PeExact& pe;
-  const std::uint64_t* all_active;  ///< positions the all-pass mask ingests
+  Shape in;
   const Tensor* prev_mask;
-  std::size_t wl;  ///< stage-constant weight-load cycles (hoisted)
-  std::size_t width;  ///< PEs per group
+  std::size_t op_cycles;  ///< an op's cycles when it ingests nothing
+  std::size_t width;      ///< PEs per group
   OpTotals stage;
 
   OpTotals operator()(std::size_t first, std::size_t last,
                       std::size_t* cycles) const {
     std::size_t ops = 0;
     std::size_t ingested = 0;
-    for (std::size_t i = first; i < last; ++i) {
-      cycles[i - first] = task(i, ops, ingested);
+    for (std::size_t u = first; u < last; ++u) {
+      unit(u / in.h, u % in.h, cycles, ops, ingested);
     }
-    // An op that ingests a nonzeros is busy for msrc_cost(0)'s cycles
-    // plus a.
-    return op_totals(ops, ops * pe.msrc_cost(0, 0, wl).cycles + ingested,
-                     ingested, 0, geo.kernel);
+    // An op that ingests a nonzeros is busy for op_cycles + a.
+    return op_totals(ops, ops * op_cycles + ingested, ingested, 0,
+                     geo.kernel);
   }
 
-  /// Task `index`'s cycles; adds its op and ingested counts.
-  std::size_t task(std::size_t index, std::size_t& ops,
-                   std::size_t& ingested) const {
-    const std::size_t iy = index % in_shape.h;
-    const std::size_t c = (index / in_shape.h) % geo.in_channels;
-    const std::size_t n = index / (in_shape.h * geo.in_channels);
-    const std::size_t nw = words;
-    const std::size_t fs = geo.out_channels;
+  /// Writes the cycles of tasks (n, c, iy) for every c; adds their op and
+  /// ingested counts.
+  void unit(std::size_t n, std::size_t iy, std::size_t* cycles,
+            std::size_t& ops, std::size_t& ingested) const {
+    const std::size_t cs = in.c;
+    const std::size_t fs = out.c;
     TaskScratch& scratch = task_scratch();
-    // The positions this task's mask blocks among those the all-pass
-    // mask ingests (its own active set is a subset of those).
-    std::vector<std::uint64_t>& blocked = scratch.gta_blocked;
-    blocked.assign(nw, 0);
-    bool any_blocked = false;
-    if (prev_mask != nullptr) {
-      lower_mask(prev_mask->row(n, c, iy).data(), in_shape.w, out.w, geo,
-                 blocked.data());
-      for (std::size_t w = 0; w < nw; ++w) {
-        blocked[w] = all_active[w] & ~blocked[w];
-        any_blocked |= blocked[w] != 0;
-      }
-    }
     // oy·S + ky − P = iy → every (oy, ky) pair writing this row, in ky
-    // order, kept as the (n, oy) plane index n·OH + oy. The mapping
-    // depends only on iy, so resolve it once per task instead of once per
-    // (f, ky).
+    // order. The mapping depends only on iy, so resolve it once per unit
+    // instead of once per (f, ky).
     std::vector<std::uint32_t>& src = scratch.gta_oy;
     src.clear();
     for (std::size_t ky = 0; ky < geo.kernel; ++ky) {
@@ -600,57 +565,115 @@ struct GtaKernel {
         continue;
       const auto oy = static_cast<std::size_t>(
           num / static_cast<std::int64_t>(geo.stride));
-      if (oy >= out.h) continue;
-      src.push_back(static_cast<std::uint32_t>(n * out.h + oy));
+      if (oy < out.h) src.push_back(static_cast<std::uint32_t>(oy));
     }
-    ops += fs * src.size();
-    const auto fold = [&](const auto& count) {
-      RoundMax rounds(width);
-      for (std::size_t f = 0; f < fs; ++f) {
-        for (std::size_t j = 0; j < src.size(); ++j) {
-          const std::size_t a = count(j, f);
-          ingested += a;
-          rounds.add(pe.msrc_cost(a, 0, wl).cycles);
+    ops += cs * fs * src.size();
+    // Task (n, c, iy) sits at task0[c · IH]; dO row (n, f, oy) at
+    // row0 + f · OH + oy.
+    std::size_t* task0 = cycles + n * cs * in.h + iy;
+    const std::size_t row0 = n * fs * out.h;
+
+    // Every channel's blocked lanes: position p is blocked when its
+    // window is not empty (the all-pass mask ingests p) but holds no
+    // position the channel's mask row allows. Only the lanes of positions
+    // some channel blocks are ever read.
+    bool any_blocked = false;
+    if (prev_mask != nullptr) {
+      scratch.gta_allowed.resize(in.w + 1);
+      scratch.gta_lanes.resize(out.w * cs);
+      scratch.gta_blockers.assign(out.w, 0);
+      std::uint32_t* allowed = scratch.gta_allowed.data();
+      GtaLane* lanes = scratch.gta_lanes.data();
+      std::uint32_t* blockers = scratch.gta_blockers.data();
+      allowed[0] = 0;
+      for (std::size_t c = 0; c < cs; ++c) {
+        const float* mask = prev_mask->row(n, c, iy).data();
+        for (std::size_t x = 0; x < in.w; ++x) {
+          allowed[x + 1] = allowed[x] + (mask[x] != 0.0f ? 1 : 0);
+        }
+        for (std::size_t p = 0; p < out.w; ++p) {
+          const Interval win = windows[p];
+          const GtaLane lane =
+              win.hi != win.lo && allowed[win.hi] == allowed[win.lo] ? 1 : 0;
+          lanes[p * cs + c] = lane;
+          blockers[p] += lane;
+          any_blocked |= lane != 0;
         }
       }
-      return rounds.finish();
-    };
+    }
     if (!any_blocked) {
-      return fold([&](std::size_t j, std::size_t f) {
-        return std::size_t{go_active[src[j] * fs + f]};
-      });
+      RoundMax rounds(width);
+      std::size_t sum = 0;
+      for (std::size_t f = 0; f < fs; ++f) {
+        for (const std::uint32_t oy : src) {
+          const std::size_t a = go_active[row0 + f * out.h + oy];
+          sum += a;
+          rounds.add(op_cycles + a);
+        }
+      }
+      ingested += cs * sum;
+      const std::size_t total = rounds.finish();
+      for (std::size_t c = 0; c < cs; ++c) task0[c * in.h] = total;
+      return;
     }
-    std::vector<std::uint32_t>& counts = scratch.gta_counts;
-    counts.resize(src.size() * fs);
-    for (std::size_t j = 0; j < src.size(); ++j) {
-      std::uint32_t* count = counts.data() + j * fs;
-      const std::uint32_t* active = go_active + src[j] * fs;
-      std::copy(active, active + fs, count);
-      for (std::size_t w = 0; w < nw; ++w) {
-        const std::uint64_t b = blocked[w];
-        if (b == 0) continue;
-        const std::uint64_t* plane = go_bits + (src[j] * nw + w) * fs;
-        for (std::size_t f = 0; f < fs; ++f) {
-          count[f] -= static_cast<std::uint32_t>(popcount64(plane[f] & b));
+
+    const GtaLane* lanes = scratch.gta_lanes.data();
+    const std::uint32_t* blockers = scratch.gta_blockers.data();
+    scratch.gta_count.resize(cs);
+    scratch.gta_round.assign(cs, 0);
+    scratch.gta_total.assign(cs, 0);
+    GtaLane* count = scratch.gta_count.data();
+    GtaLane* round = scratch.gta_round.data();
+    std::size_t* total = scratch.gta_total.data();
+    std::size_t sum = 0;
+    std::size_t blocked = 0;
+    std::size_t in_round = 0;
+    for (std::size_t f = 0; f < fs; ++f) {
+      for (const std::uint32_t oy : src) {
+        const std::size_t r = row0 + f * out.h + oy;
+        const GtaLane a = go_active[r];
+        sum += a;
+        // No ingested nonzero, none blocked: every count is 0, which
+        // leaves every round max as it is.
+        if (a != 0) {
+          std::fill(count, count + cs, a);
+          for (const std::uint32_t x : go_rows.row(r).offsets) {
+            if (blockers[x] == 0) continue;
+            blocked += blockers[x];
+            const GtaLane* lane = lanes + x * cs;
+            for (std::size_t c = 0; c < cs; ++c) count[c] -= lane[c];
+          }
+          for (std::size_t c = 0; c < cs; ++c) {
+            round[c] = std::max(round[c], count[c]);
+          }
+        }
+        if (++in_round == width) {
+          for (std::size_t c = 0; c < cs; ++c) {
+            total[c] += op_cycles + round[c];
+            round[c] = 0;
+          }
+          in_round = 0;
         }
       }
     }
-    return fold([&](std::size_t j, std::size_t f) {
-      return std::size_t{counts[j * fs + f]};
-    });
+    if (in_round != 0) {
+      for (std::size_t c = 0; c < cs; ++c) total[c] += op_cycles + round[c];
+    }
+    ingested += cs * sum - blocked;
+    for (std::size_t c = 0; c < cs; ++c) task0[c * in.h] = total[c];
   }
 };
 
 /// GTW stage kernel: one task per (n, f, c) kernel slice, OH·K OSRC ops
-/// (zero dO rows schedule nothing).
+/// (zero dO rows schedule nothing), evaluated one (n, f) unit at a time.
 ///
 /// An OSRC op's cycles depend only on nnz(I row) and ⌈nnz(dO row)/K⌉, so
 /// each op is priced from two flat tables the stage builds once. The C
 /// tasks of one (n, f) are adjacent and share the dO row and every ky
-/// range, so their ops split into the same rounds: the kernel runs them
-/// in lockstep, one pass over (oy, ky) updating every channel's open
-/// round from the channel-minor nnz table. The counters and MACs are
-/// summed once per stage.
+/// range, so their ops split into the same rounds: a unit runs them in
+/// lockstep, one pass over (oy, ky) updating every channel's open round
+/// from the channel-minor nnz table. The counters and MACs are summed
+/// once per stage.
 struct GtwKernel {
   static constexpr const char* kStage = "gtw";
   const std::uint32_t* go_chunks;  ///< per dO row: ⌈nnz/K⌉ (0: empty)
@@ -665,21 +688,16 @@ struct GtwKernel {
 
   OpTotals operator()(std::size_t first, std::size_t last,
                       std::size_t* cycles) const {
-    // A tile may start or end inside a channel run (pinned tile sizes).
-    for (std::size_t i = first; i < last;) {
-      const std::size_t c_lo = i % in.c;
-      const std::size_t c_hi = std::min(in.c, c_lo + (last - i));
-      channels(i / in.c, c_lo, c_hi, cycles + (i - first));
-      i += c_hi - c_lo;
+    for (std::size_t u = first; u < last; ++u) {
+      channels(u, cycles + u * in.c);
     }
     return {};
   }
 
-  /// Tasks (n, f, c) for c in [c_lo, c_hi), nf = n·F + f, in lockstep.
-  void channels(std::size_t nf, std::size_t c_lo, std::size_t c_hi,
-                std::size_t* total) const {
+  /// Tasks (n, f, c) for every c, nf = n·F + f, in lockstep.
+  void channels(std::size_t nf, std::size_t* total) const {
     const std::size_t n = nf / out.c;
-    const std::size_t cs = c_hi - c_lo;
+    const std::size_t cs = in.c;
     std::vector<std::size_t>& round = task_scratch().gtw_round;
     round.assign(cs, 0);
     std::fill(total, total + cs, 0);
@@ -689,7 +707,7 @@ struct GtwKernel {
       const std::size_t ch = chunks[oy];
       if (ch == 0) continue;  // zero dO row: nothing scheduled
       const auto [ky_lo, ky_hi, iy0] = valid_ky_range(oy, geo, in.h);
-      const std::uint32_t* nnz = in_nnz + (n * in.h + iy0) * in.c + c_lo;
+      const std::uint32_t* nnz = in_nnz + (n * in.h + iy0) * in.c;
       for (std::size_t t = ky_lo; t < ky_hi; ++t, nnz += in.c) {
         for (std::size_t c = 0; c < cs; ++c) {
           round[c] =
@@ -727,7 +745,7 @@ struct FcKernel {
   OpTotals operator()(std::size_t first, std::size_t last,
                       std::size_t* cycles) const {
     for (std::size_t i = first; i < last; ++i) {
-      cycles[i - first] = op_cycles(i / groups_per_sample);
+      cycles[i] = op_cycles(i / groups_per_sample);
     }
     return {};
   }
@@ -751,7 +769,8 @@ ExactStageResult ExactEngine::run_forward(
   const std::size_t task_count =
       in_shape.n * geo.out_channels * out_shape.h;
   return run_tasks(
-      task_count, geo.in_channels * geo.kernel, 1, [&](StageArena& arena) {
+      task_count, geo.in_channels * geo.kernel, {},
+      [&](StageArena& arena) {
         // Every input row's SRC cost (see ForwardKernel), and its
         // channel sum per (n, iy).
         const std::size_t wl = pe_.weight_load(b);
@@ -802,39 +821,35 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
              "GTA dO shape is not the conv output of the input shape");
   ST_REQUIRE(prev_mask == nullptr || prev_mask->shape() == input_shape,
              "GTA mask must have the input's shape");
+  ST_REQUIRE(out.w <= std::numeric_limits<GtaLane>::max(),
+             "GTA dO rows are at most " +
+                 std::to_string(std::numeric_limits<GtaLane>::max()) +
+                 " positions wide (an op's ingested count is a 16-bit lane)");
   const isa::RowBlock b =
       block_from(geo, out.w, input_shape.w, isa::RowOpKind::MSRC);
 
+  // A unit (n, iy) holds the C tasks (n, c, iy), IH apart in task order.
   const std::size_t task_count =
       out.n * geo.in_channels * input_shape.h;
   return run_tasks(
-      task_count, geo.out_channels * geo.kernel, 1, [&](StageArena& arena) {
-        // The active bitset of the all-pass mask, then the dO occupancy
-        // planes and all-pass counts (see GtaKernel; masked tasks lower
-        // their own active sets).
-        const std::size_t fs = out.c;
-        const std::size_t words = (out.w + 63) / 64;
-        arena.all_active.assign(words, 0);
-        lower_mask(nullptr, input_shape.w, out.w, geo,
-                   arena.all_active.data());
-        const std::uint64_t* all_active = arena.all_active.data();
-        arena.go_bits.assign(out.n * out.h * words * fs, 0);
-        arena.go_active.resize(out.n * out.h * fs);
-        for (std::size_t n = 0; n < out.n; ++n) {
-          for (std::size_t f = 0; f < fs; ++f) {
-            for (std::size_t oy = 0; oy < out.h; ++oy) {
-              const std::size_t plane = n * out.h + oy;
-              std::uint64_t* bits = arena.go_bits.data() + plane * words * fs;
-              std::uint32_t count = 0;
-              for (const std::uint32_t x :
-                   go_rows.row((n * fs + f) * out.h + oy).offsets) {
-                const std::uint64_t bit = std::uint64_t{1} << (x & 63);
-                bits[(x >> 6) * fs + f] |= bit;
-                count += (all_active[x >> 6] & bit) != 0 ? 1 : 0;
-              }
-              arena.go_active[plane * fs + f] = count;
-            }
+      task_count, geo.in_channels * geo.out_channels * geo.kernel,
+      {geo.in_channels, input_shape.h}, [&](StageArena& arena) {
+        // Every dO position's clipped window, then every dO row's count
+        // of nonzeros the all-pass mask ingests: those whose window is
+        // not empty (see GtaKernel; masked units lower their own blocked
+        // positions).
+        arena.gta_windows.resize(out.w);
+        for (std::size_t p = 0; p < out.w; ++p) {
+          arena.gta_windows[p] = clipped_window(p, geo, input_shape.w);
+        }
+        arena.go_active.resize(go_rows.rows());
+        for (std::size_t r = 0; r < go_rows.rows(); ++r) {
+          GtaLane count = 0;
+          for (const std::uint32_t x : go_rows.row(r).offsets) {
+            const Interval win = arena.gta_windows[x];
+            count += win.hi != win.lo ? 1 : 0;
           }
+          arena.go_active[r] = count;
         }
 
         // MACs: box sums over the channel-summed mask (a null mask
@@ -857,16 +872,14 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
         }
         integrate(table.data(), out.n, l);
         const std::size_t macs = box_macs(go_rows, out, geo, table.data(), l);
-        return GtaKernel{arena.go_bits.data(),
+        return GtaKernel{go_rows,
                          arena.go_active.data(),
-                         words,
+                         arena.gta_windows.data(),
                          geo,
                          out,
                          input_shape,
-                         pe_,
-                         all_active,
                          prev_mask,
-                         pe_.weight_load(b),
+                         pe_.msrc_cost(0, 0, pe_.weight_load(b)).cycles,
                          cfg_.pes_per_group,
                          OpTotals{.macs = macs}};
       });
@@ -894,13 +907,15 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
       out.n * geo.out_channels * geo.in_channels;
   // GTW tasks skip every zero dO row outright, so the realistic op count
   // per task is the nonempty-row fraction of the nominal OH·K (sparse
-  // gradients make this a small handful — big tiles, few claims).
+  // gradients make this a small handful — big tiles, few claims). A unit
+  // is the C tasks of one (n, f).
   const std::size_t est_ops = std::max<std::size_t>(
       1, go_rows.rows() == 0
              ? 1
              : go_rows.nonempty_rows() * out.h * geo.kernel /
                    go_rows.rows());
-  return run_tasks(task_count, est_ops, in.c, [&](StageArena& arena) {
+  return run_tasks(task_count, in.c * est_ops, {in.c, 1},
+                   [&](StageArena& arena) {
     // The two count tables every op is priced from (see GtwKernel) — nnz
     // channel-minor, so a channel run reads it contiguously — and, for
     // the MACs, the channel-summed occupancy of I.
@@ -978,7 +993,7 @@ ExactStageResult ExactEngine::run_fc(const Tensor& operands,
   const RowSet rows = compress(operands);
 
   const std::size_t task_count = s.n * groups_per_sample;
-  return run_tasks(task_count, 1, 1, [&](StageArena&) {
+  return run_tasks(task_count, 1, {}, [&](StageArena&) {
     FcKernel kernel{rows, groups_per_sample, cfg_.timing.pipeline_drain, {}};
     std::size_t busy = 0;
     for (std::size_t n = 0; n < s.n; ++n) busy += kernel.op_cycles(n);

@@ -13,26 +13,29 @@
 //
 //  * Tile kernels — each stage is one statically-dispatched kernel struct
 //    (ForwardKernel/GtaKernel/GtwKernel/FcKernel, see the .cpp) run by a
-//    run_tasks template. A kernel takes a task range and writes that
-//    range's cycle counts; per op it folds only what the schedule needs,
-//    the PE-round maximum (a group's PEs take a task's ops
-//    `pes_per_group` at a time, and a round lasts as long as its slowest
-//    op). Each op costs O(1) and the engine works from counts alone.
-//    Forward folds a per-input-row cost table. GTW prices an OSRC op from
-//    two flat tables, nnz per I row (channel-minor) and ⌈nnz/K⌉ per dO
-//    row, and evaluates the C tasks of one (n, f) in lockstep: they share
-//    the dO row and every ky range, so one pass over (oy, ky) updates
-//    every channel's round, and adaptive GTW tiles hold whole channel
-//    runs. GTA counts an MSRC op's ingested nonzeros from all-pass counts
-//    and, under a mask, one AND + popcount sweep over occupancy planes
-//    laid out over f.
+//    run_tasks template. A kernel takes a range of units — the tasks it
+//    evaluates together — and writes each of their tasks' cycle counts in
+//    place; per op it folds only what the schedule needs, the PE-round
+//    maximum (a group's PEs take a task's ops `pes_per_group` at a time,
+//    and a round lasts as long as its slowest op). The engine works from
+//    counts alone. Forward folds a per-input-row cost table, one task per
+//    unit. GTW prices an OSRC op from two flat tables, nnz per I row
+//    (channel-minor) and ⌈nnz/K⌉ per dO row; its unit is the C tasks of
+//    one (n, f), which share the dO row and every ky range, so one pass
+//    over (oy, ky) updates every channel's round. GTA's unit is one
+//    (n, iy) dI-row set, the C tasks (n, ·, iy), IH apart in task order:
+//    they share every op and round boundary and differ only in the
+//    positions their mask rows block, so a unit prices every channel's
+//    MSRC ops at once from a position-major table of 16-bit blocked
+//    lanes.
 //  * Counters from count sums — row ops, busy cycles, MACs and register
 //    accesses leave the op loop. Forward's depend only on (n, oy) and
 //    GTW's separate the same way, so each stage sums them once from its
 //    tables (forward: F × the per-(n, oy) window sums of the row costs;
 //    GTW: Σ_f ⌈nnz/K⌉ and Σ_c nnz(I row) per (n, oy)). GTA's depend on
-//    each task's mask row, so each task sums them from its own ingested
-//    counts. GTA and GTW MACs — the only field that needs the window
+//    the mask rows, so each unit sums them from its counts: C × the
+//    all-pass counts minus the blocking-channel counts of the nonzeros.
+//    GTA and GTW MACs — the only field that needs the window
 //    intersections — are K×K box sums over a summed-area table of
 //    channel-summed occupancy. No per-op cost record is materialised,
 //    and every RowSet overload checks its rows against the shapes it is
@@ -44,17 +47,20 @@
 //    evaluation of tile i+1: the merging thread consumes tiles as their
 //    ready flags rise and claims unevaluated tiles itself while waiting,
 //    so a stage never barriers on its full task list. Tiles are
-//    deterministic contiguous task ranges whose boundaries are adaptive
-//    (derived from the estimated row ops per task unless
-//    ExactOptions::tile_tasks pins them) — but neither tiling nor worker
-//    count ever changes any simulated number: results are byte-identical
-//    to the serial path for any ExactOptions.
+//    deterministic contiguous unit ranges whose boundaries are adaptive
+//    (derived from the estimated row ops per unit unless
+//    ExactOptions::tile_tasks pins the units per tile); GTA's tasks
+//    become mergeable a sample at a time, once all IH of its units are
+//    done. Neither tiling nor worker count ever changes any simulated
+//    number: results are byte-identical to the serial path for any
+//    ExactOptions.
 //
 // The hot path is allocation-free in steady state: operand tensors live
 // in CompressedRows arenas, each worker thread reuses a scratch buffer
-// (a GTA task's blocked-position bits and per-row counts, GTW's open
-// rounds), and the per-task cycles, the scheduler's tree and stage-wide
-// tables (forward's row costs and sums, GTA's occupancy planes and
+// (a GTA unit's source rows, mask prefix counts, blocked lanes and
+// per-channel counts, round maxima and totals; GTW's open rounds), and
+// the per-task cycles, the scheduler's tree and stage-wide tables
+// (forward's row costs and sums, GTA's clipped windows and all-pass
 // counts, GTW's count tables, the summed-area tables) live in a pooled
 // arena reused across stages (tests/test_exact_alloc.cpp counts
 // allocations; tests/test_exact_oracle.cpp re-derives every stage op by
@@ -85,9 +91,11 @@ struct ExactOptions {
   /// Worker threads stepping PE tiles. 1 = serial (no pool is created);
   /// 0 = hardware concurrency. Ignored when `shared_pool` is set.
   std::size_t workers = 1;
-  /// Group tasks per tile; 0 = adaptive (sized from the estimated row
-  /// ops per task so op-heavy forward tasks get small tiles and sparse
-  /// GTW tasks get large ones of whole channel runs).
+  /// Units per tile; 0 = adaptive (sized from the estimated row ops per
+  /// unit so op-heavy forward tasks get small tiles and sparse GTW runs
+  /// get large ones). A unit is the tasks a stage kernel evaluates
+  /// together: one forward or FC task, the C channel tasks of one GTW
+  /// (n, f), or the C channel tasks of one GTA (n, iy) dI-row set.
   std::size_t tile_tasks = 0;
   /// Borrowed worker pool (not owned — must outlive the engine). When
   /// set the engine spawns no threads of its own: tile evaluation and
@@ -197,27 +205,34 @@ class ExactEngine {
   ArenaLease acquire_arena() const;
   void release_arena(std::unique_ptr<StageArena> arena) const;
 
-  /// Tile size for a stage: the explicit override, or the adaptive size
-  /// derived from `est_ops_per_task`, rounded up to a multiple of
-  /// `run_length` (affects wall-clock only).
-  std::size_t tile_for(std::size_t task_count, std::size_t est_ops_per_task,
-                       std::size_t run_length) const;
+  /// The tasks a kernel evaluates together. Unit u = o·span + s holds the
+  /// `lanes` tasks (o·lanes + l)·span + s, l < lanes: `span` apart in
+  /// task order. The default is one task per unit.
+  struct Lockstep {
+    std::size_t lanes = 1;
+    std::size_t span = 1;
+  };
+
+  /// Adaptive tile size in units for a stage, derived from
+  /// `est_ops_per_unit` (affects wall-clock only).
+  std::size_t tile_for(std::size_t unit_count,
+                       std::size_t est_ops_per_unit) const;
 
   /// Builds the stage's kernel with make_kernel(arena) — stage-wide
-  /// tables go into the leased arena — then evaluates every task range
+  /// tables go into the leased arena — then evaluates every unit range
   /// (one per tile) and merges the per-task cycle stream into the
   /// least-loaded-group scheduler in task order. Kernel is a
   /// statically-dispatched stage struct exposing `stage` (the counters
   /// summed once for the whole stage) and `operator()(first, last,
-  /// cycles) -> OpTotals`, which writes the cycles of tasks [first, last)
-  /// to cycles[0, last − first) and returns whatever counters the stage
-  /// sum leaves to the tasks. Adaptive tiles hold whole runs of
-  /// `run_length` tasks. Byte-identical for any workers/tile_tasks.
-  /// Defined in the .cpp (every instantiation lives there).
+  /// cycles) -> OpTotals`, which writes the cycles of every task of units
+  /// [first, last) in place, to cycles[task index], and returns whatever
+  /// counters the stage sum leaves to the units. Tiles hold
+  /// ExactOptions::tile_tasks units each, or adaptive ones. Byte-identical
+  /// for any workers/tile_tasks. Defined in the .cpp (every instantiation
+  /// lives there).
   template <typename MakeKernel>
   ExactStageResult run_tasks(std::size_t task_count,
-                             std::size_t est_ops_per_task,
-                             std::size_t run_length,
+                             std::size_t est_ops_per_unit, Lockstep units,
                              const MakeKernel& make_kernel) const;
 
   ArchConfig cfg_;

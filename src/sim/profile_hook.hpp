@@ -25,6 +25,9 @@ class ExactProfiler {
   /// One engine stage finished. `seconds` is wall time for the whole
   /// stage (all tasks, all tiles), `tiles` is the number of parallel
   /// tiles actually used (1 for the serial path, 0 for an empty stage).
+  /// A tile is a run of units (see ExactOptions::tile_tasks): a GTW
+  /// tile holds whole (n, f) channel runs and a GTA tile whole (n, iy)
+  /// dI-row sets, so GTA counts at most N·IH tiles.
   virtual void record_stage(const char* stage, double seconds,
                             std::uint64_t tasks, std::uint64_t row_ops,
                             std::uint64_t tiles) noexcept = 0;

@@ -83,8 +83,9 @@ TEST_P(DataflowFuzz, AllThreeStagesMatchDense) {
   Tensor dbias(Shape::vec(out_c));
   const Tensor row_dW = gtw_by_rows(grad_out, input, &dbias, geo);
   EXPECT_LT(max_abs_diff(conv.weight().grad, row_dW), 1e-3f);
-  if (cfg.bias)
+  if (cfg.bias) {
     EXPECT_LT(max_abs_diff(conv.bias_param().grad, dbias), 1e-3f);
+  }
 }
 
 std::vector<FuzzCase> fuzz_cases() {

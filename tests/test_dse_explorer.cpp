@@ -251,7 +251,9 @@ TEST(Explorer, PruneCallbackDropsCandidates) {
   const ExploreResult r = explore_tiny(1, opts);
   for (const auto& p : r.points) {
     EXPECT_EQ(p.complete, p.point.arch.pe_groups == 8);
-    if (p.point.arch.pe_groups != 8) EXPECT_TRUE(p.pruned);
+    if (p.point.arch.pe_groups != 8) {
+      EXPECT_TRUE(p.pruned);
+    }
   }
   for (const std::size_t i : r.frontier) {
     EXPECT_EQ(r.points[i].point.arch.pe_groups, 8u);

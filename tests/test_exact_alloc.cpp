@@ -80,10 +80,11 @@ std::size_t steady_state_allocs(const Fn& run) {
 // Since the streaming-merge rewrite there is no per-stage task-cost
 // vector at all: the serial path folds every task straight into the
 // group scheduler, and the scheduler arrays and every stage-wide table
-// (forward's row costs, GTA's dO occupancy bits and active sets, the
+// (forward's row costs, GTA's clipped windows and all-pass counts, the
 // GTA/GTW MAC tables) live in a pooled arena that a warmed engine
-// reuses without touching the heap. No steady-state stage run may
-// allocate at all.
+// reuses without touching the heap, as do the per-thread scratch
+// buffers (GTA's blocked lanes and per-channel counts, GTW's open
+// rounds). No steady-state stage run may allocate at all.
 constexpr std::size_t kZero = 0;
 
 TEST(ExactAlloc, SteadyStateTaskEvaluationIsAllocationFree) {

@@ -162,6 +162,42 @@ TEST(ExactEngine, RowSetOverloadsRejectMismatchedShapes) {
                ContractError);
 }
 
+// GTA counts an op's ingested nonzeros in 16-bit lanes, so run_gta admits
+// dO rows of up to 65,535 positions and rejects wider ones.
+TEST(ExactEngine, GtaCountsFitTheWidestAdmittedRow) {
+  ArchConfig cfg;
+  ExactEngine engine(cfg);
+  dataflow::ConvGeometry geo;
+  geo.kernel = 1;
+  geo.padding = 0;
+  geo.in_channels = 1;
+  geo.out_channels = 1;
+  const auto one_row = [&](std::size_t w) {
+    Tensor t(Shape{1, 1, 1, w});
+    t.fill(1.0f);
+    return t;
+  };
+
+  constexpr std::size_t kWidest = 65535;
+  const Tensor grad = one_row(kWidest);
+  Tensor mask = one_row(kWidest);
+  mask.at(0, 0, 0, 0) = 0.0f;
+  const Shape in = grad.shape();
+  // One op, one round: wl + the ingested nonzeros + drain.
+  const PeExact pe(cfg.timing);
+  isa::RowBlock block;
+  block.kernel = 1;
+  const std::size_t wl = pe.weight_load(block);
+  EXPECT_EQ(engine.run_gta(grad, in, nullptr, geo).cycles,
+            pe.msrc_cost(kWidest, 0, wl).cycles);
+  EXPECT_EQ(engine.run_gta(grad, in, &mask, geo).cycles,
+            pe.msrc_cost(kWidest - 1, 0, wl).cycles);
+
+  const Tensor wider = one_row(kWidest + 1);
+  EXPECT_THROW(engine.run_gta(wider, wider.shape(), nullptr, geo),
+               ContractError);
+}
+
 TEST(ExactEngine, MoreGroupsShortenMakespan) {
   Rng rng(9);
   Tensor input(Shape{1, 4, 12, 12});

@@ -195,6 +195,35 @@ Tensor sparse_tensor(Rng& rng, const Shape& shape, double density) {
   return t;
 }
 
+/// One GTA geometry on random operands: dO density `rho_go`, mask density
+/// `rho_mask` (negative: the all-pass mask), against both engines.
+void run_gta_case(const ExactEngine& serial, const ExactEngine& parallel,
+                  Rng& rng, const dataflow::ConvGeometry& geo, const Shape& in,
+                  double rho_go, double rho_mask) {
+  const Shape out = dataflow::conv_output_shape(geo, in);
+  const CompressedRows go_rows =
+      compress_tensor(sparse_tensor(rng, out, rho_go));
+  Tensor mask = sparse_tensor(rng, in, std::max(rho_mask, 0.0));
+  for (float& v : mask.flat())
+    if (v != 0.0f) v = 1.0f;
+  const Tensor* mask_ptr = rho_mask < 0.0 ? nullptr : &mask;
+  const ExactStageResult want =
+      gta_oracle(serial.config(), go_rows, out, in, mask_ptr, geo);
+  const std::string what =
+      "PEs/group=" + std::to_string(serial.config().pes_per_group) +
+      " K=" + std::to_string(geo.kernel) + " S=" + std::to_string(geo.stride) +
+      " P=" + std::to_string(geo.padding) + " N=" + std::to_string(in.n) +
+      " C=" + std::to_string(in.c) + " F=" + std::to_string(out.c) +
+      " H=" + std::to_string(in.h) + " W=" + std::to_string(in.w) +
+      " rho_go=" + std::to_string(rho_go) +
+      (mask_ptr != nullptr ? " rho_mask=" + std::to_string(rho_mask)
+                           : " unmasked");
+  expect_same(serial.run_gta(go_rows, out, in, mask_ptr, geo), want,
+              what + " serial gta");
+  expect_same(parallel.run_gta(go_rows, out, in, mask_ptr, geo), want,
+              what + " parallel gta");
+}
+
 /// PEs per group: 1 (one op per round), the DSE grid's {2, 3, 4}, and 7
 /// (rounds longer than most tasks' op runs).
 class ExactOracle : public ::testing::TestWithParam<std::size_t> {};
@@ -204,8 +233,9 @@ TEST_P(ExactOracle, ConvStagesMatchPerOpEvaluation) {
   cfg.pe_groups = 5;  // few groups: every makespan depends on the order
   cfg.pes_per_group = GetParam();
   const ExactEngine serial(cfg);
-  // Tiles of 1–3 tasks split GTW channel runs; adaptive (0) tiles hold
-  // whole runs.
+  // Tiles of 1–3 units (a forward task, a GTW (n, f) channel run or a
+  // GTA (n, iy) set each; pinned GTA tiles straddle samples) and
+  // adaptive (0) ones.
   std::vector<std::unique_ptr<ExactEngine>> parallel;
   for (std::size_t tile = 0; tile <= 3; ++tile) {
     ExactOptions opts;
@@ -275,6 +305,52 @@ TEST_P(ExactOracle, ConvStagesMatchPerOpEvaluation) {
     }
     if (HasFailure()) return;  // one case's report is enough to debug
   }
+}
+
+// GTA evaluates the C tasks (n, ·, iy) in lockstep, one lane per
+// channel, so channel counts that are no multiple of a vector width
+// exercise its remainder lanes, and a dense dO row wider than 255
+// positions needs counts wider than a byte.
+TEST_P(ExactOracle, GtaWideChannelLockstepMatchesPerOpEvaluation) {
+  ArchConfig cfg;
+  cfg.pe_groups = 5;
+  cfg.pes_per_group = GetParam();
+  const ExactEngine serial(cfg);
+  ExactOptions opts;
+  opts.workers = 3;
+  const ExactEngine parallel(cfg, opts);
+
+  constexpr std::array<std::size_t, 4> kChannels = {16, 17, 40, 97};
+  Rng rng(0x1a9e5);
+  std::size_t i = 0;
+  for (const std::size_t c : kChannels) {
+    for (const std::size_t n : {1, 3}) {
+      for (const bool masked : {false, true}) {
+        dataflow::ConvGeometry geo;
+        geo.kernel = kKernels[i % 3];  // 1, 3, 5
+        geo.stride = 1 + i % 2;
+        geo.padding = geo.kernel / 2;
+        geo.in_channels = c;
+        geo.out_channels = 8 + i % 5;
+        const Shape in{n, c, 2 + i % 3, kWidths[2 + i % 5]};
+        const double rho_go = kDensities[2 + i % 3];
+        const double rho_mask = kDensities[1 + (i / 2) % 4];
+        run_gta_case(serial, parallel, rng, geo, in, rho_go,
+                     masked ? rho_mask : -1.0);
+        ++i;
+        if (HasFailure()) return;
+      }
+    }
+  }
+  // Dense dO rows of 300 positions: every op ingests up to 300 nonzeros,
+  // and under a 0.7-dense mask a few of them are blocked.
+  dataflow::ConvGeometry geo;
+  geo.kernel = 3;
+  geo.padding = 1;
+  geo.in_channels = 17;
+  geo.out_channels = 8;
+  run_gta_case(serial, parallel, rng, geo, Shape{1, 17, 2, 300}, 1.0, 0.7);
+  run_gta_case(serial, parallel, rng, geo, Shape{1, 17, 2, 300}, 1.0, -1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(PeWidths, ExactOracle,

@@ -64,7 +64,9 @@ void check_grid(const workload::NetworkConfig& net,
       run_exact(cfg, prog, net, profile, seed, ExactOptions{});
   // Degenerate fuzz geometries (1×N inputs fully inside padding) may
   // legitimately schedule zero work; identity still must hold there.
-  if (require_nonzero) EXPECT_GT(serial.total_cycles, 0u);
+  if (require_nonzero) {
+    EXPECT_GT(serial.total_cycles, 0u);
+  }
 
   for (const std::size_t workers : kWorkerGrid) {
     SCOPED_TRACE("workers=" + std::to_string(workers));

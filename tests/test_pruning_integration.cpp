@@ -167,7 +167,6 @@ TEST(SparsityMeterTest, ObservesNaturalSparsityDuringTraining) {
   dcfg.width = 12;
   dcfg.seed = 79;
   const data::SyntheticDataset train(dcfg);
-  const ModelInput mi{dcfg.channels, dcfg.height, dcfg.width, dcfg.classes};
 
   // Conv directly after ReLU (no pooling in between) so the natural
   // sparsity of I is visible: conv1 → relu → conv2 → relu → head.

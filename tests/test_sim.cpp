@@ -244,8 +244,9 @@ TEST(Compiler, FirstLayerHasNoGta) {
   const auto profile = SparsityProfile::natural(net);
   const isa::Program prog = compiler::compile(net, profile);
   for (const auto& inst : prog.instructions) {
-    if (inst.stage == isa::Stage::GTA)
+    if (inst.stage == isa::Stage::GTA) {
       EXPECT_NE(inst.layer_index, 0u);
+    }
   }
 }
 

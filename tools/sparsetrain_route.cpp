@@ -1,9 +1,10 @@
 // The shard-router daemon: fronts a pool of sparsetrain_serve daemons
 // with consistent-hash placement, circuit-breaker failover, and
-// best-effort replication (see src/serve/router.hpp).
+// best-effort replication (see src/serve/router.hpp). One command line,
+// wrapped here:
 //
-//   sparsetrain_route --listen 127.0.0.1:7100 \
-//       --shards 127.0.0.1:7117,127.0.0.1:7118,127.0.0.1:7119 \
+//   sparsetrain_route --listen 127.0.0.1:7100
+//       --shards 127.0.0.1:7117,127.0.0.1:7118,127.0.0.1:7119
 //       --replicas 1 --probe-interval-ms 500
 //
 // Clients speak the exact sparsetrain_serve NDJSON protocol to the

@@ -9,8 +9,9 @@
 // the resolved port for "host:0"). SIGTERM/SIGINT take the graceful
 // drain path in every mode, as a "shutdown" request does.
 //
-// Client (one request per invocation, response line on stdout):
-//   sparsetrain_serve --connect /tmp/sparsetrain.sock \
+// Client (one request per invocation, response line on stdout; each
+// command is one line, wrapped here):
+//   sparsetrain_serve --connect /tmp/sparsetrain.sock
 //       --submit '{"type":"eval","id":"r1","workload":"AlexNet/CIFAR"}'
 //   sparsetrain_serve --connect 127.0.0.1:7117 --stats --retries 5
 //   sparsetrain_serve --connect /tmp/sparsetrain.sock --shutdown
