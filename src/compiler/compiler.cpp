@@ -127,7 +127,8 @@ Program compile(const workload::NetworkConfig& net,
                 const CompileOptions& options) {
   ST_REQUIRE(profile.size() == net.layers.size(),
              "profile/layer count mismatch for " + net.name);
-  ST_REQUIRE(options.batch > 0, "batch must be positive");
+  ST_REQUIRE(options.batch > 0 && options.batch <= kMaxBatch,
+             "batch must be in [1, " + std::to_string(kMaxBatch) + "]");
 
   Program prog;
   prog.name = net.name + " [" + profile.name() + "]";

@@ -15,8 +15,13 @@
 
 namespace sparsetrain::compiler {
 
+/// Largest batch compile() accepts. It keeps batch × any layer's
+/// per-sample task and element counts far below 2^64, and sits well above
+/// the batches the benches sweep (1–16).
+inline constexpr std::size_t kMaxBatch = 1024;
+
 struct CompileOptions {
-  std::size_t batch = 1;       ///< samples per iteration
+  std::size_t batch = 1;       ///< samples per iteration, in [1, kMaxBatch]
   bool forward = true;
   bool gta = true;
   bool gtw = true;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "compiler/compiler.hpp"
 #include "util/format.hpp"
 #include "util/require.hpp"
 
@@ -35,11 +36,15 @@ std::uint64_t parse_hex16(const std::string& s) {
   return v;
 }
 
-std::size_t non_negative_int(const JsonValue& obj, const std::string& key,
-                             double fallback) {
+/// An integer field in [0, max] (`fallback` when absent). The range
+/// check comes before the conversion, which is undefined for a double
+/// outside the integer's range.
+std::size_t bounded_int(const JsonValue& obj, const std::string& key,
+                        double fallback, std::size_t max) {
   const double v = obj.get_number(key, fallback);
-  ST_REQUIRE(v >= 0 && std::floor(v) == v,
-             "protocol: '" + key + "' must be a non-negative integer");
+  ST_REQUIRE(v >= 0 && v <= static_cast<double>(max) && std::floor(v) == v,
+             "protocol: '" + key + "' must be an integer in [0, " +
+                 std::to_string(max) + "]");
   return static_cast<std::size_t>(v);
 }
 
@@ -123,9 +128,9 @@ Request parse_request(const std::string& line) {
   r.engine = doc.get_string("engine", r.engine);
   ST_REQUIRE(r.engine == "statistical" || r.engine == "exact",
              "protocol: unknown engine '" + r.engine + "'");
-  r.batch = non_negative_int(doc, "batch", 0);
+  r.batch = bounded_int(doc, "batch", 0, compiler::kMaxBatch);
   r.timeout_ms =
-      static_cast<long>(non_negative_int(doc, "timeout_ms", 0));
+      static_cast<long>(bounded_int(doc, "timeout_ms", 0, kMaxTimeoutMs));
   r.include_report = doc.get_bool("include_report", false);
   return r;
 }

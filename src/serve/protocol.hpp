@@ -49,6 +49,10 @@
 
 namespace sparsetrain::serve {
 
+/// Largest "timeout_ms" an eval request may ask for (one day), which
+/// keeps the server's wait deadline far inside steady_clock's range.
+inline constexpr long kMaxTimeoutMs = 86'400'000;
+
 struct Request {
   std::string type;  ///< eval | stats | status | metrics | shutdown | put
   std::string id;    ///< echoed verbatim in the response ("" when absent)
@@ -65,8 +69,10 @@ struct Request {
   double act_density = 0.45;
   double do_density = 1.0;          ///< scenario=calibrated only
   std::string engine = "statistical";  ///< statistical | exact
-  std::size_t batch = 0;               ///< 0 = session default
-  long timeout_ms = 0;                 ///< 0 = server default / none
+  /// 0 = session default; at most compiler::kMaxBatch.
+  std::size_t batch = 0;
+  /// 0 = server default / none; at most kMaxTimeoutMs.
+  long timeout_ms = 0;
   /// eval: ask for the serialized report ("report" hex) in the response.
   bool include_report = false;
   // put fields.
@@ -75,8 +81,9 @@ struct Request {
 };
 
 /// Parses one request line. Throws ContractError on malformed JSON, a
-/// missing/unknown "type", or out-of-domain fields — the server turns
-/// the exception into an explicit error response.
+/// missing/unknown "type", or out-of-domain fields (an integer field
+/// outside its range above included) — the server turns the exception
+/// into an explicit error response.
 Request parse_request(const std::string& line);
 
 struct Response {

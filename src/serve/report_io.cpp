@@ -197,8 +197,9 @@ sim::SimReport parse_report(std::string_view payload) {
   r.total_cycles = rd.take_u64("total_cycles");
   r.activity = rd.take_activity();
   r.energy = rd.take_energy();
+  // The count is untrusted, so nothing is reserved from it: a count past
+  // the payload's records ends in a truncated-record ContractError.
   const std::uint64_t n_stages = rd.take_u64("stages");
-  r.stages.reserve(n_stages);
   for (std::uint64_t i = 0; i < n_stages; ++i) {
     const auto f = rd.take_fields("stage", 3);
     sim::StageReport s;

@@ -1,9 +1,6 @@
 #include "sim/exact_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <exception>
 #include <limits>
 #include <type_traits>
 
@@ -222,35 +219,6 @@ std::size_t box_macs(const CompressedRows& go_rows, const Shape& out,
   return macs;
 }
 
-/// Shared coordination state of one tiled stage. Heap-held behind a
-/// shared_ptr: helper tasks that reach the pool after the stage finished
-/// must still fail their tile claim safely. Helpers touch the kernel and
-/// arena (whose lifetimes end with run_tasks' frame) only after a
-/// successful claim, and the merging caller cannot return before every
-/// claimed tile's ready flag rose — so those references are always alive
-/// when dereferenced.
-struct TileRun {
-  explicit TileRun(std::size_t tiles) : ready(tiles, 0) {}
-  std::atomic<std::size_t> next{0};  ///< tile claim counter
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::uint8_t> ready;   ///< guarded by mu
-  std::exception_ptr error;          ///< first tile error (guarded by mu)
-
-  void mark_ready(std::size_t t) {
-    {
-      std::lock_guard lock(mu);
-      ready[t] = 1;
-    }
-    cv.notify_all();
-  }
-
-  void record_error() {
-    std::lock_guard lock(mu);
-    if (!error) error = std::current_exception();
-  }
-};
-
 }  // namespace
 
 struct ExactEngine::StageArena {
@@ -313,32 +281,19 @@ ExactEngine::RowSet ExactEngine::compress(const Tensor& t) const {
   return compress_tensor(t, worker_pool());
 }
 
-std::size_t ExactEngine::tile_for(std::size_t unit_count,
-                                  std::size_t est_ops_per_unit) const {
-  // Aim for a roughly constant amount of work per tile: GTW channel runs
-  // often schedule only a handful of row ops per task (sparse dO rows
-  // skip whole slices) and pack many runs per tile, while op-heavy
-  // forward tasks and GTA units split finely. Then cap so the stage still
-  // spreads over the pool with slack for load balance. Tile size affects
-  // wall-clock only, never results (the merge consumes tasks in index
-  // order regardless).
-  constexpr std::size_t kTileRowOps = 2048;
-  constexpr std::size_t kMaxTile = 4096;
-  std::size_t tile =
-      kTileRowOps / std::max<std::size_t>(1, est_ops_per_unit);
-  tile = std::clamp<std::size_t>(tile, 1, kMaxTile);
+std::size_t ExactEngine::tile_for(std::size_t unit_count) const {
+  // About four tiles per thread, so the stage still spreads over the pool
+  // with slack for load balance. Tile size affects wall-clock only, never
+  // results (the merge consumes tasks in index order regardless).
   const util::ThreadPool* pool = worker_pool();
   const std::size_t threads =
       (pool != nullptr ? pool->worker_count() : 0) + 1;
-  const std::size_t balance_cap =
-      std::max<std::size_t>(1, unit_count / (4 * threads));
-  return std::min(tile, balance_cap);
+  return std::max<std::size_t>(1, unit_count / (4 * threads));
 }
 
 template <typename MakeKernel>
 ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
-                                        std::size_t est_ops_per_unit,
-                                        Lockstep units,
+                                        std::size_t unit_count,
                                         const MakeKernel& make_kernel) const {
   using Kernel = std::invoke_result_t<const MakeKernel&, StageArena&>;
   ExactStageResult result;
@@ -363,97 +318,35 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
   const Kernel kernel = make_kernel(arena);
 
   util::ThreadPool* pool = worker_pool();
-  const std::size_t unit_count = task_count / units.lanes;
-  const std::size_t tile = opts_.tile_tasks != 0
-                               ? opts_.tile_tasks
-                               : tile_for(unit_count, est_ops_per_unit);
+  const std::size_t tile =
+      opts_.tile_tasks != 0 ? opts_.tile_tasks : tile_for(unit_count);
   const std::size_t tiles = (unit_count + tile - 1) / tile;
   arena.cycles.resize(task_count);
+  arena.tile_totals.assign(tiles, OpTotals{});
   std::size_t* cycles = arena.cycles.data();
 
+  // parallel_for calls eval once per tile, or once for the whole range
+  // when it runs inline (no pool, or a single tile): first / tile is the
+  // tile's index either way.
+  const auto eval = [&](std::size_t first, std::size_t last) {
+    // Each tile reads its own copy of the kernel: the original sits on
+    // the calling thread's stack next to data that thread writes while
+    // it evaluates tiles, and sharing that cache line across threads made
+    // parallel GTA slower than serial.
+    const Kernel k = kernel;
+    arena.tile_totals[first / tile] = k(first, last, cycles);
+  };
+  // One captured reference fits std::function's small buffer, so the
+  // serial path allocates nothing.
+  util::parallel_for(pool, unit_count, tile,
+                     [&eval](std::size_t first, std::size_t last) {
+                       eval(first, last);
+                     });
+
+  // Merge in task order: the same deterministic stream for any tiling.
   OpTotals totals = kernel.stage;
-  if (pool == nullptr || tiles <= 1) {
-    totals += kernel(0, unit_count, cycles);
-    for (std::size_t i = 0; i < task_count; ++i) sched.assign(cycles[i]);
-  } else {
-    arena.tile_totals.assign(tiles, OpTotals{});
-
-    auto run = std::make_shared<TileRun>(tiles);
-    auto eval_tile = [&](std::size_t t) {
-      try {
-        const std::size_t first = t * tile;
-        const std::size_t last = std::min(first + tile, unit_count);
-        // Each tile reads its own copy of the kernel: the original sits
-        // on the merging thread's stack next to data that thread writes
-        // while it evaluates tiles, and sharing that cache line across
-        // threads made parallel GTA slower than serial.
-        const Kernel k = kernel;
-        arena.tile_totals[t] = k(first, last, cycles);
-      } catch (...) {
-        run->record_error();
-      }
-      run->mark_ready(t);
-    };
-
-    // Helpers claim tiles from the shared counter; the caller claims too
-    // while the tile it must merge next is not ready, so progress never
-    // depends on the pool's queue draining (nested stages are safe).
-    const std::size_t helpers =
-        std::min(pool->worker_count(), tiles - 1);
-    for (std::size_t h = 0; h < helpers; ++h) {
-      try {
-        pool->submit([run, &eval_tile] {
-          for (;;) {
-            const std::size_t t =
-                run->next.fetch_add(1, std::memory_order_relaxed);
-            if (t >= run->ready.size()) return;
-            eval_tile(t);
-          }
-        });
-      } catch (...) {
-        run->record_error();
-        break;
-      }
-    }
-
-    // Merge tiles strictly in tile order and tasks strictly in task order,
-    // overlapping the merge of tile t with the evaluation of later tiles.
-    // Once units [0, u) are done, so is every task of the whole blocks of
-    // `lanes · span` tasks that their first u / span spans cover.
-    const std::size_t block = units.lanes * units.span;
-    std::size_t merged = 0;
-    std::size_t assigned = 0;
-    while (merged < tiles) {
-      bool is_ready;
-      {
-        std::lock_guard lock(run->mu);
-        is_ready = run->ready[merged] != 0;
-      }
-      if (!is_ready) {
-        const std::size_t t =
-            run->next.fetch_add(1, std::memory_order_relaxed);
-        if (t < tiles) {
-          eval_tile(t);
-          continue;
-        }
-        std::unique_lock lock(run->mu);
-        run->cv.wait(lock, [&] { return run->ready[merged] != 0; });
-      }
-      const std::size_t done = std::min((merged + 1) * tile, unit_count);
-      const std::size_t last =
-          done == unit_count ? task_count : done / units.span * block;
-      for (; assigned < last; ++assigned) sched.assign(cycles[assigned]);
-      totals += arena.tile_totals[merged];
-      ++merged;
-    }
-
-    std::exception_ptr error;
-    {
-      std::lock_guard lock(run->mu);
-      error = run->error;
-    }
-    if (error) std::rethrow_exception(error);
-  }
+  for (const OpTotals& t : arena.tile_totals) totals += t;
+  for (std::size_t i = 0; i < task_count; ++i) sched.assign(cycles[i]);
 
   result.row_ops = totals.row_ops;
   result.activity.busy_cycles = totals.busy;
@@ -769,8 +662,7 @@ ExactStageResult ExactEngine::run_forward(
   const std::size_t task_count =
       in_shape.n * geo.out_channels * out_shape.h;
   return run_tasks(
-      task_count, geo.in_channels * geo.kernel, {},
-      [&](StageArena& arena) {
+      task_count, task_count, [&](StageArena& arena) {
         // Every input row's SRC cost (see ForwardKernel), and its
         // channel sum per (n, iy).
         const std::size_t wl = pe_.weight_load(b);
@@ -832,8 +724,7 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
   const std::size_t task_count =
       out.n * geo.in_channels * input_shape.h;
   return run_tasks(
-      task_count, geo.in_channels * geo.out_channels * geo.kernel,
-      {geo.in_channels, input_shape.h}, [&](StageArena& arena) {
+      task_count, out.n * input_shape.h, [&](StageArena& arena) {
         // Every dO position's clipped window, then every dO row's count
         // of nonzeros the all-pass mask ingests: those whose window is
         // not empty (see GtaKernel; masked units lower their own blocked
@@ -903,18 +794,10 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
   const isa::RowBlock b =
       block_from(geo, out.w, geo.kernel, isa::RowOpKind::OSRC);
 
+  // A unit (n, f) holds the C tasks (n, f, c), adjacent in task order.
   const std::size_t task_count =
       out.n * geo.out_channels * geo.in_channels;
-  // GTW tasks skip every zero dO row outright, so the realistic op count
-  // per task is the nonempty-row fraction of the nominal OH·K (sparse
-  // gradients make this a small handful — big tiles, few claims). A unit
-  // is the C tasks of one (n, f).
-  const std::size_t est_ops = std::max<std::size_t>(
-      1, go_rows.rows() == 0
-             ? 1
-             : go_rows.nonempty_rows() * out.h * geo.kernel /
-                   go_rows.rows());
-  return run_tasks(task_count, in.c * est_ops, {in.c, 1},
+  return run_tasks(task_count, out.n * geo.out_channels,
                    [&](StageArena& arena) {
     // The two count tables every op is priced from (see GtwKernel) — nnz
     // channel-minor, so a channel run reads it contiguously — and, for
@@ -993,7 +876,7 @@ ExactStageResult ExactEngine::run_fc(const Tensor& operands,
   const RowSet rows = compress(operands);
 
   const std::size_t task_count = s.n * groups_per_sample;
-  return run_tasks(task_count, 1, {}, [&](StageArena&) {
+  return run_tasks(task_count, task_count, [&](StageArena&) {
     FcKernel kernel{rows, groups_per_sample, cfg_.timing.pipeline_drain, {}};
     std::size_t busy = 0;
     for (std::size_t n = 0; n < s.n; ++n) busy += kernel.op_cycles(n);

@@ -40,31 +40,28 @@
 //    channel-summed occupancy. No per-op cost record is materialised,
 //    and every RowSet overload checks its rows against the shapes it is
 //    given once, at entry, so the tables need no per-op bounds check.
-//  * Streaming merge — per-task cycles feed the least-loaded-group
-//    scheduler (LeastLoaded, shared with the statistical engine),
-//    consumed strictly in task order (the identical deterministic stream
-//    the serial path produces). The merge of tile i overlaps the
-//    evaluation of tile i+1: the merging thread consumes tiles as their
-//    ready flags rise and claims unevaluated tiles itself while waiting,
-//    so a stage never barriers on its full task list. Tiles are
-//    deterministic contiguous unit ranges whose boundaries are adaptive
-//    (derived from the estimated row ops per unit unless
-//    ExactOptions::tile_tasks pins the units per tile); GTA's tasks
-//    become mergeable a sample at a time, once all IH of its units are
-//    done. Neither tiling nor worker count ever changes any simulated
-//    number: results are byte-identical to the serial path for any
-//    ExactOptions.
+//  * In-order merge — tiles, deterministic contiguous unit ranges (about
+//    four per thread unless ExactOptions::tile_tasks pins the units per
+//    tile), are claimed by util::parallel_for, the calling thread
+//    included. Once every tile is done, the per-task cycles feed the
+//    least-loaded-group scheduler (LeastLoaded, shared with the
+//    statistical engine) strictly in task order, in the one loop the
+//    serial path runs too. Neither tiling nor worker count ever changes
+//    any simulated number: results are byte-identical to the serial path
+//    for any ExactOptions.
 //
-// The hot path is allocation-free in steady state: operand tensors live
-// in CompressedRows arenas, each worker thread reuses a scratch buffer
-// (a GTA unit's source rows, mask prefix counts, blocked lanes and
-// per-channel counts, round maxima and totals; GTW's open rounds), and
-// the per-task cycles, the scheduler's tree and stage-wide tables
-// (forward's row costs and sums, GTA's clipped windows and all-pass
-// counts, GTW's count tables, the summed-area tables) live in a pooled
-// arena reused across stages (tests/test_exact_alloc.cpp counts
-// allocations; tests/test_exact_oracle.cpp re-derives every stage op by
-// op through PeGroupReducer, at every PE-group width the DSE grid uses).
+// The serial hot path is allocation-free in steady state: operand
+// tensors live in CompressedRows arenas, each worker thread reuses a
+// scratch buffer (a GTA unit's source rows, mask prefix counts, blocked
+// lanes and per-channel counts, round maxima and totals; GTW's open
+// rounds), the tile body handed to util::parallel_for fits
+// std::function's small buffer, and the per-task cycles, per-tile
+// totals, the scheduler's tree and stage-wide tables (forward's row
+// costs and sums, GTA's clipped windows and all-pass counts, GTW's count
+// tables, the summed-area tables) live in a pooled arena reused across
+// stages (tests/test_exact_alloc.cpp counts allocations;
+// tests/test_exact_oracle.cpp re-derives every stage op by op through
+// PeGroupReducer, at every PE-group width the DSE grid uses).
 // Whole networks run through sim::run_exact, which schedules independent
 // (layer, stage) units concurrently on the same pool — see
 // exact_network.hpp.
@@ -91,11 +88,10 @@ struct ExactOptions {
   /// Worker threads stepping PE tiles. 1 = serial (no pool is created);
   /// 0 = hardware concurrency. Ignored when `shared_pool` is set.
   std::size_t workers = 1;
-  /// Units per tile; 0 = adaptive (sized from the estimated row ops per
-  /// unit so op-heavy forward tasks get small tiles and sparse GTW runs
-  /// get large ones). A unit is the tasks a stage kernel evaluates
-  /// together: one forward or FC task, the C channel tasks of one GTW
-  /// (n, f), or the C channel tasks of one GTA (n, iy) dI-row set.
+  /// Units per tile; 0 = about four tiles per thread. A unit is the
+  /// tasks a stage kernel evaluates together: one forward or FC task,
+  /// the C channel tasks of one GTW (n, f), or the C channel tasks of one
+  /// GTA (n, iy) dI-row set.
   std::size_t tile_tasks = 0;
   /// Borrowed worker pool (not owned — must outlive the engine). When
   /// set the engine spawns no threads of its own: tile evaluation and
@@ -205,42 +201,33 @@ class ExactEngine {
   ArenaLease acquire_arena() const;
   void release_arena(std::unique_ptr<StageArena> arena) const;
 
-  /// The tasks a kernel evaluates together. Unit u = o·span + s holds the
-  /// `lanes` tasks (o·lanes + l)·span + s, l < lanes: `span` apart in
-  /// task order. The default is one task per unit.
-  struct Lockstep {
-    std::size_t lanes = 1;
-    std::size_t span = 1;
-  };
-
-  /// Adaptive tile size in units for a stage, derived from
-  /// `est_ops_per_unit` (affects wall-clock only).
-  std::size_t tile_for(std::size_t unit_count,
-                       std::size_t est_ops_per_unit) const;
+  /// Adaptive tile size in units for a stage of `unit_count` units:
+  /// about four tiles per thread (affects wall-clock only).
+  std::size_t tile_for(std::size_t unit_count) const;
 
   /// Builds the stage's kernel with make_kernel(arena) — stage-wide
-  /// tables go into the leased arena — then evaluates every unit range
-  /// (one per tile) and merges the per-task cycle stream into the
-  /// least-loaded-group scheduler in task order. Kernel is a
-  /// statically-dispatched stage struct exposing `stage` (the counters
-  /// summed once for the whole stage) and `operator()(first, last,
-  /// cycles) -> OpTotals`, which writes the cycles of every task of units
-  /// [first, last) in place, to cycles[task index], and returns whatever
-  /// counters the stage sum leaves to the units. Tiles hold
-  /// ExactOptions::tile_tasks units each, or adaptive ones. Byte-identical
-  /// for any workers/tile_tasks. Defined in the .cpp (every instantiation
-  /// lives there).
+  /// tables go into the leased arena — then evaluates its `unit_count`
+  /// units one tile (unit range) at a time with util::parallel_for and
+  /// merges the per-task cycle stream into the least-loaded-group
+  /// scheduler in task order. Kernel is a statically-dispatched stage
+  /// struct exposing `stage` (the counters summed once for the whole
+  /// stage) and `operator()(first, last, cycles) -> OpTotals`, which
+  /// writes the cycles of every task of units [first, last) in place, to
+  /// cycles[task index], and returns whatever counters the stage sum
+  /// leaves to the units. Tiles hold ExactOptions::tile_tasks units each,
+  /// or adaptive ones. Byte-identical for any workers/tile_tasks. Defined
+  /// in the .cpp (every instantiation lives there).
   template <typename MakeKernel>
-  ExactStageResult run_tasks(std::size_t task_count,
-                             std::size_t est_ops_per_unit, Lockstep units,
+  ExactStageResult run_tasks(std::size_t task_count, std::size_t unit_count,
                              const MakeKernel& make_kernel) const;
 
   ArchConfig cfg_;
   ExactOptions opts_;
   PeExact pe_;
   /// Created only when opts_.workers != 1 and no pool was borrowed;
-  /// shared by all run_* calls (which claim their own tiles, so
-  /// concurrent stages on one engine are safe).
+  /// shared by all run_* calls (parallel_for claims each stage's tiles
+  /// from a counter of its own, so concurrent stages on one engine are
+  /// safe).
   std::unique_ptr<util::ThreadPool> pool_;
   mutable std::mutex arenas_mu_;
   mutable std::vector<std::unique_ptr<StageArena>> free_arenas_;

@@ -23,8 +23,9 @@ class ExactProfiler {
   virtual ~ExactProfiler() = default;
 
   /// One engine stage finished. `seconds` is wall time for the whole
-  /// stage (all tasks, all tiles), `tiles` is the number of parallel
-  /// tiles actually used (1 for the serial path, 0 for an empty stage).
+  /// stage (all tasks, all tiles), `tiles` is the number of tiles
+  /// util::parallel_for spread over the pool (1 when the stage ran as
+  /// one inline call: no pool, or a single tile; 0 for an empty stage).
   /// A tile is a run of units (see ExactOptions::tile_tasks): a GTW
   /// tile holds whole (n, f) channel runs and a GTA tile whole (n, iy)
   /// dI-row sets, so GTA counts at most N·IH tiles.

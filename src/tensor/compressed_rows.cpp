@@ -27,12 +27,10 @@ bool CompressedRows::valid() const {
 void CompressedRows::start(std::uint32_t row_len,
                            std::span<const std::uint32_t> counts) {
   row_len_ = row_len;
-  nonempty_rows_ = 0;
   row_ptr_.resize(counts.size() + 1);
   row_ptr_[0] = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     ST_REQUIRE(counts[i] <= row_len, "CompressedRows: count exceeds row");
-    if (counts[i] > 0) ++nonempty_rows_;
     row_ptr_[i + 1] = row_ptr_[i] + counts[i];
   }
   offsets_.resize(row_ptr_.back());
@@ -111,7 +109,6 @@ CompressedRows sparse_normal_rows(std::uint64_t seed, const Shape& shape,
       }
     }
     rows.row_ptr_[r + 1] = rows.offsets_.size();
-    if (rows.row_ptr_[r + 1] != rows.row_ptr_[r]) ++rows.nonempty_rows_;
   }
   rows.values_.assign(rows.offsets_.size(), 1.0f);
   return rows;

@@ -39,11 +39,6 @@ class CompressedRows {
   std::size_t total_nnz() const { return values_.size(); }
   bool empty() const { return rows() == 0; }
 
-  /// Rows with at least one nonzero (counted once at build time). The
-  /// exact engine's adaptive tile sizing uses the nonempty fraction to
-  /// estimate how many GTW row ops a task actually schedules.
-  std::size_t nonempty_rows() const { return nonempty_rows_; }
-
   /// View of row i — two spans into the arena, no ownership.
   SparseRowView row(std::size_t i) const {
     ST_REQUIRE(i + 1 < row_ptr_.size(), "CompressedRows row out of range");
@@ -88,7 +83,6 @@ class CompressedRows {
                                            double density);
 
   std::uint32_t row_len_ = 0;
-  std::size_t nonempty_rows_ = 0;       ///< rows with nnz > 0
   std::vector<std::uint32_t> offsets_;  ///< all rows' offsets, concatenated
   std::vector<float> values_;           ///< all rows' values, concatenated
   std::vector<std::size_t> row_ptr_;    ///< row i spans [ptr[i], ptr[i+1])

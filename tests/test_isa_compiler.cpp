@@ -5,6 +5,7 @@
 #include "compiler/compiler.hpp"
 #include "core/session.hpp"
 #include "isa/instruction.hpp"
+#include "util/require.hpp"
 #include "workload/layer_config.hpp"
 #include "workload/sparsity_profile.hpp"
 
@@ -71,6 +72,18 @@ TEST(CompilerStream, RowOpKindsMatchStages) {
         break;
     }
   }
+}
+
+TEST(CompilerStream, BatchOutsideItsRangeIsRefused) {
+  const auto net = workload::tiny_workload();
+  const auto profile = workload::SparsityProfile::natural(net);
+  compiler::CompileOptions o;
+  o.batch = compiler::kMaxBatch;
+  EXPECT_NO_THROW(compiler::compile(net, profile, o));
+  o.batch = compiler::kMaxBatch + 1;
+  EXPECT_THROW(compiler::compile(net, profile, o), ContractError);
+  o.batch = 0;
+  EXPECT_THROW(compiler::compile(net, profile, o), ContractError);
 }
 
 TEST(CompilerStream, TaskCountsMatchGeometry) {

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "compiler/compiler.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -123,6 +124,25 @@ TEST(Protocol, RequestDefaultsAndValidation) {
   EXPECT_THROW(
       serve::parse_request("{\"type\":\"eval\",\"batch\":-1}"),
       ContractError);
+
+  // Each integer field accepts its cap and refuses one past it.
+  const auto eval_with = [](const std::string& key, std::uint64_t v) {
+    return "{\"type\":\"eval\",\"" + key + "\":" + std::to_string(v) +
+           "}";
+  };
+  EXPECT_EQ(serve::parse_request(eval_with("batch", compiler::kMaxBatch))
+                .batch,
+            compiler::kMaxBatch);
+  EXPECT_EQ(
+      serve::parse_request(eval_with("timeout_ms", serve::kMaxTimeoutMs))
+          .timeout_ms,
+      serve::kMaxTimeoutMs);
+  EXPECT_THROW(
+      serve::parse_request(eval_with("batch", compiler::kMaxBatch + 1)),
+      ContractError);
+  EXPECT_THROW(
+      serve::parse_request(eval_with("timeout_ms", serve::kMaxTimeoutMs + 1)),
+      ContractError);
 }
 
 TEST(Protocol, ResponseRoundTrip) {
@@ -211,6 +231,13 @@ TEST(Server, MalformedLineCorpusAlwaysAnswersAnError) {
       "{\"type\":\"eval\",\"batch\":-}",
       "{\"type\":\"eval\",\"batch\":1e}",
       "{\"type\":\"eval\",\"batch\":1e999}",
+      // Integers past their caps: an overflowing task count, conversions
+      // of out-of-range doubles, a wait deadline past steady_clock's end.
+      "{\"type\":\"eval\",\"workload\":\"tiny\",\"batch\":1e18}",
+      "{\"type\":\"eval\",\"workload\":\"tiny\",\"batch\":1e300}",
+      "{\"type\":\"eval\",\"workload\":\"tiny\",\"timeout_ms\":1e300}",
+      "{\"type\":\"eval\",\"workload\":\"VGG-16/ImageNet\","
+      "\"timeout_ms\":1e13}",
       "[1,2,]",
       "{\"a\":1,}",
       "nul",

@@ -86,6 +86,18 @@ TEST(ReportIo, RejectsCorruptPayloads) {
       serve::parse_report(payload.substr(0, payload.size() / 2)),
       ContractError);
   EXPECT_THROW(serve::parse_report(payload + "extra"), ContractError);
+
+  // A stage count far past the records that follow is an ordinary
+  // corrupt record, not an allocation failure (std::bad_alloc or
+  // std::length_error would escape ResultStore::get_result, which
+  // catches ContractError).
+  const std::size_t at = payload.find("\nstages=3\n");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* count : {"100000000000", "18446744073709551615"}) {
+    std::string bad = payload;
+    bad.replace(at, 10, std::string("\nstages=") + count + "\n");
+    EXPECT_THROW(serve::parse_report(bad), ContractError) << count;
+  }
 }
 
 TEST(Store, PutGetCountersAndReopen) {
