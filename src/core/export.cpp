@@ -114,11 +114,12 @@ ServiceStats service_stats(const Session& session) {
 }
 
 void export_stats_json(const ServiceStats& s, std::ostream& out) {
-  // v2 adds the degradation fields (read_only, publish_failures,
-  // dropped_publishes, tmp_cleaned); v1 consumers that only read the
-  // original counters keep working, the schema tag tells them more is
+  // v2 added the degradation fields (read_only, publish_failures,
+  // dropped_publishes, tmp_cleaned); v3 drops the program-record count,
+  // since the store keeps result records only. Consumers that read the
+  // remaining counters keep working; the schema tag tells them what is
   // there.
-  out << "{\"schema\": \"sparsetrain.store_stats/v2\",\n"
+  out << "{\"schema\": \"sparsetrain.store_stats/v3\",\n"
       << " \"program_cache\": {\"hits\": " << s.cache.hits
       << ", \"misses\": " << s.cache.misses
       << ", \"lookups\": " << s.cache.lookups() << "},\n"
@@ -135,7 +136,6 @@ void export_stats_json(const ServiceStats& s, std::ostream& out) {
         << ", \"dropped_publishes\": " << s.store.dropped_publishes
         << ", \"read_only\": " << (s.store.read_only ? "true" : "false")
         << ", \"entries\": " << s.store.entries
-        << ", \"program_entries\": " << s.store.program_entries
         << ", \"bytes\": " << s.store.bytes << "}";
   }
   out << "}\n";

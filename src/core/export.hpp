@@ -40,8 +40,9 @@ struct ServiceStats {
 ServiceStats service_stats(const Session& session);
 
 /// The "store-stats" report: one JSON object (schema
-/// "sparsetrain.store_stats/v2") with the cache and store counters, so
-/// daemons and drivers export service health without log scraping.
+/// "sparsetrain.store_stats/v3") with the cache and store counters, so
+/// daemons and drivers export service health without log scraping. The
+/// store object counts result records, the only records a store keeps.
 void export_stats_json(const ServiceStats& stats, std::ostream& out);
 
 /// Jobs + stats in one document: {"jobs": [...], "stats": {...}}. The

@@ -316,18 +316,13 @@ void Session::start_job(Job& job, const workload::NetworkConfig& net,
                                          *run.profile, run.seed, exact);
             }
             // Publication is strictly best-effort: a store that degraded
-            // to read-only (sick disk) drops the put and the session
-            // keeps computing — serving never depends on persistence.
-            if (store && !store->read_only()) {
+            // to read-only (sick disk) drops the put, counting it in
+            // dropped_publishes, and the session keeps computing —
+            // serving never depends on persistence.
+            if (store) {
               Phase phase(hist_.store_publish, trace, "store.publish");
               phase.span().attr("backend", backend->name());
               store->put_result(fp, out->report);
-              if (!store->contains_program(run.program_fp)) {
-                store->put_program(
-                    run.program_fp,
-                    {program->name, program->engine, program->batch,
-                     program->instructions.size()});
-              }
             }
           }));
     }

@@ -60,10 +60,12 @@ struct SessionConfig {
   /// Optional persistent result store. When set, every backend run first
   /// consults the store (a hit skips compilation AND simulation — the
   /// stored report is byte-identical to what the run would produce) and
-  /// publishes its report after simulating, so results persist across
-  /// processes and users. Publication is best-effort: a store that has
-  /// degraded to read-only (persistent publish failures, e.g. a full
-  /// disk) drops the put and the evaluation still completes normally.
+  /// publishes its report after simulating — one result record per
+  /// computed run, nothing else — so results persist across processes
+  /// and users. Publication is best-effort: a store that has degraded to
+  /// read-only (persistent publish failures, e.g. a full disk) drops the
+  /// put, counting it in StoreStats::dropped_publishes, and the
+  /// evaluation still completes normally.
   /// Shared ownership: several sessions may point at one store.
   std::shared_ptr<serve::ResultStore> store;
   /// Metrics registry the session instruments itself on (program-cache

@@ -311,7 +311,6 @@ ExploreResult Explorer::explore(
     // state.
     result.store.read_only = store_after.read_only;
     result.store.entries = store_after.entries;
-    result.store.program_entries = store_after.program_entries;
     result.store.bytes = store_after.bytes;
     result.simulations = result.evaluations - result.store.hits;
   }

@@ -5,12 +5,7 @@
 
 #include "util/format.hpp"
 #include "util/hash.hpp"
-
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <unistd.h>
-#endif
+#include "util/syscall.hpp"
 
 namespace sparsetrain::obs {
 
@@ -45,11 +40,7 @@ Tracer::Tracer(TracerOptions opts) : opts_(std::move(opts)) {
   if (!opts_.path.empty()) {
     out_ = std::fopen(opts_.path.c_str(), "a");
   }
-#ifdef _WIN32
-  pid_ = _getpid();
-#else
-  pid_ = static_cast<int>(getpid());
-#endif
+  pid_ = util::process_id();
   // Span-id salt: distinct per process (pid) and per tracer instance
   // (counter), so concurrent emitters for one trace never mint the same
   // span id even when they share seed and counter sequence.

@@ -1,16 +1,16 @@
 #include "serve/daemon.hpp"
 
 #include <cstdio>
+#include <mutex>
 #include <sstream>
+#include <thread>
 #include <utility>
 
-#include "serve/line_server.hpp"
+#include "util/require.hpp"
+#include "util/syscall.hpp"
 
-#ifdef _WIN32
-#include <process.h>
-#else
+#ifndef _WIN32
 #include <csignal>
-#include <unistd.h>
 #endif
 
 namespace sparsetrain::serve {
@@ -26,14 +26,6 @@ std::unique_ptr<obs::Tracer> make_tracer(const DaemonOptions& opts,
   to.seed = opts.trace_seed;
   to.process = process;
   return std::make_unique<obs::Tracer>(std::move(to));
-}
-
-int process_id() {
-#ifdef _WIN32
-  return _getpid();
-#else
-  return static_cast<int>(getpid());
-#endif
 }
 
 /// The daemon the signal handlers drive; null outside a ShutdownSignals
@@ -168,7 +160,7 @@ Response Daemon::status_response(const Request& req) {
   status_fields(os);
   // Provenance: which process is this, how long has it been up, and
   // which schema versions does it speak.
-  os << ", \"pid\": " << process_id()
+  os << ", \"pid\": " << util::process_id()
      << ", \"uptime_s\": " << seconds_since(started_)
      << ", \"tracing\": " << (tracer_ != nullptr ? "true" : "false")
      << ", \"schemas\": {\"metrics\": \"sparsetrain.metrics/v1\", "
@@ -204,39 +196,16 @@ Response Daemon::bye_response(const Request& req) {
 }
 
 int Daemon::serve_listener(Listener& listener) {
+  ST_REQUIRE(listener.valid(), "serve: listener is not listening");
 #ifndef _WIN32
   std::signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill us
 #endif
-  LineServerOptions lo;
-  lo.max_connections = daemon_opts_.max_connections;
-  lo.idle_timeout_ms = daemon_opts_.idle_timeout_ms;
-  {
-    Response rej;
-    rej.status = "rejected";
-    rej.error = "overloaded: " + std::to_string(daemon_opts_.max_connections) +
-                " connections already open, try again later";
-    lo.overloaded_line = format_response(rej);
-    Response idle;
-    idle.status = "error";
-    idle.error = "idle timeout: no request for " +
-                 std::to_string(daemon_opts_.idle_timeout_ms) +
-                 " ms, closing connection";
-    lo.idle_line = format_response(idle);
-  }
-  lo.on_overloaded = [this]() { overloaded_->inc(); };
-  lo.on_idle_closed = [this]() { idle_closed_->inc(); };
-
   active_listener_.store(&listener);
   // A trigger that fired before the listener was published had nothing
   // to kick; honour it now, or accept() would block until the next
   // connection.
   if (shutdown_requested_.load()) listener.shutdown();
-  const int rc = run_line_server(
-      listener, lo, [this](const std::string& line, bool* stop_serving) {
-        const Response resp = handle(line);
-        if (resp.type == "bye") *stop_serving = true;
-        return format_response(resp);
-      });
+  serve_connections(listener);
   active_listener_.store(nullptr);
   listener.close();
   drain();
@@ -246,7 +215,131 @@ int Daemon::serve_listener(Listener& listener) {
     std::fprintf(stderr, "%s\n",
                  format_response(bye_response(Request{})).c_str());
   }
-  return rc;
+  return 0;
+}
+
+void Daemon::serve_connections(Listener& listener) {
+  // Thread discipline: all slot bookkeeping — creation, reaping, the
+  // final join — happens on this (the accept) thread; a connection
+  // thread touches only its own slot's conn and done flag, plus the
+  // other conns' thread-safe shutdown() on stop. A connection thread
+  // half-closes its conn; the fd itself is closed here after join, so a
+  // late shutdown() kick can never race a close.
+  Response rejected;
+  rejected.status = "rejected";
+  rejected.error = "overloaded: " +
+                   std::to_string(daemon_opts_.max_connections) +
+                   " connections already open, try again later";
+  const std::string overloaded_line = format_response(rejected);
+  Response idle;
+  idle.status = "error";
+  idle.error = "idle timeout: no request for " +
+               std::to_string(daemon_opts_.idle_timeout_ms) +
+               " ms, closing connection";
+  const std::string idle_line = format_response(idle);
+
+  struct ConnSlot {
+    Conn conn;
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::mutex conns_mu;
+  std::vector<std::shared_ptr<ConnSlot>> conns;  // guarded by conns_mu
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> active{0};
+
+  const auto reap_finished = [&]() {
+    std::vector<std::shared_ptr<ConnSlot>> finished;
+    {
+      std::lock_guard<std::mutex> lock(conns_mu);
+      auto it = conns.begin();
+      while (it != conns.end()) {
+        if ((*it)->done.load()) {
+          finished.push_back(*it);
+          it = conns.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    for (const auto& slot : finished) {
+      if (slot->thread.joinable()) slot->thread.join();
+    }
+  };
+
+  while (!stop.load()) {
+    Conn conn = listener.accept();
+    // accept() already retried every transient failure; an invalid Conn
+    // means shutdown() fired or the listener itself is broken.
+    if (!conn.valid()) break;
+    reap_finished();  // bound the slot list by the live connection count
+    if (daemon_opts_.max_connections > 0 &&
+        active.load() >= daemon_opts_.max_connections) {
+      overloaded_->inc();
+      conn.write_line(overloaded_line);
+      continue;  // conn closes on scope exit — an explicit no, not a hang
+    }
+    auto slot = std::make_shared<ConnSlot>();
+    slot->conn = std::move(conn);
+    {
+      std::lock_guard<std::mutex> lock(conns_mu);
+      conns.push_back(slot);
+    }
+    ++active;
+    // Raw pointer into the slot: the accept thread keeps the shared_ptr
+    // alive until after join (a shared_ptr capture would make the slot's
+    // own thread keep the slot alive — a cycle that never frees).
+    ConnSlot* s = slot.get();
+    slot->thread = std::thread([this, &idle_line, s, &listener, &stop,
+                                &conns_mu, &conns, &active]() {
+      std::string line;
+      for (;;) {
+        const Conn::ReadStatus st =
+            s->conn.read_line(line, daemon_opts_.idle_timeout_ms);
+        if (st == Conn::ReadStatus::Timeout) {
+          idle_closed_->inc();
+          s->conn.write_line(idle_line);
+          break;
+        }
+        if (st != Conn::ReadStatus::Ok) break;  // Eof / transport error
+        if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+        const Response resp = handle(line);
+        if (!s->conn.write_line(format_response(resp))) break;
+        if (resp.type == "bye") {
+          // Shutdown: stop accepting and kick every other connection so
+          // their reader loops end and the daemon can drain.
+          stop.store(true);
+          listener.shutdown();
+          std::lock_guard<std::mutex> lock(conns_mu);
+          for (const auto& other : conns) {
+            if (other.get() != s) other->conn.shutdown();
+          }
+          break;
+        }
+      }
+      // Half-close only — the fd is closed by the slot's destructor on
+      // the accept thread after join, so a late shutdown() kick can
+      // never race a concurrent close.
+      s->conn.shutdown();
+      --active;
+      s->done.store(true);
+    });
+  }
+
+  // Kick any connection still blocked in a read (idempotent after the
+  // stop kick), then join everything.
+  {
+    std::lock_guard<std::mutex> lock(conns_mu);
+    for (const auto& slot : conns) slot->conn.shutdown();
+  }
+  std::vector<std::shared_ptr<ConnSlot>> remaining;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu);
+    remaining.swap(conns);
+  }
+  for (const auto& slot : remaining) {
+    if (slot->thread.joinable()) slot->thread.join();
+  }
 }
 
 void Daemon::request_shutdown() {

@@ -17,9 +17,11 @@
 //    (pid, uptime_s, tracing state, schema versions); "metrics" answers
 //    the registry snapshot as sparsetrain.metrics/v1 JSON or wrapped
 //    Prometheus text; "shutdown" drains, then answers "bye".
-//  * Lifecycle — serve_listener runs the shared accept loop
-//    (serve/line_server.hpp) with the connection cap and idle timeout;
-//    request_shutdown is the async-signal-safe drain trigger;
+//  * Lifecycle — serve_listener runs the NDJSON accept loop: one handler
+//    thread per connection, a connection cap answered with an explicit
+//    rejection line (never a silent hang), a per-connection idle timeout
+//    (a told close, and counted), and a clean stop when a "bye" is
+//    answered; request_shutdown is the async-signal-safe drain trigger;
 //    ShutdownSignals routes SIGTERM/SIGINT to it; run_daemon is the
 //    tools' bind-announce-serve entry point.
 //
@@ -154,6 +156,12 @@ class Daemon {
  private:
   Response status_response(const Request& req);
   Response metrics_response(const Request& req);
+  /// serve_listener's accept loop: runs until the listener stops — by an
+  /// answered "bye", an external Listener::shutdown() (request_shutdown)
+  /// or an unrecoverable listener error — and joins every connection
+  /// thread before returning. Blank input lines are skipped, not
+  /// answered.
+  void serve_connections(Listener& listener);
 
   const std::string latency_name_;  ///< <role>_request_seconds
   const std::string schemas_;

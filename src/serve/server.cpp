@@ -71,7 +71,7 @@ core::Session::JobOptions request_job_options(const Request& r) {
 
 Server::Server(ServerOptions opts)
     : Daemon("server", "serve",
-             "\"stats\": \"sparsetrain.store_stats/v2\", "
+             "\"stats\": \"sparsetrain.store_stats/v3\", "
              "\"store\": \"sparsetrain.store/v1\", "
              "\"report\": \"sparsetrain.report/v1\"",
              opts),
@@ -345,8 +345,6 @@ void Server::sample_gauges() {
     const StoreStats ss = session_.result_store()->stats();
     m.gauge("store_resident_bytes").set(static_cast<double>(ss.bytes));
     m.gauge("store_result_entries").set(static_cast<double>(ss.entries));
-    m.gauge("store_program_entries")
-        .set(static_cast<double>(ss.program_entries));
     m.gauge("store_read_only").set(ss.read_only ? 1.0 : 0.0);
   }
 }

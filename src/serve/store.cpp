@@ -1,6 +1,7 @@
 #include "serve/store.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
@@ -19,6 +20,14 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kMagic = "sparsetrain.store/v1";
+/// Record kind in the header. Result records are the only kind; the word
+/// stays so directories written by older versions keep opening.
+constexpr const char* kKind = "result";
+
+/// Tmp-file sequence shared by every store instance in the process: with
+/// the pid it makes each publication's tmp name unique on a shared
+/// directory.
+std::atomic<std::uint64_t> g_tmp_seq{0};
 
 std::string hex16(std::uint64_t v) {
   char buf[17];
@@ -40,43 +49,6 @@ bool parse_hex(std::string_view s, std::uint64_t& out) {
     }
   }
   out = v;
-  return true;
-}
-
-std::string serialize_program_meta(const ProgramMeta& m) {
-  std::ostringstream os;
-  os << "name=" << m.name.size() << ':' << m.name << '\n'
-     << "engine=" << static_cast<unsigned>(m.engine) << '\n'
-     << "batch=" << m.batch << '\n'
-     << "instructions=" << m.instructions << '\n';
-  return os.str();
-}
-
-bool parse_program_meta(std::string_view payload, ProgramMeta& out) {
-  // name=<len>:<bytes>\nengine=..\nbatch=..\ninstructions=..\n
-  if (payload.rfind("name=", 0) != 0) return false;
-  payload.remove_prefix(5);
-  const std::size_t colon = payload.find(':');
-  if (colon == std::string_view::npos) return false;
-  std::size_t len = 0;
-  for (const char c : payload.substr(0, colon)) {
-    if (c < '0' || c > '9') return false;
-    len = len * 10 + static_cast<std::size_t>(c - '0');
-  }
-  if (colon + 1 + len >= payload.size()) return false;
-  out.name = std::string(payload.substr(colon + 1, len));
-  payload.remove_prefix(colon + 1 + len + 1);  // incl. '\n'
-  unsigned engine = 0;
-  unsigned long long batch = 0, instructions = 0;
-  if (std::sscanf(std::string(payload).c_str(),
-                  "engine=%u\nbatch=%llu\ninstructions=%llu", &engine, &batch,
-                  &instructions) != 3) {
-    return false;
-  }
-  if (engine > static_cast<unsigned>(isa::EngineKind::Exact)) return false;
-  out.engine = static_cast<isa::EngineKind>(engine);
-  out.batch = batch;
-  out.instructions = instructions;
   return true;
 }
 
@@ -113,9 +85,6 @@ ResultStore::ResultStore(std::string dir, StoreOptions opts)
   fs::create_directories(fs::path(dir_) / "results", ec);
   ST_REQUIRE(!ec, "cannot create store directory '" + dir_ + "': " +
                       ec.message());
-  fs::create_directories(fs::path(dir_) / "programs", ec);
-  ST_REQUIRE(!ec, "cannot create store directory '" + dir_ + "': " +
-                      ec.message());
   fs::create_directories(fs::path(dir_) / "tmp", ec);
   ST_REQUIRE(!ec, "cannot create store directory '" + dir_ + "': " +
                       ec.message());
@@ -133,22 +102,19 @@ ResultStore::ResultStore(std::string dir, StoreOptions opts)
   c_.publish_failures = &reg->counter("store_publish_failures_total");
   c_.dropped_publishes = &reg->counter("store_dropped_publishes_total");
   clean_tmp();
-  scan_dir("results", "result");
-  scan_dir("programs", "program");
+  scan_results();
 }
 
 std::string ResultStore::result_path(std::uint64_t fp) const {
   return (fs::path(dir_) / "results" / (hex16(fp) + ".rec")).string();
 }
 
-std::string ResultStore::program_path(std::uint64_t fp) const {
-  return (fs::path(dir_) / "programs" / (hex16(fp) + ".rec")).string();
-}
-
 void ResultStore::clean_tmp() {
   // Anything under tmp/ is a publication that never reached its rename —
   // a crash mid-write. The record it was replacing (if any) is still
-  // intact under results/, so stale tmp files are pure garbage.
+  // intact under results/, so stale tmp files are pure garbage. (On a
+  // shared directory it may also be another live process's publication
+  // in flight; see the header.)
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(fs::path(dir_) / "tmp", ec)) {
     std::error_code rm;
@@ -157,7 +123,7 @@ void ResultStore::clean_tmp() {
   }
 }
 
-void ResultStore::scan_dir(const char* subdir, const char* kind) {
+void ResultStore::scan_results() {
   // Recovery: every record must parse and checksum; anything torn (e.g. a
   // record truncated by a crash or a copy of a live directory) is skipped
   // and removed. Recency is seeded from modification times so eviction
@@ -170,16 +136,16 @@ void ResultStore::scan_dir(const char* subdir, const char* kind) {
     std::string name;
   };
   std::vector<Found> found;
-  const fs::path base = fs::path(dir_) / subdir;
   std::error_code ec;
-  for (const auto& de : fs::directory_iterator(base, ec)) {
+  for (const auto& de :
+       fs::directory_iterator(fs::path(dir_) / "results", ec)) {
     const std::string name = de.path().filename().string();
     std::uint64_t fp = 0;
     const bool named_ok = name.size() == 20 &&
                           name.compare(16, 4, ".rec") == 0 &&
                           parse_hex(name.substr(0, 16), fp);
     std::string payload;
-    if (!named_ok || !read_record(de.path().string(), kind, fp, payload)) {
+    if (!named_ok || !read_record(fp, payload)) {
       c_.torn_skipped->inc();
       std::error_code rm;
       fs::remove(de.path(), rm);
@@ -192,17 +158,13 @@ void ResultStore::scan_dir(const char* subdir, const char* kind) {
     if (a.mtime != b.mtime) return a.mtime < b.mtime;
     return a.name < b.name;
   });
-  const bool is_results = std::string(subdir) == "results";
-  auto& index = is_results ? results_ : programs_;
   for (const Found& f : found) {
-    index[f.fp] = Entry{f.bytes, next_seq_++};
-    if (is_results) bytes_ += f.bytes;
+    results_[f.fp] = Entry{f.bytes, next_seq_++};
+    bytes_ += f.bytes;
   }
 }
 
-std::uint64_t ResultStore::publish(const std::string& final_path,
-                                   const char* kind, std::uint64_t fp,
-                                   const std::string& payload) {
+void ResultStore::publish(std::uint64_t fp, const std::string& payload) {
   // Header + payload to a unique tmp file — every step checked, fsync
   // before the rename — then atomic rename: a reader either sees the
   // whole durable record or no record, and a torn tmp file is never
@@ -210,12 +172,13 @@ std::uint64_t ResultStore::publish(const std::string& final_path,
   // removed; an InjectedCrash propagates with the tmp left behind for
   // clean_tmp() at the next open, exactly like a real process death.
   std::ostringstream header;
-  header << kMagic << ' ' << kind << ' ' << hex16(fp) << ' '
+  header << kMagic << ' ' << kKind << ' ' << hex16(fp) << ' '
          << payload.size() << ' ' << hex16(fnv1a(payload)) << '\n';
   const std::string h = header.str();
   const std::string tmp =
       (fs::path(dir_) / "tmp" /
-       (hex16(fp) + "." + std::to_string(++tmp_counter_) + ".tmp"))
+       (hex16(fp) + "." + std::to_string(util::process_id()) + "." +
+        std::to_string(++g_tmp_seq) + ".tmp"))
           .string();
   auto fail = [&](const std::string& step) -> StoreIoError {
     const std::string cause = util::errno_text(errno);
@@ -237,10 +200,9 @@ std::uint64_t ResultStore::publish(const std::string& final_path,
     if (io_->sync(raw) != 0) throw fail("cannot fsync");
     if (io_->close(guard.release()) != 0) throw fail("cannot close");
   }
-  if (io_->rename(tmp, final_path) != 0) {
+  if (io_->rename(tmp, result_path(fp)) != 0) {
     throw fail("cannot publish");
   }
-  return payload.size();
 }
 
 void ResultStore::note_publish_failure(const std::string& cause) {
@@ -253,11 +215,10 @@ void ResultStore::note_publish_failure(const std::string& cause) {
   }
 }
 
-bool ResultStore::read_record(const std::string& path, const char* kind,
-                              std::uint64_t fp,
+bool ResultStore::read_record(std::uint64_t fp,
                               std::string& payload_out) const {
   std::string content;
-  if (!io_->read_file(path, content)) return false;
+  if (!io_->read_file(result_path(fp), content)) return false;
   const std::size_t eol = content.find('\n');
   if (eol == std::string::npos) return false;
   std::istringstream hdr(content.substr(0, eol));
@@ -265,7 +226,7 @@ bool ResultStore::read_record(const std::string& path, const char* kind,
   std::uint64_t size = 0;
   if (!(hdr >> magic >> got_kind >> fp_hex >> size >> sum_hex)) return false;
   std::uint64_t got_fp = 0, sum = 0;
-  if (magic != kMagic || got_kind != kind || !parse_hex(fp_hex, got_fp) ||
+  if (magic != kMagic || got_kind != kKind || !parse_hex(fp_hex, got_fp) ||
       got_fp != fp || !parse_hex(sum_hex, sum)) {
     return false;
   }
@@ -286,7 +247,7 @@ bool ResultStore::get_result(std::uint64_t fp, sim::SimReport& out) {
     return false;
   }
   std::string payload;
-  if (!read_record(result_path(fp), "result", fp, payload)) {
+  if (!read_record(fp, payload)) {
     // Evicted/garbled behind our back (another process): drop and miss.
     bytes_ -= it->second.bytes;
     results_.erase(it);
@@ -313,14 +274,14 @@ bool ResultStore::put_result(std::uint64_t fp, const sim::SimReport& report) {
     c_.dropped_publishes->inc();
     return false;
   }
-  std::uint64_t bytes = 0;
   try {
-    bytes = publish(result_path(fp), "result", fp, payload);
+    publish(fp, payload);
   } catch (const StoreIoError& e) {
     note_publish_failure(e.what());
     return false;
   }
   consecutive_publish_failures_ = 0;
+  const std::uint64_t bytes = payload.size();
   auto& entry = results_[fp];
   bytes_ += bytes - entry.bytes;  // overwrite replaces the old payload
   entry.bytes = bytes;
@@ -347,47 +308,9 @@ void ResultStore::evict_over_cap(std::uint64_t keep_fp) {
   }
 }
 
-bool ResultStore::get_program(std::uint64_t fp, ProgramMeta& out) {
-  std::lock_guard lock(mu_);
-  const auto it = programs_.find(fp);
-  if (it == programs_.end()) return false;
-  std::string payload;
-  if (!read_record(program_path(fp), "program", fp, payload) ||
-      !parse_program_meta(payload, out)) {
-    programs_.erase(it);
-    return false;
-  }
-  it->second.seq = next_seq_++;
-  return true;
-}
-
-bool ResultStore::put_program(std::uint64_t fp, const ProgramMeta& meta) {
-  const std::string payload = serialize_program_meta(meta);
-  std::lock_guard lock(mu_);
-  if (read_only_) {
-    c_.dropped_publishes->inc();
-    return false;
-  }
-  std::uint64_t bytes = 0;
-  try {
-    bytes = publish(program_path(fp), "program", fp, payload);
-  } catch (const StoreIoError& e) {
-    note_publish_failure(e.what());
-    return false;
-  }
-  consecutive_publish_failures_ = 0;
-  programs_[fp] = Entry{bytes, next_seq_++};
-  return true;
-}
-
 bool ResultStore::contains_result(std::uint64_t fp) const {
   std::lock_guard lock(mu_);
   return results_.count(fp) != 0;
-}
-
-bool ResultStore::contains_program(std::uint64_t fp) const {
-  std::lock_guard lock(mu_);
-  return programs_.count(fp) != 0;
 }
 
 bool ResultStore::read_only() const {
@@ -413,7 +336,6 @@ StoreStats ResultStore::stats() const {
   s.dropped_publishes = c_.dropped_publishes->value();
   s.read_only = read_only_;
   s.entries = results_.size();
-  s.program_entries = programs_.size();
   s.bytes = bytes_;
   return s;
 }

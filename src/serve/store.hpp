@@ -1,33 +1,35 @@
 // Content-addressed on-disk result store.
 //
 // Maps a job fingerprint (serve::fingerprint_v1) to a serialized
-// SimReport, and a program fingerprint (compiler::ProgramCache::
-// fingerprint) to compiled-program metadata, persistently across
-// processes and users. core::Session consults an attached store before
-// simulating and publishes after, so a warm store serves repeat
-// evaluation traffic with zero simulations and zero compiles.
+// SimReport, persistently across processes and users. core::Session
+// consults an attached store before simulating and publishes after, so a
+// warm store serves repeat evaluation traffic with zero simulations and
+// zero compiles.
 //
-// Layout: one record per file under <dir>/results and <dir>/programs,
-// named by the fingerprint hex. Records carry a versioned header with the
-// payload length and checksum; they are written to <dir>/tmp — every
-// write/flush checked, fsync'd before publication — and published by
-// atomic rename, so readers (and other store instances on the same
-// directory) never observe a half-written record and a torn tmp file is
-// never renamed into place. open() rebuilds the in-memory index by
-// scanning the record directories; torn/truncated/corrupt records are
-// skipped (and removed) rather than trusted, and stale tmp files left by
-// a crash mid-publication are cleaned up — a crash at any point costs at
-// most the record being written.
+// Layout: <dir>/results holds one record per file, named by the
+// fingerprint hex (<16 hex digits>.rec), and <dir>/tmp holds
+// publications in flight. A record is a one-line versioned header
+// ("sparsetrain.store/v1 result <fp> <payload bytes> <checksum>") and the
+// payload. Records are written to tmp/ — every write/flush checked,
+// fsync'd before publication — and published by atomic rename, so
+// readers (and other store instances on the same directory) never
+// observe a half-written record and a torn tmp file is never renamed into
+// place. open() rebuilds the in-memory index by scanning results/;
+// torn/truncated/corrupt records are skipped (and removed) rather than
+// trusted, and stale tmp files left by a crash mid-publication are
+// cleaned up — a crash at any point costs at most the record being
+// written. Older stores also kept compiled-program metadata under
+// <dir>/programs; that directory is never read, counted or removed, and
+// may be deleted by hand.
 //
 // Fault tolerance: all file I/O goes through an injectable serve::IoHooks
 // seam (StoreOptions::hooks), so tests can fail or kill any individual
-// step. A failed publication NEVER throws out of put_result/put_program —
-// the put reports failure, and after `read_only_after` consecutive
-// publication failures (a sick disk, not a one-off) the store degrades to
-// read-only: gets keep serving, puts are dropped and counted, and the
-// read_only flag is exported through stats() so operators see it. The
-// attached Session keeps computing either way — serving never dies
-// because the disk did.
+// step. A failed publication NEVER throws out of put_result — the put
+// reports failure, and after `read_only_after` consecutive publication
+// failures (a sick disk, not a one-off) the store degrades to read-only:
+// gets keep serving, puts are dropped and counted, and the read_only flag
+// is exported through stats() so operators see it. The attached Session
+// keeps computing either way — serving never dies because the disk did.
 //
 // Eviction: when `max_bytes > 0`, publishing a result evicts
 // least-recently-used result records until the resident payload size is
@@ -37,10 +39,17 @@
 //
 // Concurrency: all operations are thread-safe within one instance (a
 // single mutex — store traffic is tiny next to a simulation). Two
-// *processes* on one directory are safe against corruption thanks to the
-// rename discipline, but each instance only sees the other's records
-// published before its own open(); a get() whose file was evicted by
-// another instance degrades to a miss.
+// instances on one directory, in one process or in two, are safe against
+// corruption thanks to the rename discipline, but each instance only
+// sees the other's records published before its own open(); a get()
+// whose file was evicted by another instance degrades to a miss. Tmp
+// files are named <fp hex>.<pid>.<n>.tmp, with n from a process-wide
+// counter, so two instances publishing the same fingerprint never share
+// a tmp file: both renames land, and the later one's record stays. One
+// race remains: open() cleans every file under tmp/, including another
+// live process's publication in flight, whose rename then fails and
+// counts as that writer's publish failure (the record is lost, never
+// torn).
 #pragma once
 
 #include <cstdint>
@@ -51,7 +60,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "isa/instruction.hpp"
 #include "obs/metrics.hpp"
 #include "serve/io_hooks.hpp"
 #include "sim/report.hpp"
@@ -59,7 +67,7 @@
 namespace sparsetrain::serve {
 
 /// Internal signal that one publication step failed (carries the step and
-/// errno text). Never escapes put_result/put_program — it is what the
+/// errno text). Never escapes put_result — it is what the
 /// degradation path catches. Distinct from InjectedCrash, which simulates
 /// process death and must propagate.
 class StoreIoError : public std::runtime_error {
@@ -96,7 +104,6 @@ struct StoreStats {
   std::size_t dropped_publishes = 0;  ///< puts dropped while read-only
   bool read_only = false;        ///< store degraded: serving gets only
   std::size_t entries = 0;       ///< result records in the index
-  std::size_t program_entries = 0;  ///< program-metadata records
   std::uint64_t bytes = 0;       ///< resident result payload bytes
 
   std::size_t lookups() const { return hits + misses; }
@@ -105,16 +112,6 @@ struct StoreStats {
                           : static_cast<double>(hits) /
                                 static_cast<double>(lookups());
   }
-};
-
-/// Metadata kept per compiled program (the program itself is recompiled
-/// on a result miss; the metadata makes the store auditable without
-/// replaying anything).
-struct ProgramMeta {
-  std::string name;
-  isa::EngineKind engine = isa::EngineKind::Statistical;
-  std::size_t batch = 1;
-  std::size_t instructions = 0;
 };
 
 class ResultStore {
@@ -139,15 +136,8 @@ class ResultStore {
   /// for `fp`, if any, stays intact and readable.
   bool put_result(std::uint64_t fp, const sim::SimReport& report);
 
-  bool get_program(std::uint64_t fp, ProgramMeta& out);
-  /// Same degradation contract as put_result.
-  bool put_program(std::uint64_t fp, const ProgramMeta& meta);
-
   /// True when a result record for `fp` is resident (no stat counted).
   bool contains_result(std::uint64_t fp) const;
-
-  /// True when a program-metadata record for `fp` is resident.
-  bool contains_program(std::uint64_t fp) const;
 
   /// True once the store has degraded to read-only (see StoreOptions::
   /// read_only_after). Reads keep working; puts are dropped.
@@ -165,19 +155,16 @@ class ResultStore {
   };
 
   std::string result_path(std::uint64_t fp) const;
-  std::string program_path(std::uint64_t fp) const;
-  /// Serialise + tmp-write + fsync + rename. Returns the payload size;
-  /// throws StoreIoError (with the tmp file removed) on any failed step.
-  std::uint64_t publish(const std::string& final_path, const char* kind,
-                        std::uint64_t fp, const std::string& payload);
+  /// Header + tmp-write + fsync + rename to result_path(fp). Throws
+  /// StoreIoError (with the tmp file removed) on any failed step.
+  void publish(std::uint64_t fp, const std::string& payload);
   /// Records one publication failure; flips read-only after
   /// `read_only_after` consecutive ones.
   void note_publish_failure(const std::string& cause);
-  /// Validates a record file and returns its payload; false when the
-  /// record is torn/corrupt/missing.
-  bool read_record(const std::string& path, const char* kind,
-                   std::uint64_t fp, std::string& payload_out) const;
-  void scan_dir(const char* subdir, const char* kind);
+  /// Validates the record file for `fp` and returns its payload; false
+  /// when the record is torn/corrupt/missing.
+  bool read_record(std::uint64_t fp, std::string& payload_out) const;
+  void scan_results();
   void clean_tmp();
   void evict_over_cap(std::uint64_t keep_fp);
 
@@ -186,7 +173,6 @@ class ResultStore {
   std::shared_ptr<IoHooks> io_;  ///< never null after construction
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Entry> results_;
-  std::unordered_map<std::uint64_t, Entry> programs_;
   /// Counter handles, resolved in the constructor (before the recovery
   /// scan, which already counts) from StoreOptions::metrics or the
   /// private fallback registry.
@@ -207,7 +193,6 @@ class ResultStore {
   std::string last_publish_error_;
   std::uint64_t bytes_ = 0;     ///< resident result payload bytes
   std::uint64_t next_seq_ = 1;  ///< LRU clock
-  std::uint64_t tmp_counter_ = 0;
 };
 
 }  // namespace sparsetrain::serve

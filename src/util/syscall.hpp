@@ -10,6 +10,12 @@
 #include <cstring>
 #include <string>
 
+#ifdef _WIN32
+#include <process.h>
+#else
+#include <unistd.h>
+#endif
+
 namespace sparsetrain::util {
 
 /// Calls `fn` until it returns >= 0 or fails with an errno other than
@@ -21,6 +27,15 @@ auto retry_eintr(Fn&& fn) -> decltype(fn()) {
     r = fn();
   } while (r < 0 && errno == EINTR);
   return r;
+}
+
+/// The calling process's id.
+inline int process_id() {
+#ifdef _WIN32
+  return _getpid();
+#else
+  return static_cast<int>(::getpid());
+#endif
 }
 
 /// Human-readable errno text ("ENOSPC: No space left on device"-ish).

@@ -2,16 +2,22 @@
 // at every I/O step leaves the store openable with byte-identical replay),
 // checked-write failures (ENOSPC, EIO, short writes, fsync/rename
 // failures) that never corrupt the previous record, graceful degradation
-// to read-only after persistent publish failure, stale tmp cleanup, and a
+// to read-only after persistent publish failure, stale tmp cleanup, two
+// stores on one directory publishing one fingerprint at once, a
 // core::Session that keeps computing while its store is sick (and a DSE
-// sweep that reports the degradation).
+// sweep that reports the degradation), and a session's publication cost:
+// one record per computed evaluation, nothing beside results/ and tmp/.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/export.hpp"
 #include "core/session.hpp"
@@ -234,6 +240,51 @@ TEST(StoreFaults, StaleTmpFilesAreCleanedAtOpen) {
   fs::remove_all(dir);
 }
 
+/// Real I/O, except that the first fsync first runs `between`: a second
+/// store's whole publication then lands while this store's tmp file is
+/// written but not yet renamed.
+class InterleavingHooks : public serve::IoHooks {
+ public:
+  std::function<void()> between;
+
+  int sync(std::FILE* f) override {
+    if (between) std::exchange(between, nullptr)();
+    return IoHooks::sync(f);
+  }
+};
+
+TEST(StoreFaults, StoresSharingADirectoryNeverShareATmpFile) {
+  // Two instances on one directory publish fingerprint 7 at once. With
+  // per-instance tmp names both would write <fp>.1.tmp: the second
+  // rename would find its tmp file gone and count a publish failure.
+  const std::string dir = fresh_dir("faults_shared_tmp");
+  auto hooks = std::make_shared<InterleavingHooks>();
+  StoreOptions opts;
+  opts.hooks = hooks;
+  ResultStore a(dir, opts);
+  ResultStore b(dir);
+  const std::string a_bytes = serve::serialize_report(report_with_cycles(1));
+  const std::string b_bytes = serve::serialize_report(report_with_cycles(2));
+  bool b_published = false;
+  hooks->between = [&] {
+    b_published = b.put_result(7, report_with_cycles(2));
+  };
+  EXPECT_TRUE(a.put_result(7, report_with_cycles(1)));
+  EXPECT_TRUE(b_published);
+  EXPECT_EQ(a.stats().publish_failures, 0u);
+  EXPECT_EQ(b.stats().publish_failures, 0u);
+  EXPECT_EQ(a.last_publish_error(), "");
+  EXPECT_TRUE(fs::is_empty(fs::path(dir) / "tmp"));
+
+  ResultStore reopened(dir);
+  EXPECT_EQ(reopened.stats().torn_skipped, 0u);
+  sim::SimReport out;
+  ASSERT_TRUE(reopened.get_result(7, out));
+  const std::string got = serve::serialize_report(out);
+  EXPECT_TRUE(got == a_bytes || got == b_bytes);
+  fs::remove_all(dir);
+}
+
 TEST(SessionFaults, SessionKeepsComputingWithASickStore) {
   const std::string dir = fresh_dir("faults_session");
   auto hooks = std::make_shared<FaultIoHooks>();
@@ -299,6 +350,87 @@ TEST(SessionFaults, ExplorationReportsAStoreThatDegradedMidSweep) {
   EXPECT_GT(r.store.publish_failures, 0u);
   EXPECT_GT(r.store.dropped_publishes, 0u);
   EXPECT_EQ(r.store.puts, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(StorePublication, ComputedEvaluationPublishesOneRecord) {
+  // A cold evaluation's store traffic is one lookup (an index miss, no
+  // I/O) and one publication: exactly the hooked ops of one put_result.
+  const std::uint64_t one_publication = publication_op_count();
+  const std::string dir = fresh_dir("publish_once");
+  auto hooks = std::make_shared<FaultIoHooks>();
+  core::SessionConfig cfg;
+  cfg.workers = 1;
+  cfg.store = std::make_shared<ResultStore>(dir, with_hooks(hooks));
+  core::Session session(cfg);
+  const auto net = workload::tiny_workload();
+  const auto profile = workload::SparsityProfile::pruned(net, 0.9);
+
+  hooks->arm({});
+  const core::EvalResult r = session.wait(
+      session.submit(net, profile, {core::Session::kSparseBackend}));
+  EXPECT_FALSE(r.runs[0].from_store);
+  EXPECT_EQ(hooks->ops(), one_publication);
+  EXPECT_EQ(session.result_store()->stats().puts, 1u);
+  fs::remove_all(dir);
+}
+
+TEST(StorePublication, CapBoundsTheStoreDirectory) {
+  // N distinct evaluations on a capped store: everything the store
+  // writes lives under results/ (bounded by the cap) and tmp/ (empty
+  // between publications).
+  const auto net = workload::tiny_workload();
+  const auto profile = [&](int i) {
+    return workload::SparsityProfile::pruned(net, 0.5 + 0.05 * i);
+  };
+  std::uint64_t record = 0;
+  {
+    core::SessionConfig plain_cfg;
+    plain_cfg.workers = 1;
+    core::Session plain(plain_cfg);
+    const core::EvalResult r = plain.wait(
+        plain.submit(net, profile(0), {core::Session::kSparseBackend}));
+    record = serve::serialize_report(r.runs[0].report).size();
+  }
+  const std::string dir = fresh_dir("publish_capped");
+  StoreOptions opts;
+  opts.max_bytes = 2 * record + record / 2;  // room for about two records
+  core::SessionConfig cfg;
+  cfg.workers = 1;
+  cfg.store = std::make_shared<ResultStore>(dir, opts);
+  core::Session session(cfg);
+  constexpr int kEvaluations = 8;
+  for (int i = 0; i < kEvaluations; ++i) {
+    const core::EvalResult r = session.wait(
+        session.submit(net, profile(i), {core::Session::kSparseBackend}));
+    EXPECT_FALSE(r.runs[0].from_store);
+  }
+
+  std::vector<std::string> top;
+  for (const auto& de : fs::directory_iterator(dir)) {
+    top.push_back(de.path().filename().string());
+  }
+  std::sort(top.begin(), top.end());
+  EXPECT_EQ(top, (std::vector<std::string>{"results", "tmp"}));
+  EXPECT_TRUE(fs::is_empty(fs::path(dir) / "tmp"));
+
+  // The payload resident under results/ (each file minus its header
+  // line) is what the cap bounds.
+  std::size_t files = 0;
+  std::uint64_t payload = 0;
+  for (const auto& de : fs::directory_iterator(fs::path(dir) / "results")) {
+    std::ifstream in(de.path(), std::ios::binary);
+    std::string header;
+    std::getline(in, header);
+    payload += fs::file_size(de.path()) - (header.size() + 1);
+    ++files;
+  }
+  const serve::StoreStats s = session.result_store()->stats();
+  EXPECT_EQ(s.puts, static_cast<std::size_t>(kEvaluations));
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_EQ(files, s.entries);
+  EXPECT_EQ(payload, s.bytes);
+  EXPECT_LE(payload, opts.max_bytes);
   fs::remove_all(dir);
 }
 

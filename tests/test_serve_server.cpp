@@ -346,7 +346,7 @@ TEST(Server, StatsAndStatusRequests) {
   const Response stats = server.handle("{\"type\":\"stats\",\"id\":\"s\"}");
   EXPECT_EQ(stats.type, "stats");
   EXPECT_EQ(stats.status, "ok");
-  EXPECT_NE(stats.payload_json.find("sparsetrain.store_stats/v2"),
+  EXPECT_NE(stats.payload_json.find("sparsetrain.store_stats/v3"),
             std::string::npos);
   EXPECT_NE(stats.payload_json.find("\"store_attached\": true"),
             std::string::npos);

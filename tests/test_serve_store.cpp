@@ -1,12 +1,15 @@
 // Persistent result store: byte-exact report serialisation, durability
-// (reopen, torn-record recovery, concurrent writers), LRU eviction under
+// (reopen, torn-record recovery, concurrent writers, directories left by
+// older versions), LRU eviction under
 // a size cap, and the frozen v1 job fingerprint (golden value + per-field
 // sensitivity — the tripwire that fires when a result-affecting field is
 // added upstream without a canonicalisation version bump).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "serve/report_io.hpp"
 #include "serve/store.hpp"
 #include "sim/accelerator.hpp"
+#include "util/hash.hpp"
 #include "util/require.hpp"
 #include "workload/layer_config.hpp"
 #include "workload/sparsity_profile.hpp"
@@ -116,23 +120,13 @@ TEST(Store, PutGetCountersAndReopen) {
     EXPECT_EQ(s.puts, 1u);
     EXPECT_EQ(s.entries, 1u);
     EXPECT_GT(s.bytes, 0u);
-
-    serve::ProgramMeta meta{"tiny-b1", isa::EngineKind::Statistical, 1, 42};
-    EXPECT_FALSE(store.contains_program(7));
-    store.put_program(7, meta);
-    EXPECT_TRUE(store.contains_program(7));
   }
   // A fresh instance on the same directory sees everything.
   ResultStore reopened(dir);
   EXPECT_EQ(reopened.stats().entries, 1u);
-  EXPECT_EQ(reopened.stats().program_entries, 1u);
   sim::SimReport out;
   ASSERT_TRUE(reopened.get_result(1, out));
   EXPECT_EQ(serve::serialize_report(out), serve::serialize_report(r));
-  serve::ProgramMeta meta;
-  ASSERT_TRUE(reopened.get_program(7, meta));
-  EXPECT_EQ(meta.name, "tiny-b1");
-  EXPECT_EQ(meta.instructions, 42u);
   fs::remove_all(dir);
 }
 
@@ -168,6 +162,70 @@ TEST(Store, TornRecordIsSkippedAtOpen) {
   ResultStore again(dir);
   EXPECT_EQ(again.stats().torn_skipped, 0u);
   EXPECT_EQ(again.stats().entries, 1u);
+  fs::remove_all(dir);
+}
+
+/// A record file in the sparsetrain.store/v1 format: one header line
+/// ("sparsetrain.store/v1 <kind> <fp hex> <payload bytes> <fnv1a hex>")
+/// followed by the payload.
+std::string v1_record(const char* kind, std::uint64_t fp,
+                      const std::string& payload) {
+  char header[96];
+  std::snprintf(header, sizeof header, "sparsetrain.store/v1 %s %016llx %zu "
+                "%016llx\n", kind, static_cast<unsigned long long>(fp),
+                payload.size(),
+                static_cast<unsigned long long>(fnv1a(payload)));
+  return header + payload;
+}
+
+void write_file(const fs::path& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+TEST(Store, OlderLayoutWithProgramsDirectoryStillOpens) {
+  // Older stores also kept compiled-program metadata records under
+  // programs/. Such a directory opens as it is: its result records serve
+  // byte-identically, and programs/ is neither read, counted nor touched
+  // (not even its torn file).
+  const std::string dir = fresh_dir("older_layout");
+  const fs::path results = fs::path(dir) / "results";
+  const fs::path programs = fs::path(dir) / "programs";
+  fs::create_directories(results);
+  fs::create_directories(programs);
+  const std::string report = serve::serialize_report(sample_report());
+  write_file(results / "0000000000000001.rec", v1_record("result", 1, report));
+  const std::string program = v1_record(
+      "program", 7, "name=7:tiny-b1\nengine=0\nbatch=1\ninstructions=42\n");
+  const std::string torn =
+      "sparsetrain.store/v1 program 0000000000000009 999 0\nhalf a rec";
+  write_file(programs / "0000000000000007.rec", program);
+  write_file(programs / "0000000000000009.rec", torn);
+
+  {
+    ResultStore store(dir);
+    const auto s = store.stats();
+    EXPECT_EQ(s.torn_skipped, 0u);
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_EQ(s.bytes, report.size());
+    sim::SimReport out;
+    ASSERT_TRUE(store.get_result(1, out));
+    EXPECT_EQ(serve::serialize_report(out), report);
+    // A new record lands beside the old one in the same format.
+    ASSERT_TRUE(store.put_result(2, sample_report(5)));
+    EXPECT_EQ(read_file(results / "0000000000000002.rec"),
+              v1_record("result", 2,
+                        serve::serialize_report(sample_report(5))));
+  }
+  EXPECT_EQ(std::distance(fs::directory_iterator(programs),
+                          fs::directory_iterator{}),
+            2);
+  EXPECT_EQ(read_file(programs / "0000000000000007.rec"), program);
+  EXPECT_EQ(read_file(programs / "0000000000000009.rec"), torn);
   fs::remove_all(dir);
 }
 
