@@ -24,6 +24,15 @@ void put_name(std::ostringstream& os, const std::string& name) {
 
 }  // namespace
 
+ProgramCache::ProgramCache(obs::Registry* metrics) {
+  if (metrics == nullptr) {
+    own_metrics_ = std::make_unique<obs::Registry>();
+    metrics = own_metrics_.get();
+  }
+  hits_ = &metrics->counter("program_cache_hits_total");
+  misses_ = &metrics->counter("program_cache_misses_total");
+}
+
 std::string ProgramCache::key(const workload::NetworkConfig& net,
                               const workload::SparsityProfile& profile,
                               const CompileOptions& options) {
@@ -91,12 +100,6 @@ ProgramCache::ProgramPtr ProgramCache::get(
     cache_.erase(k);  // let a later request retry (waiters see the error)
     throw;
   }
-}
-
-void ProgramCache::bind_metrics(obs::Registry& registry) {
-  std::lock_guard lock(mu_);
-  hits_ = &registry.counter("program_cache_hits_total");
-  misses_ = &registry.counter("program_cache_misses_total");
 }
 
 ProgramCache::Stats ProgramCache::stats() const {

@@ -30,19 +30,17 @@ class ProgramCache {
  public:
   using ProgramPtr = std::shared_ptr<const isa::Program>;
 
-  /// View over the hit/miss counters (private obs::Counter instances by
-  /// default, registry instruments after bind_metrics) — so a "stats"
-  /// response and a "metrics" response can never disagree.
+  /// Snapshot of the hit/miss counters (program_cache_hits_total and
+  /// program_cache_misses_total), read from the registry they live on.
   struct Stats {
     std::size_t hits = 0;
     std::size_t misses = 0;  ///< == number of compile() calls
     std::size_t lookups() const { return hits + misses; }
   };
 
-  /// Re-homes the counters onto `registry` (program_cache_hits_total /
-  /// program_cache_misses_total). Call before the first get(): counts
-  /// accumulated on the private counters do not transfer.
-  void bind_metrics(obs::Registry& registry);
+  /// `metrics` is the registry the counters live on and must outlive the
+  /// cache; nullptr = a private registry nobody else reads.
+  explicit ProgramCache(obs::Registry* metrics = nullptr);
 
   /// Returns the cached program for (net, profile, options), compiling on
   /// first use.
@@ -70,11 +68,9 @@ class ProgramCache {
   /// Futures, not plain pointers: an in-flight compile is visible to
   /// other workers immediately, so the same key never compiles twice.
   std::unordered_map<std::string, std::shared_future<ProgramPtr>> cache_;
-  /// Fallback instruments used until (unless) bind_metrics is called.
-  obs::Counter own_hits_;
-  obs::Counter own_misses_;
-  obs::Counter* hits_ = &own_hits_;
-  obs::Counter* misses_ = &own_misses_;
+  std::unique_ptr<obs::Registry> own_metrics_;  ///< null when injected
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* misses_ = nullptr;
 };
 
 }  // namespace sparsetrain::compiler

@@ -103,50 +103,33 @@ void export_json(const std::vector<EvalResult>& results,
   export_json(results, out);
 }
 
-ServiceStats service_stats(const Session& session) {
-  ServiceStats s;
-  s.cache = session.program_cache().stats();
-  if (session.result_store()) {
-    s.store_attached = true;
-    s.store = session.result_store()->stats();
-  }
-  return s;
-}
-
-void export_stats_json(const ServiceStats& s, std::ostream& out) {
+void export_stats_json(const Session& session, std::ostream& out) {
   // v2 added the degradation fields (read_only, publish_failures,
   // dropped_publishes, tmp_cleaned); v3 drops the program-record count,
   // since the store keeps result records only. Consumers that read the
   // remaining counters keep working; the schema tag tells them what is
   // there.
+  const compiler::ProgramCache::Stats cache = session.program_cache().stats();
+  const std::shared_ptr<serve::ResultStore>& store = session.result_store();
   out << "{\"schema\": \"sparsetrain.store_stats/v3\",\n"
-      << " \"program_cache\": {\"hits\": " << s.cache.hits
-      << ", \"misses\": " << s.cache.misses
-      << ", \"lookups\": " << s.cache.lookups() << "},\n"
-      << " \"store_attached\": " << (s.store_attached ? "true" : "false");
-  if (s.store_attached) {
-    out << ",\n \"store\": {\"hits\": " << s.store.hits
-        << ", \"misses\": " << s.store.misses
-        << ", \"hit_rate\": " << format_number(s.store.hit_rate())
-        << ", \"puts\": " << s.store.puts
-        << ", \"evictions\": " << s.store.evictions
-        << ", \"torn_skipped\": " << s.store.torn_skipped
-        << ", \"tmp_cleaned\": " << s.store.tmp_cleaned
-        << ", \"publish_failures\": " << s.store.publish_failures
-        << ", \"dropped_publishes\": " << s.store.dropped_publishes
-        << ", \"read_only\": " << (s.store.read_only ? "true" : "false")
-        << ", \"entries\": " << s.store.entries
-        << ", \"bytes\": " << s.store.bytes << "}";
+      << " \"program_cache\": {\"hits\": " << cache.hits
+      << ", \"misses\": " << cache.misses
+      << ", \"lookups\": " << cache.lookups() << "},\n"
+      << " \"store_attached\": " << (store ? "true" : "false");
+  if (store) {
+    const serve::StoreStats s = store->stats();
+    out << ",\n \"store\": {\"hits\": " << s.hits
+        << ", \"misses\": " << s.misses
+        << ", \"hit_rate\": " << format_number(s.hit_rate())
+        << ", \"puts\": " << s.puts << ", \"evictions\": " << s.evictions
+        << ", \"torn_skipped\": " << s.torn_skipped
+        << ", \"tmp_cleaned\": " << s.tmp_cleaned
+        << ", \"publish_failures\": " << s.publish_failures
+        << ", \"dropped_publishes\": " << s.dropped_publishes
+        << ", \"read_only\": " << (s.read_only ? "true" : "false")
+        << ", \"entries\": " << s.entries << ", \"bytes\": " << s.bytes
+        << "}";
   }
-  out << "}\n";
-}
-
-void export_json(const std::vector<EvalResult>& results,
-                 const Session& session, std::ostream& out) {
-  out << "{\"jobs\": ";
-  export_json(results, out);
-  out << ", \"stats\": ";
-  export_stats_json(service_stats(session), out);
   out << "}\n";
 }
 

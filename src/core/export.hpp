@@ -28,26 +28,12 @@ void export_json(const std::vector<EvalResult>& results, std::ostream& out);
 void export_json(const std::vector<EvalResult>& results,
                  const std::string& path);
 
-/// Service-side counters of one session: the ProgramCache hit/miss
-/// snapshot plus (when a store is attached) the persistent store's
-/// hit/miss/evict counters — the numbers a serving deployment watches.
-struct ServiceStats {
-  compiler::ProgramCache::Stats cache;
-  bool store_attached = false;
-  serve::StoreStats store;
-};
-
-ServiceStats service_stats(const Session& session);
-
-/// The "store-stats" report: one JSON object (schema
-/// "sparsetrain.store_stats/v3") with the cache and store counters, so
-/// daemons and drivers export service health without log scraping. The
-/// store object counts result records, the only records a store keeps.
-void export_stats_json(const ServiceStats& stats, std::ostream& out);
-
-/// Jobs + stats in one document: {"jobs": [...], "stats": {...}}. The
-/// jobs array is byte-identical to the results-only export_json.
-void export_json(const std::vector<EvalResult>& results,
-                 const Session& session, std::ostream& out);
+/// The "store-stats" report of one session: one JSON object (schema
+/// "sparsetrain.store_stats/v3") with the ProgramCache hit/miss counters
+/// plus, when a store is attached, the persistent store's counters, read
+/// from the registries they live on, so daemons and drivers export
+/// service health without log scraping. The store object counts result
+/// records, the only records a store keeps.
+void export_stats_json(const Session& session, std::ostream& out);
 
 }  // namespace sparsetrain::core

@@ -168,7 +168,7 @@ double ComparisonResult::energy_efficiency() const {
 }
 
 Session::Session(SessionConfig cfg)
-    : cfg_(std::move(cfg)), pool_(cfg_.workers) {
+    : cfg_(std::move(cfg)), cache_(cfg_.metrics), pool_(cfg_.workers) {
   ST_REQUIRE(cfg_.batch > 0, "batch must be positive");
   ST_REQUIRE(cfg_.sparse_arch.sparse,
              "the sparse architecture must have sparse semantics");
@@ -177,7 +177,6 @@ Session::Session(SessionConfig cfg)
   registry_.register_arch(kSparseBackend, cfg_.sparse_arch);
   registry_.register_arch(kDenseBackend, cfg_.baseline_arch);
   if (cfg_.metrics != nullptr) {
-    cache_.bind_metrics(*cfg_.metrics);
     hist_.store_lookup =
         &cfg_.metrics->histogram("session_store_lookup_seconds");
     hist_.compile = &cfg_.metrics->histogram("session_compile_seconds");

@@ -70,7 +70,8 @@ struct SessionConfig {
   std::shared_ptr<serve::ResultStore> store;
   /// Metrics registry the session instruments itself on (program-cache
   /// counters plus per-phase latency histograms session_*_seconds); must
-  /// outlive the session. nullptr = no instrumentation, no timestamps.
+  /// outlive the session. nullptr = the cache counts on a private
+  /// registry, and no histogram records, no timestamps are read.
   obs::Registry* metrics = nullptr;
   /// Record per-stage engine profiles (engine_stage_* on `metrics`) for
   /// every exact run. Requires `metrics`; simulated numbers are

@@ -202,18 +202,6 @@ ExploreResult Explorer::explore(
     }
     evaluate(survivors, wl_ids, /*promotion=*/false);
 
-    if (options.prune) {
-      std::vector<std::size_t> kept;
-      for (const std::size_t i : survivors) {
-        if (options.prune(result.points[i])) {
-          result.points[i].pruned = true;
-        } else {
-          kept.push_back(i);
-        }
-      }
-      survivors.swap(kept);
-    }
-
     if (halving && r + 1 < rungs && survivors.size() > 1) {
       // Rank the survivors' partial objectives and keep ceil(n / eta).
       std::vector<Objectives> objs;

@@ -20,8 +20,6 @@
 //    larger, workload. Points dropped early keep their partial
 //    evaluations and are marked pruned/incomplete.
 //
-// An optional early-prune callback sees every candidate's statistics
-// after each rung and can drop it before more evaluation money is spent;
 // `exact_validate` promotes the top frontier points to a full exact-
 // engine re-evaluation after the cheap statistical search converges.
 //
@@ -59,7 +57,7 @@ struct PointResult {
   std::vector<WorkloadEval> evals;  ///< in workload order, as evaluated
   Objectives objectives;            ///< summed over `evals`
   bool complete = false;  ///< evaluated on every workload (frontier-eligible)
-  bool pruned = false;    ///< dropped by halving or the prune callback
+  bool pruned = false;    ///< dropped by successive halving
   bool on_front = false;
   /// Exact-engine promotion results (exact_validate only).
   bool exact_validated = false;
@@ -76,11 +74,6 @@ struct ExploreOptions {
   double eta = 2.0;
   /// Seed of the random strategy, mixed with the space fingerprint.
   std::uint64_t seed = 1;
-  /// Early-prune hook: called with each candidate's result-so-far after
-  /// every rung; return true to drop the candidate before the next rung
-  /// (and from exact promotion). Must be a pure function of the result
-  /// for the exploration to stay deterministic.
-  std::function<bool(const PointResult&)> prune;
   /// Re-evaluate up to this many frontier points with the exact engine
   /// after the search (0 = off). Dense points are skipped — the exact
   /// engine has no dense semantics.

@@ -89,12 +89,6 @@ Histogram::Snapshot Histogram::snapshot() const {
   return s;
 }
 
-void Histogram::reset() {
-  for (auto& b : bins_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_ns_.store(0, std::memory_order_relaxed);
-}
-
 double Histogram::Snapshot::quantile(double q) const {
   if (count == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -18,11 +18,13 @@
 // ("sparsetrain.metrics/v1") or as Prometheus text exposition, both
 // deterministic (instruments sorted by name, then labels).
 //
-// The ad-hoc counter structs this replaces (Server::Counters,
-// Router::Stats, Client::Stats, StoreStats, ProgramCache::Stats) survive
-// as *views*: their owners now keep Counter handles and assemble the old
-// structs from handle values, so a "stats" response and a "metrics"
-// response can never disagree.
+// A serving counter lives here and nowhere else. Its owner resolves a
+// handle once and increments it; the daemons' "stats", "status" and
+// "bye" payloads and core::export_stats_json read the same handles a
+// "metrics" snapshot renders, so the two can never disagree. Two
+// snapshot structs still copy registry counters: ProgramCache::Stats
+// and serve::StoreStats (which adds the store's read-only flag and
+// index sizes), whose deltas the DSE explorer reports.
 #pragma once
 
 #include <array>
@@ -45,7 +47,6 @@ class Counter {
  public:
   void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -94,8 +95,6 @@ class Histogram {
     double quantile(double q) const;
   };
   Snapshot snapshot() const;
-
-  void reset();
 
  private:
   std::array<std::atomic<std::uint64_t>, kBins> bins_{};

@@ -64,22 +64,18 @@ std::string format_request(const Request& r) {
 Client::Client(const std::string& endpoint_spec, ClientOptions opts)
     : ep_(parse_endpoint(endpoint_spec)), opts_(opts),
       rng_(opts.backoff_seed) {
-  if (opts_.metrics != nullptr) {
-    const obs::Labels labels = {{"endpoint", endpoint_spec}};
-    c_.attempts = &opts_.metrics->counter("client_attempts_total", labels);
-    c_.connects = &opts_.metrics->counter("client_connects_total", labels);
-    c_.reconnects =
-        &opts_.metrics->counter("client_reconnects_total", labels);
-    c_.retries = &opts_.metrics->counter("client_retries_total", labels);
-    c_.rejected_retries =
-        &opts_.metrics->counter("client_rejected_retries_total", labels);
-  } else {
-    c_.attempts = &own_[0];
-    c_.connects = &own_[1];
-    c_.reconnects = &own_[2];
-    c_.retries = &own_[3];
-    c_.rejected_retries = &own_[4];
+  obs::Registry* reg = opts_.metrics;
+  if (reg == nullptr) {
+    own_metrics_ = std::make_unique<obs::Registry>();
+    reg = own_metrics_.get();
   }
+  const obs::Labels labels = {{"endpoint", endpoint_spec}};
+  c_.attempts = &reg->counter("client_attempts_total", labels);
+  c_.connects = &reg->counter("client_connects_total", labels);
+  c_.reconnects = &reg->counter("client_reconnects_total", labels);
+  c_.retries = &reg->counter("client_retries_total", labels);
+  c_.rejected_retries =
+      &reg->counter("client_rejected_retries_total", labels);
   std::string error;
   if (!ensure_connected(error) && opts_.retries <= 0) {
     ST_REQUIRE(false, "client: cannot connect to " + ep_.describe() + ": " +
@@ -100,16 +96,6 @@ bool Client::ensure_connected(std::string& error, long budget_ms) {
   c_.connects->inc();
   if (c_.connects->value() > 1) c_.reconnects->inc();
   return true;
-}
-
-Client::Stats Client::retry_stats() const {
-  Stats s;
-  s.attempts = c_.attempts->value();
-  s.connects = c_.connects->value();
-  s.reconnects = c_.reconnects->value();
-  s.retries = c_.retries->value();
-  s.rejected_retries = c_.rejected_retries->value();
-  return s;
 }
 
 long Client::remaining_ms(long elapsed_ms) const {

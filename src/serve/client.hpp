@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -55,11 +56,16 @@ struct ClientOptions {
   bool retry_rejected = true;
   /// Test seam: called with each backoff duration instead of sleeping.
   std::function<void(long)> sleeper;
-  /// Registry the client's counters live on (client_attempts_total, ...),
-  /// labeled {endpoint=<the endpoint spec>}; must outlive the client.
-  /// Handy for a process holding many clients (the router labels one
-  /// counter family per shard; counts survive client recreation because
-  /// the registry deduplicates instruments). nullptr = private counters.
+  /// Registry the client's counters live on, labeled {endpoint=<the
+  /// endpoint spec>}: client_attempts_total (request transmissions
+  /// tried), client_connects_total (successful connects),
+  /// client_reconnects_total (connects after the first),
+  /// client_retries_total (backoff sleeps taken) and
+  /// client_rejected_retries_total (retries caused by "rejected"). Must
+  /// outlive the client. A process holding many clients shares one (the
+  /// router labels one counter family per shard; counts survive client
+  /// recreation because the registry deduplicates instruments). nullptr
+  /// = a private registry nobody else reads.
   obs::Registry* metrics = nullptr;
 };
 
@@ -73,18 +79,6 @@ class Client {
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
-
-  /// What the retry machinery actually did, for tests and diagnostics —
-  /// a view assembled from the counter handles (which may live on an
-  /// injected registry shared with other clients of the same endpoint).
-  struct Stats {
-    std::uint64_t attempts = 0;          ///< request transmissions tried
-    std::uint64_t connects = 0;          ///< successful connects
-    std::uint64_t reconnects = 0;        ///< connects after the first
-    std::uint64_t retries = 0;           ///< backoff sleeps taken
-    std::uint64_t rejected_retries = 0;  ///< retries caused by "rejected"
-  };
-  Stats retry_stats() const;
 
   bool connected() const { return conn_.valid(); }
 
@@ -111,8 +105,8 @@ class Client {
   Endpoint ep_;
   ClientOptions opts_;
   Conn conn_;
-  /// Counter handles (registry instruments when ClientOptions::metrics is
-  /// set, the private fallbacks below otherwise).
+  /// Counter handles, resolved in the constructor from
+  /// ClientOptions::metrics or the private fallback registry.
   struct Counters {
     obs::Counter* attempts = nullptr;
     obs::Counter* connects = nullptr;
@@ -120,7 +114,7 @@ class Client {
     obs::Counter* retries = nullptr;
     obs::Counter* rejected_retries = nullptr;
   };
-  obs::Counter own_[5];
+  std::unique_ptr<obs::Registry> own_metrics_;
   Counters c_;
   Rng rng_;
 };

@@ -23,7 +23,6 @@ std::unique_ptr<obs::Tracer> make_tracer(const DaemonOptions& opts,
   obs::TracerOptions to;
   to.path = opts.trace_path;
   to.sample_rate = opts.trace_sample_rate;
-  to.seed = opts.trace_seed;
   to.process = process;
   return std::make_unique<obs::Tracer>(std::move(to));
 }
@@ -57,7 +56,6 @@ std::vector<Args::Flag> with_daemon_flags(std::vector<Args::Flag> flags) {
            "fraction of edge-started traces sampled (propagated traces "
            "always record)",
            true},
-          {"trace-seed", "trace-id / sampling seed (determinism)", true},
       });
   return flags;
 }
@@ -68,7 +66,6 @@ void read_daemon_flags(const Args& args, DaemonOptions& opts) {
   opts.idle_timeout_ms = args.get("idle-timeout-ms", 0L);
   opts.trace_path = args.get("trace", std::string{});
   opts.trace_sample_rate = args.get("trace-sample-rate", 1.0);
-  opts.trace_seed = static_cast<std::uint64_t>(args.get("trace-seed", 1L));
 }
 
 Daemon::Daemon(const std::string& role, const std::string& trace_process,

@@ -33,7 +33,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -60,13 +59,11 @@ struct DaemonOptions {
   /// Fraction of edge-started traces sampled (requests arriving WITH a
   /// trace id are always recorded — the upstream edge already decided).
   double trace_sample_rate = 0.0;
-  /// Seed of the trace-id sequence and sampling decision.
-  std::uint64_t trace_seed = 1;
 };
 
 /// Appends the DaemonOptions command-line flags (--max-connections,
-/// --idle-timeout-ms, --trace, --trace-sample-rate, --trace-seed) to a
-/// tool's own flag list.
+/// --idle-timeout-ms, --trace, --trace-sample-rate) to a tool's own flag
+/// list.
 std::vector<Args::Flag> with_daemon_flags(std::vector<Args::Flag> flags);
 
 /// Reads the with_daemon_flags() flags into `opts`. On the command line

@@ -8,20 +8,19 @@
 
 namespace sparsetrain::serve {
 
-Ring::Ring(std::vector<std::string> endpoints, RingOptions opts)
+Ring::Ring(std::vector<std::string> endpoints)
     : endpoints_(std::move(endpoints)) {
   ST_REQUIRE(!endpoints_.empty(), "ring: needs at least one endpoint");
-  ST_REQUIRE(opts.vnodes > 0, "ring: vnodes must be positive");
   std::unordered_set<std::string> seen;
   for (const std::string& ep : endpoints_) {
     ST_REQUIRE(!ep.empty(), "ring: empty endpoint spec");
     ST_REQUIRE(seen.insert(ep).second,
                "ring: duplicate endpoint '" + ep + "'");
   }
-  points_.reserve(endpoints_.size() * opts.vnodes);
+  points_.reserve(endpoints_.size() * kVnodes);
   for (std::size_t s = 0; s < endpoints_.size(); ++s) {
     const std::uint64_t base = fnv1a(endpoints_[s]);
-    for (std::size_t v = 0; v < opts.vnodes; ++v) {
+    for (std::size_t v = 0; v < kVnodes; ++v) {
       points_.push_back(
           Point{mix64(base, static_cast<std::uint64_t>(v)),
                 static_cast<std::uint32_t>(s)});

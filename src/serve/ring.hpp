@@ -1,7 +1,7 @@
 // Consistent-hash ring over daemon endpoints.
 //
 // The shard router places every evaluation on the ring by its store
-// fingerprint: each endpoint contributes `vnodes` points whose positions
+// fingerprint: each endpoint contributes kVnodes points whose positions
 // are derived purely from the endpoint *string* (mix64 over its FNV-1a
 // hash and the virtual-node index), so placement is a function of which
 // endpoints exist — not of list order, construction history, or anything
@@ -28,19 +28,19 @@
 
 namespace sparsetrain::serve {
 
-struct RingOptions {
-  /// Points per endpoint. More virtual nodes flatten the load split
-  /// between shards (64 keeps the max/min ratio under ~1.5 for small
-  /// pools) at O(N * vnodes * log) build cost.
-  std::size_t vnodes = 64;
-};
-
 class Ring {
  public:
+  /// Points per endpoint. More virtual nodes flatten the load split
+  /// between shards (64 keeps the max/min ratio under ~1.5 for small
+  /// pools) at O(N * kVnodes * log) build cost. A constant, not an
+  /// option: every router on one pool must build the same ring, or they
+  /// place keys on different shards.
+  static constexpr std::size_t kVnodes = 64;
+
   /// Builds the ring. Endpoint specs must be non-empty and distinct
   /// (duplicates would silently double one shard's share); throws
   /// ContractError otherwise.
-  explicit Ring(std::vector<std::string> endpoints, RingOptions opts = {});
+  explicit Ring(std::vector<std::string> endpoints);
 
   std::size_t size() const { return endpoints_.size(); }
   const std::vector<std::string>& endpoints() const { return endpoints_; }

@@ -30,17 +30,6 @@ void stamp_trace(Request& r, const obs::SpanContext& hop) {
   r.parent_span = hop.span_id;
 }
 
-const char* health_name(Router::Health h) {
-  switch (h) {
-    case Router::Health::Up:
-      return "up";
-    case Router::Health::Open:
-      return "open";
-    default:
-      return "half_open";
-  }
-}
-
 }  // namespace
 
 std::vector<std::string> split_endpoints(const std::string& spec) {
@@ -68,7 +57,7 @@ std::vector<std::string> split_endpoints(const std::string& spec) {
 Router::Router(RouterOptions opts)
     : Daemon("router", "router", "\"stats\": \"router_stats/v1\"", opts),
       opts_(std::move(opts)),
-      ring_(opts_.endpoints, opts_.ring),
+      ring_(opts_.endpoints),
       session_(placement_session()) {
   // R copies need R distinct successors; a pool of N supports at most
   // N - 1 of them.
@@ -381,95 +370,74 @@ Response Router::answer(const Request& req, Clock::time_point admitted) {
   return resp;
 }
 
-Router::Stats Router::stats() const {
-  Stats out;
-  out.received = received_->value();
-  out.routed = c_.routed->value();
-  out.failovers = c_.failovers->value();
-  out.rejected = c_.rejected->value();
-  out.errors = errors_->value();
-  out.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    ShardStats s;
-    s.endpoint = shard->endpoint;
-    s.forwards = shard->c.forwards->value();
-    s.served = shard->c.served->value();
-    s.failures = shard->c.failures->value();
-    s.skipped = shard->c.skipped->value();
-    s.replications = shard->c.replications->value();
-    s.replication_failures = shard->c.replication_failures->value();
-    s.replication_skipped = shard->c.replication_skipped->value();
-    s.probes = shard->c.probes->value();
-    s.recoveries = shard->c.recoveries->value();
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      s.health = shard->health;
-    }
-    out.shards.push_back(std::move(s));
+const char* Router::health_name(Health h) {
+  switch (h) {
+    case Health::Up:
+      return "up";
+    case Health::Open:
+      return "open";
+    default:
+      return "half_open";
   }
-  return out;
 }
 
 std::string Router::stats_payload() {
-  const Stats s = stats();
   std::ostringstream os;
-  os << "{\"version\": \"router_stats/v1\", \"received\": " << s.received
-     << ", \"routed\": " << s.routed << ", \"failovers\": " << s.failovers
-     << ", \"rejected\": " << s.rejected << ", \"errors\": " << s.errors
+  os << "{\"version\": \"router_stats/v1\", \"received\": "
+     << received_->value() << ", \"routed\": " << c_.routed->value()
+     << ", \"failovers\": " << c_.failovers->value()
+     << ", \"rejected\": " << c_.rejected->value()
+     << ", \"errors\": " << errors_->value()
      << ", \"replicas\": " << opts_.replicas << ", \"shards\": [";
-  for (std::size_t i = 0; i < s.shards.size(); ++i) {
-    const ShardStats& sh = s.shards[i];
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const Shard& sh = *shards_[i];
     if (i > 0) os << ", ";
     os << "{\"endpoint\": \"" << json_escape(sh.endpoint)
-       << "\", \"health\": \"" << health_name(sh.health)
-       << "\", \"forwards\": " << sh.forwards
-       << ", \"served\": " << sh.served
-       << ", \"failures\": " << sh.failures
-       << ", \"skipped\": " << sh.skipped
-       << ", \"replications\": " << sh.replications
-       << ", \"replication_failures\": " << sh.replication_failures
-       << ", \"replication_skipped\": " << sh.replication_skipped
-       << ", \"probes\": " << sh.probes
-       << ", \"recoveries\": " << sh.recoveries << "}";
+       << "\", \"health\": \"" << health_name(sh.current_health())
+       << "\", \"forwards\": " << sh.c.forwards->value()
+       << ", \"served\": " << sh.c.served->value()
+       << ", \"failures\": " << sh.c.failures->value()
+       << ", \"skipped\": " << sh.c.skipped->value()
+       << ", \"replications\": " << sh.c.replications->value()
+       << ", \"replication_failures\": "
+       << sh.c.replication_failures->value()
+       << ", \"replication_skipped\": " << sh.c.replication_skipped->value()
+       << ", \"probes\": " << sh.c.probes->value()
+       << ", \"recoveries\": " << sh.c.recoveries->value() << "}";
   }
   os << "]}";
   return os.str();
 }
 
 void Router::status_fields(std::ostream& os) {
-  const Stats s = stats();
   std::size_t up = 0;
-  for (const ShardStats& sh : s.shards) {
-    if (sh.health == Health::Up) ++up;
+  for (const auto& shard : shards_) {
+    if (shard->current_health() == Health::Up) ++up;
   }
-  os << "\"shards\": " << s.shards.size() << ", \"up\": " << up
-     << ", \"received\": " << s.received << ", \"routed\": " << s.routed
-     << ", \"failovers\": " << s.failovers
-     << ", \"rejected\": " << s.rejected;
+  os << "\"shards\": " << shards_.size() << ", \"up\": " << up
+     << ", \"received\": " << received_->value()
+     << ", \"routed\": " << c_.routed->value()
+     << ", \"failovers\": " << c_.failovers->value()
+     << ", \"rejected\": " << c_.rejected->value();
 }
 
 std::string Router::bye_payload() {
   // Stops the router's serving loop only — the backend shards keep
   // running (they belong to their own lifecycles).
-  const Stats s = stats();
   std::ostringstream os;
-  os << "{\"routed\": " << s.routed << ", \"failovers\": " << s.failovers
-     << ", \"rejected\": " << s.rejected << "}";
+  os << "{\"routed\": " << c_.routed->value()
+     << ", \"failovers\": " << c_.failovers->value()
+     << ", \"rejected\": " << c_.rejected->value() << "}";
   return os.str();
 }
 
 void Router::sample_gauges() {
   // Breaker state per shard: 1 = up, 0.5 = half-open probing, 0 = open.
   for (const auto& shard : shards_) {
-    double v = 0.0;
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      v = shard->health == Health::Up
-              ? 1.0
-              : (shard->health == Health::HalfOpen ? 0.5 : 0.0);
-    }
-    metrics().gauge("router_shard_healthy", {{"shard", shard->endpoint}})
-        .set(v);
+    const Health h = shard->current_health();
+    metrics()
+        .gauge("router_shard_healthy", {{"shard", shard->endpoint}})
+        .set(h == Health::Up ? 1.0 : (h == Health::HalfOpen ? 0.5 : 0.0));
   }
 }
 
@@ -482,12 +450,7 @@ void Router::prober_loop() {
     if (prober_stop_) return;
     lock.unlock();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      bool needs_probe = false;
-      {
-        std::lock_guard<std::mutex> shard_lock(shards_[i]->mu);
-        needs_probe = shards_[i]->health != Health::Up;
-      }
-      if (needs_probe) probe(i);
+      if (shards_[i]->current_health() != Health::Up) probe(i);
     }
     lock.lock();
   }

@@ -70,7 +70,6 @@ struct RouterOptions : DaemonOptions {
   /// Backend daemon endpoints (unix paths or host:port specs). Must be
   /// non-empty and distinct.
   std::vector<std::string> endpoints;
-  RingOptions ring;
   /// Successor shards each ok evaluation is replicated to (capped at
   /// pool size - 1). 0 = no replication.
   std::size_t replicas = 1;
@@ -109,35 +108,6 @@ class Router : public Daemon {
 
   const Ring& ring() const { return ring_; }
 
-  /// Breaker state of one shard, as exported in router_stats/v1.
-  enum class Health { Up, Open, HalfOpen };
-
-  /// Per-shard view assembled from registry handles (plus the live
-  /// breaker state), so "stats" and "metrics" can never disagree.
-  struct ShardStats {
-    std::string endpoint;
-    Health health = Health::Up;
-    std::uint64_t forwards = 0;       ///< requests sent (incl. probes: no)
-    std::uint64_t served = 0;         ///< responses returned to callers
-    std::uint64_t failures = 0;       ///< transport failures observed
-    std::uint64_t skipped = 0;        ///< times bypassed while down
-    std::uint64_t replications = 0;   ///< puts accepted by this shard
-    std::uint64_t replication_failures = 0;  ///< puts failed or refused
-    std::uint64_t replication_skipped = 0;   ///< puts not tried (down)
-    std::uint64_t probes = 0;         ///< health pings sent
-    std::uint64_t recoveries = 0;     ///< Down -> Up transitions
-  };
-
-  struct Stats {
-    std::uint64_t received = 0;    ///< handle() calls
-    std::uint64_t routed = 0;      ///< evals/puts answered by a shard
-    std::uint64_t failovers = 0;   ///< forwards past the preferred shard
-    std::uint64_t rejected = 0;    ///< all-shards-down (or all-rejecting)
-    std::uint64_t errors = 0;      ///< malformed requests
-    std::vector<ShardStats> shards;
-  };
-  Stats stats() const;
-
   /// The ring placement key for an eval request: the store fingerprint
   /// the daemons themselves key on; for requests the fingerprint cannot
   /// be computed for (unknown workload/backend — the shard will answer
@@ -145,6 +115,9 @@ class Router : public Daemon {
   std::uint64_t placement_key(const Request& req) const;
 
  private:
+  /// Breaker state of one shard, as exported in router_stats/v1.
+  enum class Health { Up, Open, HalfOpen };
+
   struct Shard {
     std::string endpoint;
     mutable std::mutex mu;  ///< guards everything below + the client
@@ -154,20 +127,25 @@ class Router : public Daemon {
     Clock::time_point open_until{};
     /// Handles into the router registry, labeled {shard=endpoint};
     /// resolved once in the constructor. Counter increments are atomic,
-    /// so they need no mu (reads for the stats view neither).
+    /// so they need no mu (the payload writers' reads neither).
     struct Handles {
-      obs::Counter* forwards = nullptr;
-      obs::Counter* served = nullptr;
-      obs::Counter* failures = nullptr;
-      obs::Counter* skipped = nullptr;
-      obs::Counter* replications = nullptr;
-      obs::Counter* replication_failures = nullptr;
-      obs::Counter* replication_skipped = nullptr;
-      obs::Counter* probes = nullptr;
-      obs::Counter* recoveries = nullptr;
+      obs::Counter* forwards = nullptr;  ///< requests sent (probes not)
+      obs::Counter* served = nullptr;    ///< responses returned to callers
+      obs::Counter* failures = nullptr;  ///< transport failures observed
+      obs::Counter* skipped = nullptr;   ///< times bypassed while down
+      obs::Counter* replications = nullptr;  ///< puts accepted
+      obs::Counter* replication_failures = nullptr;  ///< puts failed
+      obs::Counter* replication_skipped = nullptr;   ///< puts not tried
+      obs::Counter* probes = nullptr;      ///< health pings sent
+      obs::Counter* recoveries = nullptr;  ///< Down -> Up transitions
       obs::Histogram* forward_seconds = nullptr;
     };
     Handles c;
+
+    Health current_health() const {
+      std::lock_guard<std::mutex> lock(mu);
+      return health;
+    }
   };
 
   /// One forward to one shard (takes the shard's mu, so per-shard
@@ -201,6 +179,7 @@ class Router : public Daemon {
   std::string stats_payload() override;
   std::string bye_payload() override;
   void sample_gauges() override;
+  static const char* health_name(Health h);
 
   void prober_loop();
   void probe(std::size_t shard);
@@ -214,9 +193,9 @@ class Router : public Daemon {
 
   /// Router-level counter handles, resolved once in the constructor.
   struct CounterSet {
-    obs::Counter* routed = nullptr;
-    obs::Counter* failovers = nullptr;
-    obs::Counter* rejected = nullptr;
+    obs::Counter* routed = nullptr;     ///< evals/puts answered by a shard
+    obs::Counter* failovers = nullptr;  ///< answers past the preferred shard
+    obs::Counter* rejected = nullptr;   ///< all shards down or rejecting
   };
   CounterSet c_;
 

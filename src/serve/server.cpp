@@ -89,22 +89,6 @@ Server::Server(ServerOptions opts)
   queue_hist_ = &m.histogram("server_queue_seconds");
 }
 
-Server::Counters Server::counters() const {
-  Counters c;
-  c.received = received_->value();
-  c.completed = c_.completed->value();
-  c.computed = c_.computed->value();
-  c.store_hits = c_.store_hits->value();
-  c.coalesced = c_.coalesced->value();
-  c.errors = errors_->value();
-  c.rejected = c_.rejected->value();
-  c.timeouts = c_.timeouts->value();
-  c.overloaded = overloaded_->value();
-  c.idle_closed = idle_closed_->value();
-  c.puts = c_.puts->value();
-  return c;
-}
-
 Response Server::answer(const Request& req, Clock::time_point admitted) {
   if (req.type == "put") return put_response(req);
   Response resp;
@@ -318,22 +302,23 @@ Response Server::put_response(const Request& req) {
 
 std::string Server::stats_payload() {
   std::ostringstream os;
-  core::export_stats_json(core::service_stats(session_), os);
+  core::export_stats_json(session_, os);
   return one_line(os.str());
 }
 
 void Server::status_fields(std::ostream& os) {
-  const Counters c = counters();
   os << "\"inflight\": " << pending_.load()
-     << ", \"received\": " << c.received
-     << ", \"completed\": " << c.completed
-     << ", \"computed\": " << c.computed
-     << ", \"store_hits\": " << c.store_hits
-     << ", \"coalesced\": " << c.coalesced
-     << ", \"errors\": " << c.errors << ", \"rejected\": " << c.rejected
-     << ", \"timeouts\": " << c.timeouts
-     << ", \"overloaded\": " << c.overloaded
-     << ", \"idle_closed\": " << c.idle_closed << ", \"puts\": " << c.puts;
+     << ", \"received\": " << received_->value()
+     << ", \"completed\": " << c_.completed->value()
+     << ", \"computed\": " << c_.computed->value()
+     << ", \"store_hits\": " << c_.store_hits->value()
+     << ", \"coalesced\": " << c_.coalesced->value()
+     << ", \"errors\": " << errors_->value()
+     << ", \"rejected\": " << c_.rejected->value()
+     << ", \"timeouts\": " << c_.timeouts->value()
+     << ", \"overloaded\": " << overloaded_->value()
+     << ", \"idle_closed\": " << idle_closed_->value()
+     << ", \"puts\": " << c_.puts->value();
 }
 
 void Server::sample_gauges() {
@@ -350,10 +335,10 @@ void Server::sample_gauges() {
 }
 
 std::string Server::bye_payload() {
-  const Counters c = counters();
   std::ostringstream os;
-  os << "{\"completed\": " << c.completed << ", \"errors\": " << c.errors
-     << ", \"rejected\": " << c.rejected << "}";
+  os << "{\"completed\": " << c_.completed->value()
+     << ", \"errors\": " << errors_->value()
+     << ", \"rejected\": " << c_.rejected->value() << "}";
   return os.str();
 }
 

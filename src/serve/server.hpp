@@ -81,24 +81,6 @@ class Server : public Daemon {
   core::Session& session() { return session_; }
   const core::Session& session() const { return session_; }
 
-  /// Request-level counters (evaluation-source breakdown included) — a
-  /// view assembled from the registry, so "stats"/"status" responses and
-  /// "metrics" snapshots can never disagree.
-  struct Counters {
-    std::uint64_t received = 0;   ///< lines read / handle() calls
-    std::uint64_t completed = 0;  ///< ok eval responses
-    std::uint64_t computed = 0;   ///< ok evals that simulated
-    std::uint64_t store_hits = 0; ///< ok evals served from the store
-    std::uint64_t coalesced = 0;  ///< ok evals attached to an in-flight twin
-    std::uint64_t errors = 0;     ///< malformed / failed requests
-    std::uint64_t rejected = 0;   ///< admission-control rejections
-    std::uint64_t timeouts = 0;   ///< requester gave up waiting
-    std::uint64_t overloaded = 0; ///< connections refused at the cap
-    std::uint64_t idle_closed = 0;///< connections closed by idle timeout
-    std::uint64_t puts = 0;       ///< replicated reports accepted
-  };
-  Counters counters() const;
-
   /// Evaluations currently admitted (owners + waiters).
   std::size_t inflight() const { return pending_.load(); }
 
@@ -142,15 +124,16 @@ class Server : public Daemon {
   core::Session session_;
   std::atomic<std::size_t> pending_{0};
 
-  /// Counter handles into metrics(), resolved once in the constructor.
+  /// Counter handles into metrics(), resolved once in the constructor;
+  /// the "status" and "bye" payloads read them directly.
   struct CounterSet {
-    obs::Counter* completed = nullptr;
-    obs::Counter* computed = nullptr;
-    obs::Counter* store_hits = nullptr;
-    obs::Counter* coalesced = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* timeouts = nullptr;
-    obs::Counter* puts = nullptr;
+    obs::Counter* completed = nullptr;   ///< ok eval responses
+    obs::Counter* computed = nullptr;    ///< ok evals that simulated
+    obs::Counter* store_hits = nullptr;  ///< ok evals served from the store
+    obs::Counter* coalesced = nullptr;   ///< ok evals joined to a twin
+    obs::Counter* rejected = nullptr;    ///< admission-control rejections
+    obs::Counter* timeouts = nullptr;    ///< requester gave up waiting
+    obs::Counter* puts = nullptr;        ///< replicated reports accepted
   };
   CounterSet c_;
   obs::Histogram* queue_hist_ = nullptr;  ///< server_queue_seconds

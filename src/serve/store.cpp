@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "serve/report_io.hpp"
@@ -29,6 +32,31 @@ constexpr const char* kKind = "result";
 /// directory.
 std::atomic<std::uint64_t> g_tmp_seq{0};
 
+/// Sequence numbers of this process's publications in flight, across
+/// every store instance: clean_tmp() leaves their tmp files in place.
+std::mutex g_in_flight_mu;
+std::unordered_set<std::uint64_t> g_in_flight;  ///< under g_in_flight_mu
+
+/// Keeps one publication's sequence number in g_in_flight for its
+/// lifetime, so it leaves on every exit path, an InjectedCrash unwinding
+/// included.
+class InFlight {
+ public:
+  explicit InFlight(std::uint64_t seq) : seq_(seq) {
+    std::lock_guard lock(g_in_flight_mu);
+    g_in_flight.insert(seq_);
+  }
+  ~InFlight() {
+    std::lock_guard lock(g_in_flight_mu);
+    g_in_flight.erase(seq_);
+  }
+  InFlight(const InFlight&) = delete;
+  InFlight& operator=(const InFlight&) = delete;
+
+ private:
+  const std::uint64_t seq_;
+};
+
 std::string hex16(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -50,6 +78,34 @@ bool parse_hex(std::string_view s, std::uint64_t& out) {
   }
   out = v;
   return true;
+}
+
+template <typename T>
+bool parse_decimal(std::string_view s, T& out) {
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  return !s.empty() && ec == std::errc{} && end == s.data() + s.size();
+}
+
+/// True when a tmp/ entry named `name` must stay: a publication in flight
+/// in this process or in another live one. Names that are not
+/// "<fp hex>.<pid>.<n>.tmp" are debris.
+bool tmp_file_in_flight(std::string_view name) {
+  if (!name.ends_with(".tmp")) return false;
+  name.remove_suffix(4);
+  const std::size_t dot1 = name.find('.');
+  const std::size_t dot2 = name.find('.', dot1 + 1);
+  std::uint64_t fp = 0;
+  int pid = 0;
+  std::uint64_t seq = 0;
+  if (dot1 == std::string_view::npos || dot2 == std::string_view::npos ||
+      !parse_hex(name.substr(0, dot1), fp) ||
+      !parse_decimal(name.substr(dot1 + 1, dot2 - dot1 - 1), pid) ||
+      !parse_decimal(name.substr(dot2 + 1), seq)) {
+    return false;
+  }
+  if (pid != util::process_id()) return util::process_alive(pid);
+  std::lock_guard lock(g_in_flight_mu);
+  return g_in_flight.count(seq) != 0;
 }
 
 /// Releases the FILE* on every exit path — including an InjectedCrash
@@ -110,13 +166,13 @@ std::string ResultStore::result_path(std::uint64_t fp) const {
 }
 
 void ResultStore::clean_tmp() {
-  // Anything under tmp/ is a publication that never reached its rename —
-  // a crash mid-write. The record it was replacing (if any) is still
-  // intact under results/, so stale tmp files are pure garbage. (On a
-  // shared directory it may also be another live process's publication
-  // in flight; see the header.)
+  // A tmp file whose publication is no longer in flight never reached
+  // its rename: a crash mid-write. The record it was replacing (if any)
+  // is still intact under results/, so it is pure garbage. One still in
+  // flight, in this process or another live one, is left to its writer.
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(fs::path(dir_) / "tmp", ec)) {
+    if (tmp_file_in_flight(de.path().filename().string())) continue;
     std::error_code rm;
     fs::remove(de.path(), rm);
     if (!rm) c_.tmp_cleaned->inc();
@@ -175,11 +231,13 @@ void ResultStore::publish(std::uint64_t fp, const std::string& payload) {
   header << kMagic << ' ' << kKind << ' ' << hex16(fp) << ' '
          << payload.size() << ' ' << hex16(fnv1a(payload)) << '\n';
   const std::string h = header.str();
+  const std::uint64_t seq = ++g_tmp_seq;
   const std::string tmp =
       (fs::path(dir_) / "tmp" /
        (hex16(fp) + "." + std::to_string(util::process_id()) + "." +
-        std::to_string(++g_tmp_seq) + ".tmp"))
+        std::to_string(seq) + ".tmp"))
           .string();
+  const InFlight in_flight(seq);  // joined before open, left on any exit
   auto fail = [&](const std::string& step) -> StoreIoError {
     const std::string cause = util::errno_text(errno);
     std::remove(tmp.c_str());  // best effort; clean_tmp() catches leftovers

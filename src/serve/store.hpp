@@ -45,11 +45,16 @@
 // whose file was evicted by another instance degrades to a miss. Tmp
 // files are named <fp hex>.<pid>.<n>.tmp, with n from a process-wide
 // counter, so two instances publishing the same fingerprint never share
-// a tmp file: both renames land, and the later one's record stays. One
-// race remains: open() cleans every file under tmp/, including another
-// live process's publication in flight, whose rename then fails and
-// counts as that writer's publish failure (the record is lost, never
-// torn).
+// a tmp file: both renames land, and the later one's record stays.
+// open() removes only tmp files no writer still owns: names of another
+// form, names whose pid is no live process, and this process's names
+// that are not in flight (a publication registers its n process-wide
+// before it opens the file and leaves on every exit path). The pid test
+// sees one pid namespace only: instances sharing a directory across
+// hosts or containers can still remove each other's publications in
+// flight (the record is lost, never torn), and debris whose pid a live
+// process reused stays until that process exits. Windows builds cannot
+// test a pid and remove every other process's tmp files.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,7 @@
 #ifdef _WIN32
 #include <process.h>
 #else
+#include <signal.h>
 #include <unistd.h>
 #endif
 
@@ -35,6 +36,17 @@ inline int process_id() {
   return _getpid();
 #else
   return static_cast<int>(::getpid());
+#endif
+}
+
+/// True when a process with id `pid` exists, including one this process
+/// may not signal. Windows builds cannot ask and answer false.
+inline bool process_alive(int pid) {
+#ifdef _WIN32
+  (void)pid;
+  return false;
+#else
+  return pid > 0 && (::kill(pid, 0) == 0 || errno == EPERM);
 #endif
 }
 

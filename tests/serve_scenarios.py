@@ -19,10 +19,12 @@ NDJSON to them, and exits nonzero listing every failed gate:
                shutdown / SIGTERM.
   obs          two traced shards behind a traced router: the metrics
                schema is sparsetrain.metrics/v1 and its eval latency count
-               equals the evals sent, every traced eval has one connected
-               span chain across the three logs, status carries pid,
-               uptime_s and schemas, and a tracing-off rerun answers
-               byte-identical eval lines once elapsed_ms is stripped.
+               equals the evals sent, the router's stats and each shard's
+               status equal the matching counters of their metrics
+               snapshots, every traced eval has one connected span chain
+               across the three logs, status carries pid, uptime_s and
+               schemas, and a tracing-off rerun answers byte-identical
+               eval lines once elapsed_ms is stripped.
 
 Usage: serve_scenarios.py --serve PATH --route PATH SCENARIO
 """
@@ -265,6 +267,51 @@ def chaos(s):
         s.expect_exit(f"shard {i} (SIGTERM)", shard, signal.SIGTERM)
 
 
+def counter(metrics, name, **labels):
+    """A counter's value in a sparsetrain.metrics/v1 snapshot (None when
+    the snapshot has no such instrument)."""
+    for m in metrics.get("metrics", []):
+        if m.get("name") == name and m.get("labels") == labels:
+            return m.get("value")
+    return None
+
+
+def check_router_stats(s, tag, stats, metrics):
+    """The router's stats payload reads the counters its metrics snapshot
+    renders."""
+    for field in ("routed", "failovers"):
+        want = counter(metrics, f"router_{field}_total")
+        s.check(stats.get(field) == want,
+                f"{tag}: router stats {field} {stats.get(field)} != "
+                f"router_{field}_total {want}")
+    shards = stats.get("shards", [])
+    s.check(len(shards) == 2, f"{tag}: router stats shards: {shards}")
+    for sh in shards:
+        ep = sh.get("endpoint")
+        for field in ("forwards", "served", "replications"):
+            want = counter(metrics, f"router_shard_{field}_total", shard=ep)
+            s.check(sh.get(field) == want,
+                    f"{tag}: router stats {ep} {field} {sh.get(field)} != "
+                    f"router_shard_{field}_total {want}")
+
+
+def check_shard_status(s, tag, endpoint):
+    """A shard's status payload reads the counters its metrics snapshot
+    renders."""
+    c = Conn(endpoint)
+    status = c.ask('{"type":"status","id":"st"}').get("payload", {})
+    metrics = c.ask('{"type":"metrics","id":"m"}').get("payload", {})
+    for field, want in (
+            ("completed", counter(metrics, "server_evals_completed_total")),
+            ("computed", counter(metrics, "server_evals_total",
+                                 source="computed")),
+            ("store_hits", counter(metrics, "server_evals_total",
+                                   source="store"))):
+        s.check(status.get(field) == want,
+                f"{tag}: shard {endpoint} status {field} "
+                f"{status.get(field)} != its metrics {want}")
+
+
 def obs_burst(s, tag, traced):
     """2 shards + router, one eval burst; returns (eval lines, metrics
     payload). Both runs use the same socket paths, so shard placement
@@ -277,8 +324,9 @@ def obs_burst(s, tag, traced):
         return ["--trace", s.path(f"{tag}_{name}.jsonl"),
                 "--trace-sample-rate", "1.0"]
 
-    shards = [s.shard(f"{tag}_shard{i}", socks[i], f"{tag}_store{i}",
-                      *trace(f"shard{i}"))[0] for i in range(2)]
+    started = [s.shard(f"{tag}_shard{i}", socks[i], f"{tag}_store{i}",
+                       *trace(f"shard{i}")) for i in range(2)]
+    shards = [proc for proc, _ in started]
     router, endpoint = s.router(f"{tag}_r", [s.path(x) for x in socks],
                                 *trace("router"))
     c = Conn(endpoint)
@@ -290,8 +338,13 @@ def obs_burst(s, tag, traced):
         s.check(resp.get("status") == "ok", f"{tag}: eval {n} failed: {raw}")
         s.check(resp.get("elapsed_ms", -1) >= 0,
                 f"{tag}: eval {n} missing elapsed_ms: {raw}")
+    stats = c.ask('{"type":"stats","id":"s"}')
     metrics = c.ask('{"type":"metrics","id":"m"}')
     s.check(metrics.get("status") == "ok", f"{tag}: metrics failed")
+    check_router_stats(s, tag, stats.get("payload", {}),
+                       metrics.get("payload", {}))
+    for _, shard_ep in started:
+        check_shard_status(s, tag, shard_ep)
     status = c.ask('{"type":"status","id":"st"}')
     for key in ("pid", "uptime_s", "schemas"):
         s.check(key in status.get("payload", {}),

@@ -1,6 +1,6 @@
 // Explorer tests: space enumeration, byte-identical exploration output
 // across session worker counts, strategy behaviour (random sampling,
-// successive halving, prune callback, exact promotion), ProgramCache
+// successive halving, exact promotion), ProgramCache
 // sharing, ArchConfig validation at every boundary, valid JSON export
 // for any scenario name, and the acceptance grid (≥200 architectures × 2 zoo workloads, ≥50% cache hit-rate,
 // brute-force-verified frontier).
@@ -241,23 +241,6 @@ TEST(Explorer, SuccessiveHalvingThinsBetweenRungs) {
   EXPECT_EQ(complete, 4u);  // ceil(8 / 2)
   EXPECT_EQ(pruned, 4u);
   EXPECT_FALSE(result.frontier.empty());
-}
-
-TEST(Explorer, PruneCallbackDropsCandidates) {
-  ExploreOptions opts;
-  opts.prune = [](const dse::PointResult& p) {
-    return p.point.arch.pe_groups != 8;  // keep only the 8-group points
-  };
-  const ExploreResult r = explore_tiny(1, opts);
-  for (const auto& p : r.points) {
-    EXPECT_EQ(p.complete, p.point.arch.pe_groups == 8);
-    if (p.point.arch.pe_groups != 8) {
-      EXPECT_TRUE(p.pruned);
-    }
-  }
-  for (const std::size_t i : r.frontier) {
-    EXPECT_EQ(r.points[i].point.arch.pe_groups, 8u);
-  }
 }
 
 // --------------------------------------------------------- exact promotion

@@ -259,14 +259,6 @@ TEST(Registry, SnapshotsAreDeterministic) {
   EXPECT_LT(doc.find("b_total"), doc.find("z_gauge"));
 }
 
-TEST(Registry, CounterResetSupportsViews) {
-  Registry r;
-  Counter& c = r.counter("hits_total");
-  c.inc(9);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Engine profiler
 

@@ -2,14 +2,16 @@
 // at every I/O step leaves the store openable with byte-identical replay),
 // checked-write failures (ENOSPC, EIO, short writes, fsync/rename
 // failures) that never corrupt the previous record, graceful degradation
-// to read-only after persistent publish failure, stale tmp cleanup, two
-// stores on one directory publishing one fingerprint at once, a
-// core::Session that keeps computing while its store is sick (and a DSE
-// sweep that reports the degradation), and a session's publication cost:
-// one record per computed evaluation, nothing beside results/ and tmp/.
+// to read-only after persistent publish failure, stale tmp cleanup that
+// spares live writers' publications, two stores on one directory
+// publishing one fingerprint at once, a core::Session that keeps
+// computing while its store is sick (and a DSE sweep that reports the
+// degradation), and a session's publication cost: one record per
+// computed evaluation, nothing beside results/ and tmp/.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -27,6 +29,11 @@
 #include "serve/store.hpp"
 #include "workload/layer_config.hpp"
 #include "workload/sparsity_profile.hpp"
+
+#ifndef _WIN32
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 namespace sparsetrain {
 namespace {
@@ -285,6 +292,59 @@ TEST(StoreFaults, StoresSharingADirectoryNeverShareATmpFile) {
   fs::remove_all(dir);
 }
 
+TEST(StoreFaults, OpeningAStoreLeavesAPublicationInFlight) {
+  // A second store opened on the directory while the first store's tmp
+  // file is written but not yet renamed must leave that file in place:
+  // removing it would fail the first store's rename.
+  const std::string dir = fresh_dir("faults_open_in_flight");
+  auto hooks = std::make_shared<InterleavingHooks>();
+  StoreOptions opts;
+  opts.hooks = hooks;
+  ResultStore a(dir, opts);
+  std::size_t cleaned = 1;
+  hooks->between = [&] { cleaned = ResultStore(dir).stats().tmp_cleaned; };
+  EXPECT_TRUE(a.put_result(7, report_with_cycles(1)))
+      << a.last_publish_error();
+  EXPECT_EQ(cleaned, 0u);
+  EXPECT_EQ(a.stats().publish_failures, 0u);
+  sim::SimReport out;
+  EXPECT_TRUE(ResultStore(dir).get_result(7, out));
+  fs::remove_all(dir);
+}
+
+#ifndef _WIN32
+TEST(StoreFaults, LiveProcessTmpFileSurvivesUntilItsWriterIsReaped) {
+  const std::string dir = fresh_dir("faults_live_pid");
+  { ResultStore store(dir); }  // create the layout
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // The stand-in writer lives until the parent closes the pipe.
+    ::close(fds[1]);
+    char c = 0;
+    while (::read(fds[0], &c, 1) < 0 && errno == EINTR) {
+    }
+    ::_exit(0);
+  }
+  ::close(fds[0]);
+  const fs::path tmp = fs::path(dir) / "tmp" /
+                       ("0000000000000007." + std::to_string(child) +
+                        ".1.tmp");
+  std::ofstream(tmp) << "half a record";
+  EXPECT_EQ(ResultStore(dir).stats().tmp_cleaned, 0u);
+  EXPECT_TRUE(fs::exists(tmp));
+
+  ::close(fds[1]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_EQ(ResultStore(dir).stats().tmp_cleaned, 1u);
+  EXPECT_FALSE(fs::exists(tmp));
+  fs::remove_all(dir);
+}
+#endif
+
 TEST(SessionFaults, SessionKeepsComputingWithASickStore) {
   const std::string dir = fresh_dir("faults_session");
   auto hooks = std::make_shared<FaultIoHooks>();
@@ -317,7 +377,7 @@ TEST(SessionFaults, SessionKeepsComputingWithASickStore) {
 
   // Operators can see the degradation in the stats export.
   std::ostringstream os;
-  core::export_stats_json(core::service_stats(session), os);
+  core::export_stats_json(session, os);
   EXPECT_NE(os.str().find("\"read_only\": true"), std::string::npos);
   EXPECT_NE(os.str().find("\"publish_failures\": 1"), std::string::npos);
   fs::remove_all(dir);

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
@@ -56,6 +57,8 @@ TEST(ClientRetry, BackoffSleepsStayWithinBoundsAndGrow) {
   opts.backoff_cap_ms = 300;
   std::vector<long> sleeps;
   opts.sleeper = [&sleeps](long ms) { sleeps.push_back(ms); };
+  obs::Registry metrics;
+  opts.metrics = &metrics;
 
   Client client(nowhere, opts);  // retries > 0: lazy, does not throw yet
   EXPECT_THROW(client.request_raw("{\"type\":\"status\"}"), ContractError);
@@ -68,8 +71,9 @@ TEST(ClientRetry, BackoffSleepsStayWithinBoundsAndGrow) {
     EXPECT_LE(s, std::max(opts.backoff_base_ms + 1, 3 * prev));
     prev = s;
   }
-  EXPECT_EQ(client.retry_stats().retries, 6u);
-  EXPECT_EQ(client.retry_stats().connects, 0u);
+  const obs::Labels labels = {{"endpoint", nowhere}};
+  EXPECT_EQ(metrics.counter("client_retries_total", labels).value(), 6u);
+  EXPECT_EQ(metrics.counter("client_connects_total", labels).value(), 0u);
 }
 
 TEST(ClientRetry, BackoffIsDeterministicPerSeed) {
@@ -133,6 +137,8 @@ void restart_mid_burst(const std::string& spec) {
   copts.retries = 30;
   copts.backoff_base_ms = 10;
   copts.backoff_cap_ms = 100;
+  obs::Registry metrics;
+  copts.metrics = &metrics;
   Client client(connect_spec, copts);
 
   std::vector<Response> responses;
@@ -170,7 +176,11 @@ void restart_mid_burst(const std::string& spec) {
   }
   // The client really did reconnect (daemon A's shutdown kicked it), and
   // daemon B served the repeat fingerprint from the shared store.
-  EXPECT_GE(client.retry_stats().reconnects, 1u);
+  EXPECT_GE(metrics
+                .counter("client_reconnects_total",
+                         {{"endpoint", connect_spec}})
+                .value(),
+            1u);
   bool any_from_store = false;
   for (std::size_t i = 3; i < responses.size(); ++i) {
     any_from_store = any_from_store || responses[i].source == "store";

@@ -2,10 +2,12 @@
 // (order-insensitive, minimal movement on pool resize), zero-loss
 // failover with a shard down, replication into ring successors, the
 // per-shard circuit breaker's open → half-open → closed cycle, the
-// background health prober, and the explicit all-shards-down rejection.
+// background health prober, the explicit all-shards-down rejection, and
+// the exact bytes of both daemons' stats, status and bye payloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <map>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "serve/client.hpp"
+#include "serve/json.hpp"
 #include "serve/ring.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
@@ -28,11 +31,13 @@ namespace fs = std::filesystem;
 
 using serve::Client;
 using serve::ClientOptions;
+using serve::Conn;
+using serve::Daemon;
+using serve::JsonValue;
 using serve::Listener;
 using serve::Request;
 using serve::Response;
 using serve::Ring;
-using serve::RingOptions;
 using serve::Router;
 using serve::RouterOptions;
 using serve::Server;
@@ -57,6 +62,17 @@ Request tiny_eval(const std::string& id) {
   r.id = id;
   r.workload = "tiny";
   return r;
+}
+
+/// A daemon's "stats" or "status" payload, as operators read it.
+JsonValue payload(Daemon& daemon, const std::string& type) {
+  return serve::parse_json(
+      daemon.handle("{\"type\":\"" + type + "\"}").payload_json);
+}
+
+/// Shard `i`'s entry in a router_stats/v1 payload.
+JsonValue shard_stats(Router& router, std::size_t i) {
+  return payload(router, "stats").find("shards")->as_array().at(i);
 }
 
 // ---------------------------------------------------------------------------
@@ -258,10 +274,10 @@ TEST(Router, RoutesEvalsAndAnnotatesTheServingShard) {
   EXPECT_NE(stats.payload_json.find("\"health\": \"up\""),
             std::string::npos);
 
-  const Router::Stats s = router.stats();
-  EXPECT_EQ(s.routed, 2u);
-  EXPECT_EQ(s.failovers, 0u);
-  EXPECT_EQ(s.rejected, 0u);
+  const JsonValue s = payload(router, "stats");
+  EXPECT_EQ(s.get_number("routed", -1), 2);
+  EXPECT_EQ(s.get_number("failovers", -1), 0);
+  EXPECT_EQ(s.get_number("rejected", -1), 0);
 }
 
 TEST(Router, MalformedLinesAnswerErrorWithoutTouchingShards) {
@@ -270,9 +286,8 @@ TEST(Router, MalformedLinesAnswerErrorWithoutTouchingShards) {
   Router router(opts);
   const Response resp = router.handle("this is not json");
   EXPECT_EQ(resp.status, "error");
-  const Router::Stats s = router.stats();
-  EXPECT_EQ(s.errors, 1u);
-  EXPECT_EQ(s.shards[0].forwards, 0u);
+  EXPECT_EQ(payload(router, "stats").get_number("errors", -1), 1);
+  EXPECT_EQ(shard_stats(router, 0).get_number("forwards", -1), 0);
 }
 
 TEST(Router, ReplicationMakesTheKeyReadableFromTheSuccessor) {
@@ -292,9 +307,9 @@ TEST(Router, ReplicationMakesTheKeyReadableFromTheSuccessor) {
 
   // Replication is synchronous with the response: the successor's
   // counters already show the accepted put...
-  const Router::Stats s = router.stats();
-  EXPECT_EQ(s.shards[successor].replications, 1u);
-  EXPECT_EQ(s.shards[successor].replication_failures, 0u);
+  const JsonValue s = shard_stats(router, successor);
+  EXPECT_EQ(s.get_number("replications", -1), 1);
+  EXPECT_EQ(s.get_number("replication_failures", -1), 0);
 
   // ...and the successor can serve the fingerprint from its own store:
   // ask it directly, bypassing the router.
@@ -349,11 +364,11 @@ TEST(Router, FailoverWithOneShardDownLosesZeroRequests) {
   EXPECT_EQ(failed_over.shard, successor_ep);
   EXPECT_EQ(failed_over.source, "store");
 
-  const Router::Stats s = router.stats();
-  EXPECT_GE(s.failovers, 1u);
-  EXPECT_EQ(s.rejected, 0u);
+  const JsonValue s = payload(router, "stats");
+  EXPECT_GE(s.get_number("failovers", -1), 1);
+  EXPECT_EQ(s.get_number("rejected", -1), 0);
   const std::size_t dead = pool.index_of(pool.shards[0].socket);
-  EXPECT_GE(s.shards[dead].failures, 1u);
+  EXPECT_GE(shard_stats(router, dead).get_number("failures", -1), 1);
 }
 
 TEST(Router, BreakerOpensHalfOpensAndClosesAgain) {
@@ -375,17 +390,17 @@ TEST(Router, BreakerOpensHalfOpensAndClosesAgain) {
     EXPECT_EQ(resp.status, "rejected");
     EXPECT_NE(resp.error.find("all shards down"), std::string::npos);
   }
-  Router::Stats s = router.stats();
-  EXPECT_EQ(s.shards[0].health, Router::Health::Open);
-  EXPECT_EQ(s.shards[0].failures, 2u);
+  JsonValue s = shard_stats(router, 0);
+  EXPECT_EQ(s.get_string("health", ""), "open");
+  EXPECT_EQ(s.get_number("failures", -1), 2);
 
   // ...and while open the shard is skipped without paying a connect.
   const Response skipped =
       router.handle(serve::format_request(tiny_eval("s")));
   EXPECT_EQ(skipped.status, "rejected");
-  s = router.stats();
-  EXPECT_GE(s.shards[0].skipped, 1u);
-  EXPECT_EQ(s.shards[0].failures, 2u);  // no new connect attempt
+  s = shard_stats(router, 0);
+  EXPECT_GE(s.get_number("skipped", -1), 1);
+  EXPECT_EQ(s.get_number("failures", -1), 2);  // no new connect attempt
 
   // Recovery: bring a real daemon up on the endpoint, wait out the
   // cooldown, and the next request is the half-open probe that closes
@@ -399,9 +414,9 @@ TEST(Router, BreakerOpensHalfOpensAndClosesAgain) {
   const Response recovered =
       router.handle(serve::format_request(tiny_eval("r")));
   EXPECT_EQ(recovered.status, "ok") << recovered.error;
-  s = router.stats();
-  EXPECT_EQ(s.shards[0].health, Router::Health::Up);
-  EXPECT_EQ(s.shards[0].recoveries, 1u);
+  s = shard_stats(router, 0);
+  EXPECT_EQ(s.get_string("health", ""), "up");
+  EXPECT_EQ(s.get_number("recoveries", -1), 1);
 
   daemon.stop();
   fs::remove_all(daemon.store_dir);
@@ -430,9 +445,9 @@ TEST(Router, AllShardsDownRejectsExplicitlyWithinTheDeadline) {
   // "explicit answer, not a hang".
   EXPECT_LT(elapsed.count(), 3000);
 
-  const Router::Stats s = router.stats();
-  EXPECT_EQ(s.rejected, 1u);
-  EXPECT_EQ(s.routed, 0u);
+  const JsonValue s = payload(router, "stats");
+  EXPECT_EQ(s.get_number("rejected", -1), 1);
+  EXPECT_EQ(s.get_number("routed", -1), 0);
 }
 
 TEST(Router, ProberRecoversADownShardWithoutTraffic) {
@@ -451,7 +466,7 @@ TEST(Router, ProberRecoversADownShardWithoutTraffic) {
   // One failure marks the shard down.
   EXPECT_EQ(router.handle(serve::format_request(tiny_eval("x"))).status,
             "rejected");
-  ASSERT_EQ(router.stats().shards[0].health, Router::Health::Open);
+  ASSERT_EQ(shard_stats(router, 0).get_string("health", ""), "open");
 
   // The daemon comes back; the prober must rejoin it with NO request
   // traffic, despite the one-minute breaker cooldown.
@@ -461,14 +476,14 @@ TEST(Router, ProberRecoversADownShardWithoutTraffic) {
   daemon.start();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (router.stats().shards[0].health != Router::Health::Up &&
+  while (shard_stats(router, 0).get_string("health", "") != "up" &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  const Router::Stats s = router.stats();
-  EXPECT_EQ(s.shards[0].health, Router::Health::Up);
-  EXPECT_GE(s.shards[0].probes, 1u);
-  EXPECT_GE(s.shards[0].recoveries, 1u);
+  const JsonValue s = shard_stats(router, 0);
+  EXPECT_EQ(s.get_string("health", ""), "up");
+  EXPECT_GE(s.get_number("probes", -1), 1);
+  EXPECT_GE(s.get_number("recoveries", -1), 1);
 
   // And real traffic flows again immediately.
   EXPECT_EQ(router.handle(serve::format_request(tiny_eval("y"))).status,
@@ -499,6 +514,143 @@ TEST(Router, ServesTheWireProtocolOverAListener) {
 
   EXPECT_EQ(client.shutdown().type, "bye");
   serving.join();
+}
+
+// ---------------------------------------------------------------------------
+// Payload bytes. One server behind a one-shard router runs a fixed
+// request sequence that moves each printed counter it can off zero; the
+// "stats" payloads, the "status" payloads up to their provenance and the
+// "bye" payloads must then read exactly these bytes.
+
+/// The members of a "status" payload before its provenance ("pid" on).
+std::string status_counters(Daemon& daemon) {
+  const std::string payload =
+      daemon.handle("{\"type\":\"status\"}").payload_json;
+  return payload.substr(0, payload.find(", \"pid\": "));
+}
+
+TEST(Payloads, StatsStatusAndByeBytesArePinned) {
+  const std::string store_dir = fresh_dir("pin_store");
+  const std::string socket = fresh_socket("pin_shard");
+  std::atomic<bool> hold{false};
+  ServerOptions sopts;
+  sopts.store_dir = store_dir;
+  sopts.session.workers = 1;
+  sopts.request_workers = 2;
+  sopts.max_queue = 1;
+  sopts.max_connections = 2;  // the router's connection and one more
+  sopts.before_eval = [&hold]() {
+    while (hold.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  Server server(sopts);
+  Listener listener = Listener::listen(socket);
+  std::thread serving([&]() { server.serve_listener(listener); });
+
+  RouterOptions ropts;
+  ropts.endpoints = {socket};
+  ropts.client.deadline_ms = 30000;
+  Router router(ropts);
+  const auto via_router = [&router](const Request& r) {
+    return router.handle(serve::format_request(r));
+  };
+
+  // Computed, then a store hit, both through the router.
+  Request first = tiny_eval("a");
+  first.include_report = true;
+  const Response computed = via_router(first);
+  ASSERT_EQ(computed.source, "computed") << computed.error;
+  ASSERT_EQ(via_router(tiny_eval("b")).source, "store");
+
+  // A malformed line at each daemon.
+  EXPECT_EQ(router.handle("not json").status, "error");
+  EXPECT_EQ(server.handle("not json").status, "error");
+
+  // A put of the computed report, routed to the shard.
+  Request put;
+  put.type = "put";
+  put.id = "p";
+  put.fingerprint = computed.fingerprint;
+  put.report_hex = computed.report_hex;
+  ASSERT_EQ(via_router(put).status, "ok");
+
+  // Beside the router's connection and one more, a third is refused.
+  std::string error;
+  Conn second = serve::connect_endpoint(listener.endpoint(), &error);
+  ASSERT_TRUE(second.valid()) << error;
+  Conn third = serve::connect_endpoint(listener.endpoint(), &error);
+  ASSERT_TRUE(third.valid()) << error;
+  std::string line;
+  ASSERT_EQ(third.read_line(line, 5000), Conn::ReadStatus::Ok);
+  EXPECT_EQ(serve::parse_response(line).status, "rejected");
+  third.close();
+  second.close();
+
+  // A held evaluation times out its requester; a twin attaches to it and
+  // fills the queue, so the next eval the router forwards is rejected.
+  hold.store(true);
+  Request held = tiny_eval("c");
+  held.p = 0.5;
+  held.timeout_ms = 30;
+  EXPECT_EQ(server.handle(serve::format_request(held)).status, "timeout");
+  Response twin;
+  std::thread waiter([&]() {
+    Request again = held;
+    again.id = "d";
+    again.timeout_ms = 0;
+    twin = server.handle(serve::format_request(again));
+  });
+  while (server.inflight() != 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Request refused = tiny_eval("e");
+  refused.p = 0.7;
+  EXPECT_EQ(via_router(refused).status, "rejected");
+  hold.store(false);
+  waiter.join();
+  EXPECT_EQ(twin.source, "coalesced") << twin.error;
+
+  EXPECT_EQ(server.handle("{\"type\":\"stats\"}").payload_json,
+            "{\"schema\": \"sparsetrain.store_stats/v3\",  "
+            "\"program_cache\": {\"hits\": 0, \"misses\": 2, "
+            "\"lookups\": 2},  \"store_attached\": true,  \"store\": "
+            "{\"hits\": 1, \"misses\": 2, \"hit_rate\": 0.3333333333, "
+            "\"puts\": 3, \"evictions\": 0, \"torn_skipped\": 0, "
+            "\"tmp_cleaned\": 0, \"publish_failures\": 0, "
+            "\"dropped_publishes\": 0, \"read_only\": false, "
+            "\"entries\": 2, \"bytes\": 2014}}");
+  EXPECT_EQ(status_counters(server),
+            "{\"inflight\": 0, \"received\": 9, \"completed\": 3, "
+            "\"computed\": 1, \"store_hits\": 1, \"coalesced\": 1, "
+            "\"errors\": 1, \"rejected\": 1, \"timeouts\": 1, "
+            "\"overloaded\": 1, \"idle_closed\": 0, \"puts\": 1");
+  EXPECT_EQ(router.handle("{\"type\":\"stats\"}").payload_json,
+            "{\"version\": \"router_stats/v1\", \"received\": 6, "
+            "\"routed\": 3, \"failovers\": 0, \"rejected\": 1, "
+            "\"errors\": 1, \"replicas\": 0, \"shards\": [{\"endpoint\": "
+            "\"" + socket + "\", \"health\": \"up\", \"forwards\": 4, "
+            "\"served\": 2, \"failures\": 0, \"skipped\": 0, "
+            "\"replications\": 0, \"replication_failures\": 0, "
+            "\"replication_skipped\": 0, \"probes\": 0, "
+            "\"recoveries\": 0}]}");
+  EXPECT_EQ(status_counters(router),
+            "{\"shards\": 1, \"up\": 1, \"received\": 7, \"routed\": 3, "
+            "\"failovers\": 0, \"rejected\": 1");
+  EXPECT_EQ(server.handle("{\"type\":\"shutdown\"}").payload_json,
+            "{\"completed\": 3, \"errors\": 1, \"rejected\": 1}");
+  EXPECT_EQ(router.handle("{\"type\":\"shutdown\"}").payload_json,
+            "{\"routed\": 3, \"failovers\": 0, \"rejected\": 1}");
+
+  // Stop serving through a connection, the way a drain is joined. The
+  // client rides out the cap until the second connection is reaped.
+  ClientOptions copts;
+  copts.retries = 50;
+  copts.backoff_base_ms = 5;
+  copts.backoff_cap_ms = 50;
+  EXPECT_EQ(Client(socket, copts).shutdown().type, "bye");
+  serving.join();
+  fs::remove_all(store_dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +700,7 @@ TEST(RouterProtocol, PutRoundTripsThroughServerStore) {
   EXPECT_EQ(hit.fingerprint, got.fingerprint);
   EXPECT_EQ(hit.cycles, got.cycles);
 
-  EXPECT_EQ(b.counters().puts, 1u);
+  EXPECT_EQ(payload(b, "status").get_number("puts", -1), 1);
   fs::remove_all(aopts.store_dir);
   fs::remove_all(bopts.store_dir);
 }

@@ -139,25 +139,17 @@ TEST(Export, StoreStatsJson) {
                               {core::Session::kSparseBackend}));
 
   std::ostringstream os;
-  core::export_stats_json(core::service_stats(session), os);
+  core::export_stats_json(session, os);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"schema\": \"sparsetrain.store_stats/v3\""),
             std::string::npos);
   EXPECT_NE(json.find("\"store_attached\": true"), std::string::npos);
   EXPECT_NE(json.find("\"puts\": 1"), std::string::npos);
 
-  // Combined jobs + stats document embeds the results-only export
-  // verbatim.
-  std::ostringstream combined, jobs_only;
-  core::export_json(session.results(), session, combined);
-  core::export_json(session.results(), jobs_only);
-  EXPECT_NE(combined.str().find(jobs_only.str()), std::string::npos);
-  EXPECT_NE(combined.str().find("\"stats\": "), std::string::npos);
-
   // Without a store the stats export says so instead of inventing zeros.
   core::Session bare;
   std::ostringstream bare_os;
-  core::export_stats_json(core::service_stats(bare), bare_os);
+  core::export_stats_json(bare, bare_os);
   EXPECT_NE(bare_os.str().find("\"store_attached\": false"),
             std::string::npos);
   EXPECT_EQ(bare_os.str().find("\"store\":"), std::string::npos);

@@ -34,7 +34,6 @@ const std::vector<Args::Flag> kFlags = sparsetrain::serve::with_daemon_flags({
      true},
     {"replicas",
      "successor shards each ok evaluation is replicated to", true},
-    {"vnodes", "ring points per shard (placement smoothness)", true},
     {"breaker-threshold",
      "consecutive transport failures that mark a shard down", true},
     {"breaker-cooldown-ms",
@@ -67,8 +66,6 @@ int main(int argc, char** argv) {
     sparsetrain::serve::read_daemon_flags(args, opts);
     opts.endpoints = sparsetrain::serve::split_endpoints(shards);
     opts.replicas = static_cast<std::size_t>(args.get("replicas", 1L));
-    opts.ring.vnodes =
-        static_cast<std::size_t>(args.get("vnodes", 64L));
     opts.breaker_threshold =
         static_cast<int>(args.get("breaker-threshold", 3L));
     opts.breaker_cooldown_ms = args.get("breaker-cooldown-ms", 1000L);
