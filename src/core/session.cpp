@@ -1,6 +1,8 @@
 #include "core/session.hpp"
 
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <optional>
 #include <utility>
 
@@ -43,7 +45,7 @@ class Phase {
 /// Derives the backend runs of one job: the profile each run simulates,
 /// its compile options, program fingerprint and seed. Dense backends run
 /// an all-dense profile with a statistical program (the baseline has no
-/// exact semantics). start_job and run_fingerprint both derive runs here,
+/// exact semantics). start and run_fingerprint both derive runs here,
 /// so the key a job records in the store and the key services route and
 /// coalesce on cannot drift apart. Each profile kind is materialised and
 /// fingerprinted at most once per job.
@@ -102,6 +104,28 @@ class RunDeriver {
   compiler::CompileOptions copts_;
   std::optional<Run> sparse_;
   std::optional<Run> dense_;
+};
+
+/// One started job: the result and error slots its runs fill, one each,
+/// the promise behind start()'s future, and the count of runs still
+/// going. The acq_rel count orders every slot write before the last run
+/// resolves the promise, with the first error in backend order if any.
+struct JobState {
+  EvalResult result;
+  std::vector<std::exception_ptr> errors;
+  std::promise<EvalResult> promise;
+  std::atomic<std::size_t> left{0};
+
+  void finish_run() {
+    if (left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    for (const std::exception_ptr& error : errors) {
+      if (error) {
+        promise.set_exception(error);
+        return;
+      }
+    }
+    promise.set_value(std::move(result));
+  }
 };
 
 }  // namespace
@@ -192,7 +216,7 @@ Session::Session(SessionConfig cfg)
 
 Session::~Session() {
   // Let in-flight jobs finish before members they reference are torn
-  // down; task errors die with their futures.
+  // down; a job nobody waits for keeps its result and error to itself.
   pool_.wait_idle();
 }
 
@@ -208,12 +232,8 @@ Session::JobHandle Session::submit(
     const workload::SparsityProfile& profile,
     const std::vector<std::string>& backend_names,
     const JobOptions& options) {
-  // Build the job completely before publishing it, so a concurrent
-  // wait()/results() can never observe a half-submitted job. The Job is
-  // heap-allocated, so its address is stable for the running tasks.
-  auto job = std::make_unique<Job>();
-  start_job(*job, net, profile, backend_names, options);
-
+  std::shared_future<EvalResult> job =
+      start(net, profile, backend_names, options);
   JobHandle handle;
   std::lock_guard lock(jobs_mu_);
   handle.id = jobs_.size();
@@ -221,10 +241,11 @@ Session::JobHandle Session::submit(
   return handle;
 }
 
-void Session::start_job(Job& job, const workload::NetworkConfig& net,
-                        const workload::SparsityProfile& profile,
-                        const std::vector<std::string>& backend_names,
-                        const JobOptions& options) {
+std::shared_future<EvalResult> Session::start(
+    const workload::NetworkConfig& net,
+    const workload::SparsityProfile& profile,
+    const std::vector<std::string>& backend_names,
+    const JobOptions& options) {
   ST_REQUIRE(!backend_names.empty(), "job needs at least one backend");
   ST_REQUIRE(profile.size() == net.layers.size(),
              "profile does not match network");
@@ -254,9 +275,16 @@ void Session::start_job(Job& job, const workload::NetworkConfig& net,
   runs.reserve(backends.size());
   for (const auto& b : backends) runs.push_back(derive(*b));
 
-  job.result.net = net;
-  job.result.profile_name = profile.name();
-  job.result.runs.resize(backends.size());
+  auto job = std::make_shared<JobState>();
+  job->result.net = net;
+  job->result.profile_name = profile.name();
+  job->result.runs.resize(backends.size());
+  for (std::size_t i = 0; i < backends.size(); ++i) {
+    job->result.runs[i].backend = backends[i]->name();
+  }
+  job->errors.resize(backends.size());
+  job->left.store(backends.size());
+  std::shared_future<EvalResult> future = job->promise.get_future().share();
 
   // Exact jobs borrow the session's own pool instead of spawning one per
   // run: the engine's stage tiles and the stage-graph units then
@@ -273,64 +301,66 @@ void Session::start_job(Job& job, const workload::NetworkConfig& net,
     exact_opts.profiler = engine_profiler_.get();
   }
 
-  try {
-    for (std::size_t i = 0; i < backends.size(); ++i) {
-      auto backend = backends[i];
-      job.result.runs[i].backend = backend->name();
-      // Each task writes only its own pre-sized slot, so no result lock
-      // is needed; completion is ordered by the futures.
-      job.pending.push_back(pool_.submit(
-          [this, backend = std::move(backend), shared_net,
-           run = std::move(runs[i]), exact = exact_opts, store = cfg_.store,
-           trace = options.trace, out = &job.result.runs[i]] {
-            // Persistent store first: a hit costs one record read — no
-            // compile, no simulation — and is byte-identical to the run
-            // it replaces (serve::fingerprint_v1 covers every input the
-            // numbers depend on).
-            std::uint64_t fp = 0;
-            if (store) {
-              Phase phase(hist_.store_lookup, trace, "store.lookup");
-              phase.span().attr("backend", backend->name());
-              fp = run.store_key(*shared_net, *backend);
-              out->fingerprint = fp;
-              sim::SimReport stored;
-              if (store->get_result(fp, stored)) {
-                phase.span().attr("hit", "true");
-                out->report = std::move(stored);
-                out->from_store = true;
-                return;
-              }
-              phase.span().attr("hit", "false");
-            }
-            compiler::ProgramCache::ProgramPtr program;
-            {
-              Phase phase(hist_.compile, trace, "compile");
-              phase.span().attr("backend", backend->name());
-              program = cache_.get(*shared_net, *run.profile, run.copts);
-            }
-            {
-              Phase phase(hist_.simulate, trace, "simulate");
-              phase.span().attr("backend", backend->name());
-              out->report = backend->run(*program, *shared_net,
-                                         *run.profile, run.seed, exact);
-            }
-            // Publication is strictly best-effort: a store that degraded
-            // to read-only (sick disk) drops the put, counting it in
-            // dropped_publishes, and the session keeps computing —
-            // serving never depends on persistence.
-            if (store) {
-              Phase phase(hist_.store_publish, trace, "store.publish");
-              phase.span().attr("backend", backend->name());
-              store->put_result(fp, out->report);
-            }
-          }));
-    }
-  } catch (...) {
-    // Record a half-enqueued job as a sticky error (surfaced by the next
-    // collect) rather than throwing past tasks that already reference
-    // this job's storage.
-    job.error = std::current_exception();
+  // An enqueue failure (the pool is shutting down) throws to the caller;
+  // runs already enqueued finish unobserved.
+  for (std::size_t i = 0; i < backends.size(); ++i) {
+    pool_.submit([this, job, i, backend = backends[i], shared_net,
+                  run = std::move(runs[i]), exact = exact_opts,
+                  store = cfg_.store, trace = options.trace] {
+      BackendRun* out = &job->result.runs[i];
+      const auto simulate_or_replay = [&] {
+        // Persistent store first: a hit costs one record read — no
+        // compile, no simulation — and is byte-identical to the run it
+        // replaces (serve::fingerprint_v1 covers every input the
+        // numbers depend on).
+        std::uint64_t fp = 0;
+        if (store) {
+          Phase phase(hist_.store_lookup, trace, "store.lookup");
+          phase.span().attr("backend", backend->name());
+          fp = run.store_key(*shared_net, *backend);
+          out->fingerprint = fp;
+          sim::SimReport stored;
+          if (store->get_result(fp, stored)) {
+            phase.span().attr("hit", "true");
+            out->report = std::move(stored);
+            out->from_store = true;
+            return;
+          }
+          phase.span().attr("hit", "false");
+        }
+        compiler::ProgramCache::ProgramPtr program;
+        {
+          Phase phase(hist_.compile, trace, "compile");
+          phase.span().attr("backend", backend->name());
+          program = cache_.get(*shared_net, *run.profile, run.copts);
+        }
+        {
+          Phase phase(hist_.simulate, trace, "simulate");
+          phase.span().attr("backend", backend->name());
+          out->report = backend->run(*program, *shared_net, *run.profile,
+                                     run.seed, exact);
+        }
+        // Publication is strictly best-effort: a store that degraded to
+        // read-only (sick disk) drops the put, counting it in
+        // dropped_publishes, and the session keeps computing — serving
+        // never depends on persistence.
+        if (store) {
+          Phase phase(hist_.store_publish, trace, "store.publish");
+          phase.span().attr("backend", backend->name());
+          store->put_result(fp, out->report);
+        }
+      };
+      try {
+        simulate_or_replay();
+      } catch (...) {
+        job->errors[i] = std::current_exception();
+      }
+      // Every phase of this run has closed: a waiter woken by the count
+      // finds its spans, histograms and store record in place.
+      job->finish_run();
+    });
   }
+  return future;
 }
 
 std::uint64_t Session::run_fingerprint(const workload::NetworkConfig& net,
@@ -355,45 +385,23 @@ std::uint64_t Session::run_fingerprint(
   return run_fingerprint(net, profile, backend_name, JobOptions{});
 }
 
-Session::Job& Session::job_at(const JobHandle& handle) {
-  std::lock_guard lock(jobs_mu_);
-  ST_REQUIRE(handle.valid() && handle.id < jobs_.size(),
-             "unknown job handle");
-  return *jobs_[handle.id];
-}
-
-void Session::collect(Job& job) {
-  std::lock_guard lock(job.mu);
-  if (!job.collected) {
-    // Drain every future even when one throws, so no task is left
-    // running (or its error lost) behind a failed sibling.
-    for (auto& f : job.pending) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!job.error) job.error = std::current_exception();
-      }
-    }
-    job.pending.clear();
-    job.collected = true;
-  }
-  if (job.error) std::rethrow_exception(job.error);
-}
-
 const EvalResult& Session::wait(const JobHandle& handle) {
-  Job& job = job_at(handle);
-  collect(job);
-  return job.result;
+  std::shared_future<EvalResult> job;
+  {
+    std::lock_guard lock(jobs_mu_);
+    ST_REQUIRE(handle.valid() && handle.id < jobs_.size(),
+               "unknown job handle");
+    job = jobs_[handle.id];
+  }
+  // jobs_ keeps the shared state, and so the referenced result, alive.
+  return job.get();
 }
 
 EvalResult Session::evaluate(const workload::NetworkConfig& net,
                              const workload::SparsityProfile& profile,
                              const std::vector<std::string>& backend_names,
                              const JobOptions& options) {
-  Job job;  // never registered in jobs_ — retains nothing after return
-  start_job(job, net, profile, backend_names, options);
-  collect(job);  // drains every task before `job` dies; rethrows errors
-  return std::move(job.result);
+  return start(net, profile, backend_names, options).get();
 }
 
 EvalResult Session::evaluate(const workload::NetworkConfig& net,
@@ -422,7 +430,7 @@ std::vector<EvalResult> Session::results() {
   std::vector<EvalResult> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(wait(JobHandle{i}));  // collects before copying
+    out.push_back(wait(JobHandle{i}));  // waits before copying
   }
   return out;
 }

@@ -197,13 +197,24 @@ class Session {
                                 const workload::SparsityProfile& profile,
                                 const std::string& backend_name) const;
 
-  /// Enqueues `net`×`profile` against every named backend. Sparse
-  /// backends run the submitted profile; dense backends run an all-dense
-  /// profile (and the matching program), as in the paper's comparison.
-  /// Throws ContractError on unknown backend names. Jobs execute on the
-  /// session's thread pool; results depend only on (session seed,
+  /// Enqueues `net`×`profile` against every named backend, one pool task
+  /// per backend run, and returns the job's future: the run that
+  /// finishes last resolves it with the result, or with the first run's
+  /// error. Each run's phase spans and histograms are closed, and a
+  /// computed report published to the store, before the future
+  /// resolves. Sparse backends run the submitted profile; dense backends
+  /// run an all-dense profile (and the matching program), as in the
+  /// paper's comparison. Throws ContractError on unknown backend names,
+  /// before any task exists. Results depend only on (session seed,
   /// evaluation inputs, backend name) — not on worker count or
-  /// submission order.
+  /// submission order. The session retains nothing of the job.
+  std::shared_future<EvalResult> start(
+      const workload::NetworkConfig& net,
+      const workload::SparsityProfile& profile,
+      const std::vector<std::string>& backend_names,
+      const JobOptions& options);
+
+  /// start() whose future the session keeps, for wait() and results().
   JobHandle submit(const workload::NetworkConfig& net,
                    const workload::SparsityProfile& profile,
                    const std::vector<std::string>& backend_names,
@@ -216,11 +227,9 @@ class Session {
   /// stays valid for the session's lifetime.
   const EvalResult& wait(const JobHandle& handle);
 
-  /// Runs one job to completion and returns its result WITHOUT retaining
-  /// it in results() — the submit/wait path for long-running services
-  /// (the serve daemon), whose per-request results must not accumulate
-  /// for the session's lifetime. Same execution path as submit():
-  /// pool-parallel, store-consulting, deterministic.
+  /// Runs one job to completion (start() and a wait on its future) and
+  /// returns its result WITHOUT retaining it in results(), so loops of
+  /// one-shot evaluations stay flat in memory. Rethrows the job's error.
   EvalResult evaluate(const workload::NetworkConfig& net,
                       const workload::SparsityProfile& profile,
                       const std::vector<std::string>& backend_names,
@@ -252,28 +261,6 @@ class Session {
   sim::SimReport run_dense(const workload::NetworkConfig& net);
 
  private:
-  struct Job {
-    EvalResult result;
-    std::mutex mu;                           ///< serialises collect()
-    std::vector<std::future<void>> pending;  ///< one per backend run
-    bool collected = false;                  ///< futures already drained
-    std::exception_ptr error;                ///< first task/enqueue error
-  };
-
-  /// Validates inputs and enqueues one task per backend into `job` (whose
-  /// address must be stable until the tasks finish). Validation errors
-  /// throw before any task exists; an enqueue failure is recorded in
-  /// job.error with the already-enqueued tasks left to be drained.
-  void start_job(Job& job, const workload::NetworkConfig& net,
-                 const workload::SparsityProfile& profile,
-                 const std::vector<std::string>& backend_names,
-                 const JobOptions& options);
-
-  Job& job_at(const JobHandle& handle);
-  /// Drains every future (even past the first failure), then rethrows the
-  /// first error — on this and every later wait of the same job.
-  void collect(Job& job);
-
   SessionConfig cfg_;
   sim::BackendRegistry registry_;
   compiler::ProgramCache cache_;
@@ -288,8 +275,8 @@ class Session {
   PhaseHist hist_;
   std::unique_ptr<obs::EngineProfiler> engine_profiler_;  ///< may be null
   std::mutex jobs_mu_;  ///< guards jobs_ growth (submit vs. wait)
-  std::vector<std::unique_ptr<Job>> jobs_;
-  util::ThreadPool pool_;  ///< last member: joins before jobs_/cache_ die
+  std::vector<std::shared_future<EvalResult>> jobs_;  ///< submit() order
+  util::ThreadPool pool_;  ///< last member: joins before cache_ dies
 };
 
 }  // namespace sparsetrain::core

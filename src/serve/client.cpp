@@ -159,7 +159,7 @@ std::string Client::request_raw(const std::string& json_line) {
           // An admission rejection is retryable by policy: the daemon is
           // alive but briefly full, exactly what backoff is for.
           bool rejected = false;
-          if (opts_.retry_rejected && !last) {
+          if (!last) {
             try {
               rejected = parse_response(line).status == "rejected";
             } catch (const std::exception&) {

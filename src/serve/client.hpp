@@ -51,9 +51,6 @@ struct ClientOptions {
   long backoff_base_ms = 25;
   long backoff_cap_ms = 1000;
   std::uint64_t backoff_seed = 0x5eed;
-  /// Retry "rejected" (admission-control) responses too, not just
-  /// transport failures.
-  bool retry_rejected = true;
   /// Test seam: called with each backoff duration instead of sleeping.
   std::function<void(long)> sleeper;
   /// Registry the client's counters live on, labeled {endpoint=<the

@@ -1,7 +1,9 @@
 #include "serve/daemon.hpp"
 
 #include <cstdio>
+#include <istream>
 #include <mutex>
+#include <ostream>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -25,6 +27,11 @@ std::unique_ptr<obs::Tracer> make_tracer(const DaemonOptions& opts,
   to.sample_rate = opts.trace_sample_rate;
   to.process = process;
   return std::make_unique<obs::Tracer>(std::move(to));
+}
+
+/// Whitespace-only input lines are skipped, not answered.
+bool blank(const std::string& line) {
+  return line.find_first_not_of(" \t\r") == std::string::npos;
 }
 
 /// The daemon the signal handlers drive; null outside a ShutdownSignals
@@ -104,31 +111,20 @@ obs::SpanContext Daemon::trace_context(const Request& req, bool edge) {
   return edge ? tracer_->start_trace() : obs::SpanContext{};
 }
 
-bool Daemon::parse(const std::string& line, Clock::time_point admitted,
-                   Request& req, Response& err) {
-  received_->inc();
-  try {
-    req = parse_request(line);
-    return true;
-  } catch (const std::exception& e) {
-    errors_->inc();
-    err.status = "error";
-    err.error = e.what();
-    finish(err, admitted, "parse");
-    return false;
-  }
-}
-
 Response Daemon::handle(const std::string& line) {
   const Clock::time_point admitted = Clock::now();
+  received_->inc();
   Request req;
   Response resp;
-  if (parse(line, admitted, req, resp)) resp = process(req, admitted);
-  return resp;
-}
-
-Response Daemon::process(const Request& req, Clock::time_point admitted) {
-  Response resp;
+  try {
+    req = parse_request(line);
+  } catch (const std::exception& e) {
+    errors_->inc();
+    resp.status = "error";
+    resp.error = e.what();
+    finish(resp, admitted, "parse");
+    return resp;
+  }
   if (req.type == "stats") {
     resp.id = req.id;
     resp.type = "stats";
@@ -299,7 +295,7 @@ void Daemon::serve_connections(Listener& listener) {
           break;
         }
         if (st != Conn::ReadStatus::Ok) break;  // Eof / transport error
-        if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+        if (blank(line)) continue;
         const Response resp = handle(line);
         if (!s->conn.write_line(format_response(resp))) break;
         if (resp.type == "bye") {
@@ -339,9 +335,21 @@ void Daemon::serve_connections(Listener& listener) {
   }
 }
 
+void Daemon::serve_stream(std::istream& in, std::ostream& out) {
+  std::string line;
+  while (!shutdown_requested_.load() && std::getline(in, line)) {
+    if (blank(line)) continue;
+    const Response resp = handle(line);
+    out << format_response(resp) << '\n' << std::flush;
+    if (resp.type == "bye") return;
+  }
+  drain();
+  out << format_response(bye_response(Request{})) << '\n' << std::flush;
+}
+
 void Daemon::request_shutdown() {
   // Called from signal handlers: only async-signal-safe steps — an
-  // atomic store plus Listener::shutdown() (atomic load + shutdown(2)).
+  // atomic store plus Listener::shutdown() (atomics + shutdown(2)).
   shutdown_requested_.store(true);
   Listener* listener = active_listener_.load();
   if (listener != nullptr) listener->shutdown();

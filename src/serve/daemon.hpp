@@ -21,9 +21,11 @@
 //    thread per connection, a connection cap answered with an explicit
 //    rejection line (never a silent hang), a per-connection idle timeout
 //    (a told close, and counted), and a clean stop when a "bye" is
-//    answered; request_shutdown is the async-signal-safe drain trigger;
-//    ShutdownSignals routes SIGTERM/SIGINT to it; run_daemon is the
-//    tools' bind-announce-serve entry point.
+//    answered; serve_stream answers a stream pair (stdin/stdout) in
+//    order, like one connection; request_shutdown is the
+//    async-signal-safe drain trigger; ShutdownSignals routes
+//    SIGTERM/SIGINT to it; run_daemon is the tools' bind-announce-serve
+//    entry point.
 //
 // A subclass answers eval and put requests and supplies its own
 // payloads: the leading "status" fields, "stats", "bye", the gauges
@@ -95,6 +97,15 @@ class Daemon {
   /// its "bye" to stderr instead, since no connection asked for it.
   int serve_listener(Listener& listener);
 
+  /// NDJSON over a stream pair (the CLI uses stdin/stdout), answered in
+  /// input order like one socket connection: each line is handled and
+  /// its response written before the next line is read. Returns after a
+  /// "shutdown" request's "bye"; at end of input, or once
+  /// request_shutdown() was called (a signal also interrupts a blocked
+  /// read), it drains and writes a "bye" of its own. Blank lines are
+  /// skipped, not answered.
+  void serve_stream(std::istream& in, std::ostream& out);
+
   /// Async-signal-safe shutdown trigger: an atomic store plus a
   /// shutdown(2) kick of the active listener. serve_listener then drains
   /// as if a "shutdown" request had arrived. A trigger that lands before
@@ -124,20 +135,6 @@ class Daemon {
   /// Waits for in-flight work before a "bye" is answered.
   virtual void drain() {}
 
-  /// Counts and parses one request line. A malformed line is counted as
-  /// an error, its "error" response is finished into `err`, and false is
-  /// returned.
-  bool parse(const std::string& line, Clock::time_point admitted,
-             Request& req, Response& err);
-  /// Answers a parsed request (the control-plane types here, eval and
-  /// put through answer()) and finishes the response.
-  Response process(const Request& req, Clock::time_point admitted);
-  /// Stamps `elapsed_ms` and records <role>_request_seconds{type,status}.
-  /// Every response that carries a measurement passes through here
-  /// exactly once.
-  void finish(Response& resp, Clock::time_point admitted,
-              const std::string& type_label);
-  Response bye_response(const Request& req);
   /// Tracing context of an incoming request: joins a propagated trace,
   /// or (for `edge` = true) mints a new one.
   obs::SpanContext trace_context(const Request& req, bool edge);
@@ -151,8 +148,14 @@ class Daemon {
   obs::Counter* idle_closed_ = nullptr;  ///< connections closed idle
 
  private:
+  /// Stamps `elapsed_ms` and records <role>_request_seconds{type,status}.
+  /// Every response that carries a measurement passes through here
+  /// exactly once.
+  void finish(Response& resp, Clock::time_point admitted,
+              const std::string& type_label);
   Response status_response(const Request& req);
   Response metrics_response(const Request& req);
+  Response bye_response(const Request& req);
   /// serve_listener's accept loop: runs until the listener stops — by an
   /// answered "bye", an external Listener::shutdown() (request_shutdown)
   /// or an unrecoverable listener error — and joins every connection

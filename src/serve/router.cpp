@@ -307,6 +307,8 @@ Response Router::route_put(const Request& req,
   const std::uint64_t key = placement_key(req);
   Response first_ok;
   Response last;
+  std::size_t ok_idx = 0;
+  std::size_t last_idx = 0;
   bool any_answered = false;
   bool any_ok = false;
   for (const std::size_t idx : ring_.successors(key, opts_.replicas)) {
@@ -326,17 +328,21 @@ Response Router::route_put(const Request& req,
     if (hop.active()) hop.attr("outcome", resp.status);
     any_answered = true;
     last = resp;
+    last_idx = idx;
     if (resp.status == "ok" && !any_ok) {
       any_ok = true;
       first_ok = resp;
+      ok_idx = idx;
     }
   }
   if (any_ok) {
     c_.routed->inc();
+    shards_[ok_idx]->c.served->inc();
     return first_ok;
   }
   if (any_answered) {
     c_.routed->inc();
+    shards_[last_idx]->c.served->inc();
     return last;
   }
   return all_down_response(req);

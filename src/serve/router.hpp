@@ -91,7 +91,6 @@ struct RouterOptions : DaemonOptions {
     c.retries = 0;
     c.deadline_ms = 5000;
     c.connect_timeout_ms = 500;
-    c.retry_rejected = false;  // rejections fail over, not retry in place
     return c;
   }
 };

@@ -1,10 +1,10 @@
 #include "serve/server.hpp"
 
 #include <chrono>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "core/export.hpp"
 #include "isa/instruction.hpp"
@@ -17,7 +17,6 @@ namespace {
 
 std::shared_ptr<ResultStore> open_store(const ServerOptions& opts,
                                         obs::Registry& metrics) {
-  if (opts.store_dir.empty()) return nullptr;
   StoreOptions so;
   so.max_bytes = opts.store_max_bytes;
   so.metrics = &metrics;
@@ -27,7 +26,7 @@ std::shared_ptr<ResultStore> open_store(const ServerOptions& opts,
 core::SessionConfig session_config(const ServerOptions& opts,
                                    obs::Registry& metrics) {
   core::SessionConfig cfg = opts.session;
-  cfg.store = open_store(opts, metrics);
+  if (!opts.store_dir.empty()) cfg.store = open_store(opts, metrics);
   cfg.metrics = &metrics;
   cfg.profile_engine = opts.profile_engine;
   return cfg;
@@ -76,8 +75,7 @@ Server::Server(ServerOptions opts)
              "\"report\": \"sparsetrain.report/v1\"",
              opts),
       opts_(std::move(opts)),
-      session_(session_config(opts_, metrics())),
-      eval_pool_(opts_.request_workers ? opts_.request_workers : 1) {
+      session_(session_config(opts_, metrics())) {
   obs::Registry& m = metrics();
   c_.completed = &m.counter("server_evals_completed_total");
   c_.computed = &m.counter("server_evals_total", {{"source", "computed"}});
@@ -124,8 +122,9 @@ Response Server::process_eval(const Request& req,
     req_span.attr("backend", req.backend);
   }
   {
-    // Queue wait: admission to the moment an evaluator thread picked the
-    // request up (i.e. now) — the scope closes immediately.
+    // Queue wait: admission to the moment this request's own thread (a
+    // connection's, or the stdio loop's) got to it, i.e. now — the scope
+    // closes immediately.
     obs::Span queue_span(req_span.context(), "daemon.queue", admitted);
   }
   queue_hist_->record(seconds_since(admitted));
@@ -155,67 +154,33 @@ Response Server::process_eval(const Request& req,
     const std::uint64_t fp =
         session_.run_fingerprint(net, profile, req.backend, options);
 
-    OutcomeFuture future;
+    std::shared_future<core::EvalResult> job;
     bool owner = false;
     {
+      // Find-or-start in one critical section: of twins arriving
+      // together exactly one starts the evaluation. Finished entries are
+      // swept first; each one's report was published before its future
+      // resolved, so a twin arriving now starts again and replays it
+      // from the store.
       std::lock_guard<std::mutex> lock(inflight_mu_);
+      std::erase_if(inflight_, [](const auto& entry) {
+        return entry.second.wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready;
+      });
       const auto it = inflight_.find(fp);
       if (it != inflight_.end()) {
-        future = it->second;
+        job = it->second;
       } else {
+        job = session_.start(net, profile, {req.backend}, options);
+        inflight_.emplace(fp, job);
         owner = true;
       }
-    }
-    if (owner) {
-      auto promise = std::make_shared<
-          std::promise<std::shared_ptr<const EvalOutcome>>>();
-      future = promise->get_future().share();
-      {
-        std::lock_guard<std::mutex> lock(inflight_mu_);
-        inflight_.emplace(fp, future);
-      }
-      eval_pool_.submit([this, promise, fp, net, profile,
-                         backend = req.backend, options]() {
-        auto outcome = std::make_shared<EvalOutcome>();
-        try {
-          if (opts_.before_eval) opts_.before_eval();
-          const core::EvalResult result =
-              session_.evaluate(net, profile, {backend}, options);
-          const core::BackendRun& run = result.runs.front();
-          outcome->from_store = run.from_store;
-          outcome->fingerprint = run.fingerprint != 0 ? run.fingerprint : fp;
-          outcome->workload = net.name;
-          outcome->engine = isa::engine_name(run.report.engine);
-          outcome->cycles = run.report.total_cycles;
-          outcome->latency_ms = run.report.latency_ms();
-          outcome->utilization = run.report.utilization();
-          outcome->on_chip_uj = run.report.energy.on_chip_pj() * 1e-6;
-          outcome->dram_uj = run.report.energy.dram_pj * 1e-6;
-          // Serialized unconditionally: any of the coalesced requesters
-          // may have asked for it, and the record is small next to the
-          // simulation that produced it.
-          outcome->report_payload = serialize_report(run.report);
-        } catch (const std::exception& e) {
-          outcome->error = e.what();
-        }
-        // Erase BEFORE resolving the promise: anyone who answers after
-        // this evaluation completed must have either grabbed the future
-        // while the entry existed (coalesced) or missed it entirely — in
-        // which case the store (already published above) serves them. A
-        // waiter can therefore never observe a completed response while
-        // the entry lingers.
-        {
-          std::lock_guard<std::mutex> lock(inflight_mu_);
-          inflight_.erase(fp);
-        }
-        promise->set_value(std::move(outcome));
-      });
     }
 
     const long timeout_ms =
         req.timeout_ms > 0 ? req.timeout_ms : opts_.default_timeout_ms;
     if (timeout_ms > 0 &&
-        future.wait_for(std::chrono::milliseconds(timeout_ms)) !=
+        job.wait_for(std::chrono::milliseconds(timeout_ms)) !=
             std::future_status::ready) {
       // The evaluation keeps running and still publishes to the store —
       // only this requester stops waiting.
@@ -226,33 +191,27 @@ Response Server::process_eval(const Request& req,
       return done(std::move(resp));
     }
 
-    const std::shared_ptr<const EvalOutcome> outcome = future.get();
-    if (!outcome->error.empty()) {
-      errors_->inc();
-      resp.status = "error";
-      resp.error = outcome->error;
-      return done(std::move(resp));
-    }
-
+    const core::EvalResult& result = job.get();  // rethrows its error
+    const core::BackendRun& run = result.runs.front();
     resp.status = "ok";
     resp.source = !owner ? "coalesced"
-                         : (outcome->from_store ? "store" : "computed");
-    resp.workload = outcome->workload;
+                         : (run.from_store ? "store" : "computed");
+    resp.workload = result.net.name;
     resp.backend = req.backend;
-    resp.engine = outcome->engine;
-    resp.fingerprint = outcome->fingerprint;
-    resp.cycles = outcome->cycles;
-    resp.latency_ms = outcome->latency_ms;
-    resp.utilization = outcome->utilization;
-    resp.on_chip_uj = outcome->on_chip_uj;
-    resp.dram_uj = outcome->dram_uj;
+    resp.engine = isa::engine_name(run.report.engine);
+    resp.fingerprint = run.fingerprint != 0 ? run.fingerprint : fp;
+    resp.cycles = run.report.total_cycles;
+    resp.latency_ms = run.report.latency_ms();
+    resp.utilization = run.report.utilization();
+    resp.on_chip_uj = run.report.energy.on_chip_pj() * 1e-6;
+    resp.dram_uj = run.report.energy.dram_pj * 1e-6;
     if (req.include_report) {
-      resp.report_hex = hex_encode(outcome->report_payload);
+      resp.report_hex = hex_encode(serialize_report(run.report));
     }
     c_.completed->inc();
     if (!owner) {
       c_.coalesced->inc();
-    } else if (outcome->from_store) {
+    } else if (run.from_store) {
       c_.store_hits->inc();
     } else {
       c_.computed->inc();
@@ -342,52 +301,13 @@ std::string Server::bye_payload() {
   return os.str();
 }
 
-void Server::drain() { eval_pool_.wait_idle(); }
-
-void Server::serve(std::istream& in, std::ostream& out) {
-  util::ThreadPool responders(opts_.request_workers ? opts_.request_workers
-                                                    : 1);
-  std::mutex write_mu;
-  const auto write_line = [&write_mu, &out](const Response& r) {
-    std::lock_guard<std::mutex> lock(write_mu);
-    out << format_response(r) << '\n' << std::flush;
-  };
-
-  std::string line;
-  Request shutdown_req;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    const Clock::time_point admitted = Clock::now();
-    Request req;
-    Response resp;
-    if (!parse(line, admitted, req, resp)) {
-      write_line(resp);
-      continue;
-    }
-    if (req.type == "shutdown") {
-      shutdown_req = req;
-      break;
-    }
-    if (req.type != "eval") {
-      write_line(process(req, admitted));
-      continue;
-    }
-    // Admission on the intake thread: what the cap bounds is dispatched
-    // work, so the responder queue can never grow past max_queue.
-    if (!admit(req, resp)) {
-      finish(resp, admitted, "eval");
-      write_line(resp);
-      continue;
-    }
-    responders.submit([this, req, admitted, write_line]() {
-      Response resp = process_eval(req, admitted);
-      --pending_;
-      finish(resp, admitted, "eval");
-      write_line(resp);
-    });
+void Server::drain() {
+  std::vector<std::shared_future<core::EvalResult>> started;
+  {
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    for (const auto& entry : inflight_) started.push_back(entry.second);
   }
-  responders.wait_idle();  // graceful drain: every admitted eval answers
-  write_line(bye_response(shutdown_req));
+  for (const auto& job : started) job.wait();
 }
 
 }  // namespace sparsetrain::serve

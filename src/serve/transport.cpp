@@ -23,9 +23,19 @@
 
 namespace sparsetrain::serve {
 
+/// A listener's descriptor and stop flag, shared with every thread that
+/// may stop it. shutdown() may run on any thread, or in a signal
+/// handler, while close() runs on the owner's: close() takes the
+/// descriptor with an exchange and then waits out the shutdown() calls
+/// in progress, so ::shutdown never reaches a descriptor number that
+/// ::close already released (and the kernel may have handed out again).
 struct ListenerStop {
   std::atomic<bool> stopping{false};
+  std::atomic<int> fd{-1};
+  std::atomic<int> kicks{0};  ///< shutdown() calls that may use `fd`
 };
+
+bool Listener::valid() const { return stop_ != nullptr && stop_->fd >= 0; }
 
 std::string Endpoint::describe() const {
   if (kind == Kind::Unix) return "unix:" + path;
@@ -298,8 +308,7 @@ Conn connect_endpoint(const Endpoint& ep, std::string* error,
 Listener::~Listener() { close(); }
 
 Listener::Listener(Listener&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      ep_(std::move(other.ep_)),
+    : ep_(std::move(other.ep_)),
       unlink_path_(std::move(other.unlink_path_)),
       stop_(std::move(other.stop_)) {
   other.unlink_path_.clear();
@@ -308,7 +317,6 @@ Listener::Listener(Listener&& other) noexcept
 Listener& Listener::operator=(Listener&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = std::exchange(other.fd_, -1);
     ep_ = std::move(other.ep_);
     unlink_path_ = std::move(other.unlink_path_);
     other.unlink_path_.clear();
@@ -326,24 +334,25 @@ Listener Listener::listen(const Endpoint& ep, int backlog) {
   l.ep_ = ep;
   l.stop_ = std::make_shared<ListenerStop>();
   if (ep.kind == Endpoint::Kind::Unix) {
-    l.fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (l.fd_ < 0) fail_errno("listen: cannot create unix socket");
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) fail_errno("listen: cannot create unix socket");
+    l.stop_->fd = fd;  // from here on l's destructor closes it
     const sockaddr_un addr = unix_addr(ep.path);
     ::unlink(ep.path.c_str());
-    if (::bind(l.fd_, reinterpret_cast<const sockaddr*>(&addr),
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
                sizeof(addr)) != 0) {
       fail_errno("listen: cannot bind " + ep.path);
     }
     l.unlink_path_ = ep.path;
-    if (::listen(l.fd_, backlog) != 0) {
+    if (::listen(fd, backlog) != 0) {
       fail_errno("listen: cannot listen on " + ep.path);
     }
     return l;
   }
 
   std::string err;
-  l.fd_ = each_tcp_addr(ep, err, [backlog](int s, sockaddr* a,
-                                           socklen_t len) {
+  const int fd = each_tcp_addr(ep, err, [backlog](int s, sockaddr* a,
+                                                  socklen_t len) {
     // REUSEADDR: a restarted daemon rebinds its port immediately instead
     // of failing for a TIME_WAIT period — the restart path clients retry
     // against must come back fast.
@@ -351,11 +360,12 @@ Listener Listener::listen(const Endpoint& ep, int backlog) {
     ::setsockopt(s, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
     return ::bind(s, a, len) == 0 && ::listen(s, backlog) == 0;
   });
-  ST_REQUIRE(l.fd_ >= 0,
+  ST_REQUIRE(fd >= 0,
              "listen: cannot bind/listen on " + ep.describe() + ": " + err);
+  l.stop_->fd = fd;
   sockaddr_storage bound{};
   socklen_t blen = sizeof bound;
-  if (::getsockname(l.fd_, reinterpret_cast<sockaddr*>(&bound), &blen) == 0) {
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &blen) == 0) {
     if (bound.ss_family == AF_INET) {
       l.ep_.port =
           ntohs(reinterpret_cast<const sockaddr_in*>(&bound)->sin_port);
@@ -369,18 +379,16 @@ Listener Listener::listen(const Endpoint& ep, int backlog) {
 
 Conn Listener::accept() {
   for (;;) {
-    if (fd_ < 0 || (stop_ != nullptr && stop_->stopping.load())) {
-      return Conn{};
-    }
-    const int fd = ::accept(fd_, nullptr, nullptr);
+    if (!valid() || stop_->stopping.load()) return Conn{};
+    const int fd = ::accept(stop_->fd, nullptr, nullptr);
     if (fd >= 0) {
-      if (stop_ != nullptr && stop_->stopping.load()) {
+      if (stop_->stopping.load()) {
         ::close(fd);  // raced a shutdown: refuse, do not serve
         return Conn{};
       }
       return Conn(fd);
     }
-    if (stop_ != nullptr && stop_->stopping.load()) return Conn{};
+    if (stop_->stopping.load()) return Conn{};
     switch (errno) {
       case EINTR:
       case ECONNABORTED:
@@ -404,15 +412,23 @@ Conn Listener::accept() {
 }
 
 void Listener::shutdown() {
-  if (stop_ != nullptr) stop_->stopping.store(true);
+  // Atomics and shutdown(2) only: this runs in signal handlers.
+  if (stop_ == nullptr) return;
+  stop_->stopping.store(true);
+  ++stop_->kicks;
   // Wakes a blocked accept (Linux: it fails with EINVAL afterwards).
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+  const int fd = stop_->fd;
+  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+  --stop_->kicks;
 }
 
 void Listener::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
+  const int fd = stop_ != nullptr ? stop_->fd.exchange(-1) : -1;
+  if (fd >= 0) {
+    // A shutdown() that read the descriptor before the exchange may not
+    // have kicked it yet; the number stays ours until it has.
+    while (stop_->kicks != 0) std::this_thread::yield();
+    ::close(fd);
   }
   if (!unlink_path_.empty()) {
     ::unlink(unlink_path_.c_str());
@@ -453,7 +469,7 @@ Listener Listener::listen(const std::string& spec, int backlog) {
 }
 Conn Listener::accept() { return Conn{}; }
 void Listener::shutdown() {}
-void Listener::close() { fd_ = -1; }
+void Listener::close() {}
 
 #endif
 

@@ -111,7 +111,7 @@ class Listener {
   static Listener listen(const Endpoint& ep, int backlog = 64);
   static Listener listen(const std::string& spec, int backlog = 64);
 
-  bool valid() const { return fd_ >= 0; }
+  bool valid() const;
   const Endpoint& endpoint() const { return ep_; }
 
   /// Blocks for the next connection. Transient failures — EINTR,
@@ -120,16 +120,18 @@ class Listener {
   /// listener error yields an invalid Conn.
   Conn accept();
 
-  /// Stops the listener (thread-safe): a blocked accept() returns an
-  /// invalid Conn, and later accepts fail fast.
+  /// Stops the listener (thread-safe and async-signal-safe, and safe
+  /// against a concurrent close()): a blocked accept() returns an invalid
+  /// Conn, and later accepts fail fast.
   void shutdown();
   void close();
 
  private:
-  int fd_ = -1;
   Endpoint ep_;
   std::string unlink_path_;  ///< bound unix path, removed at close
-  std::shared_ptr<struct ListenerStop> stop_;  ///< shared stop flag
+  /// The descriptor and stop flag; null when default-constructed or
+  /// moved from.
+  std::shared_ptr<struct ListenerStop> stop_;
 };
 
 }  // namespace sparsetrain::serve

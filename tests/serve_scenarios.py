@@ -89,8 +89,7 @@ class Scenario:
 
     def shard(self, name, sock, store, *extra):
         return self.start(name, [self.serve, "--listen", self.path(sock),
-                                 "--store", self.path(store),
-                                 "--request-workers", "1", *extra])
+                                 "--store", self.path(store), *extra])
 
     def router(self, name, shards, *extra):
         return self.start(name, [self.route,
@@ -177,11 +176,10 @@ def serve_stdio(s):
     lines = [json.dumps(dict(EVAL, id="a")), json.dumps(dict(EVAL, id="b")),
              "this line is not json", '{"type":"stats","id":"s"}',
              '{"type":"shutdown","id":"z"}']
-    # --request-workers 1 makes the repeat deterministic: the first eval
-    # publishes to the store before the second is dispatched.
+    # stdio answers in order, so the first eval publishes to the store
+    # before the repeat is read.
     out = subprocess.run(
-        [s.serve, "--stdio", "--store", s.path("store"),
-         "--request-workers", "1"],
+        [s.serve, "--stdio", "--store", s.path("store")],
         input="\n".join(lines) + "\n", capture_output=True, text=True,
         timeout=ANSWER_S)
     s.check(out.returncode == 0, f"daemon exited {out.returncode}: "
@@ -196,8 +194,7 @@ def serve_stdio(s):
 
 def serve_tcp(s):
     daemon, endpoint = s.start("serve", [
-        s.serve, "--listen", "127.0.0.1:0", "--store", s.path("store"),
-        "--request-workers", "1"])
+        s.serve, "--listen", "127.0.0.1:0", "--store", s.path("store")])
     s.check(not endpoint.endswith(":0"),
             f"listening line did not resolve the port: {endpoint}")
     c = Conn(endpoint)

@@ -22,6 +22,7 @@
 #include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
+#include "serve_hold.hpp"
 #include "util/require.hpp"
 
 namespace sparsetrain {
@@ -532,18 +533,11 @@ std::string status_counters(Daemon& daemon) {
 TEST(Payloads, StatsStatusAndByeBytesArePinned) {
   const std::string store_dir = fresh_dir("pin_store");
   const std::string socket = fresh_socket("pin_shard");
-  std::atomic<bool> hold{false};
-  ServerOptions sopts;
-  sopts.store_dir = store_dir;
+  auto hold = std::make_shared<HoldPublication>();
+  ServerOptions sopts = held_store_options(store_dir, hold);
   sopts.session.workers = 1;
-  sopts.request_workers = 2;
   sopts.max_queue = 1;
   sopts.max_connections = 2;  // the router's connection and one more
-  sopts.before_eval = [&hold]() {
-    while (hold.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
   Server server(sopts);
   Listener listener = Listener::listen(socket);
   std::thread serving([&]() { server.serve_listener(listener); });
@@ -589,7 +583,7 @@ TEST(Payloads, StatsStatusAndByeBytesArePinned) {
 
   // A held evaluation times out its requester; a twin attaches to it and
   // fills the queue, so the next eval the router forwards is rejected.
-  hold.store(true);
+  hold->hold();
   Request held = tiny_eval("c");
   held.p = 0.5;
   held.timeout_ms = 30;
@@ -607,7 +601,7 @@ TEST(Payloads, StatsStatusAndByeBytesArePinned) {
   Request refused = tiny_eval("e");
   refused.p = 0.7;
   EXPECT_EQ(via_router(refused).status, "rejected");
-  hold.store(false);
+  hold->release();
   waiter.join();
   EXPECT_EQ(twin.source, "coalesced") << twin.error;
 
@@ -625,15 +619,24 @@ TEST(Payloads, StatsStatusAndByeBytesArePinned) {
             "\"computed\": 1, \"store_hits\": 1, \"coalesced\": 1, "
             "\"errors\": 1, \"rejected\": 1, \"timeouts\": 1, "
             "\"overloaded\": 1, \"idle_closed\": 0, \"puts\": 1");
-  EXPECT_EQ(router.handle("{\"type\":\"stats\"}").payload_json,
+  const std::string router_stats =
+      router.handle("{\"type\":\"stats\"}").payload_json;
+  EXPECT_EQ(router_stats,
             "{\"version\": \"router_stats/v1\", \"received\": 6, "
             "\"routed\": 3, \"failovers\": 0, \"rejected\": 1, "
             "\"errors\": 1, \"replicas\": 0, \"shards\": [{\"endpoint\": "
             "\"" + socket + "\", \"health\": \"up\", \"forwards\": 4, "
-            "\"served\": 2, \"failures\": 0, \"skipped\": 0, "
+            "\"served\": 3, \"failures\": 0, \"skipped\": 0, "
             "\"replications\": 0, \"replication_failures\": 0, "
             "\"replication_skipped\": 0, \"probes\": 0, "
             "\"recoveries\": 0}]}");
+  // Every routed request, eval or put, is served by exactly one shard.
+  const JsonValue rs = serve::parse_json(router_stats);
+  double served = 0;
+  for (const JsonValue& shard : rs.find("shards")->as_array()) {
+    served += shard.get_number("served", 0);
+  }
+  EXPECT_EQ(served, rs.get_number("routed", -1));
   EXPECT_EQ(status_counters(router),
             "{\"shards\": 1, \"up\": 1, \"received\": 7, \"routed\": 3, "
             "\"failovers\": 0, \"rejected\": 1");

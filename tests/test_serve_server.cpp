@@ -1,20 +1,27 @@
 // Evaluation daemon: JSON/protocol parsing, the request loop's admission
-// control, single-flight coalescing, per-request timeouts, store-backed
-// repeat requests, and graceful stream drain.
+// control, single-flight coalescing (bursts of twins start one
+// evaluation), per-request timeouts, store-backed repeat requests, a
+// caller-given session store, and graceful drain (of a stream, and of a
+// timed-out requester's evaluation before "bye").
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <latch>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "compiler/compiler.hpp"
+#include "serve/client.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "serve/store.hpp"
+#include "serve_hold.hpp"
 #include "util/require.hpp"
 
 namespace sparsetrain {
@@ -178,7 +185,6 @@ ServerOptions tiny_server_options(const std::string& store_dir = {}) {
   ServerOptions opts;
   opts.store_dir = store_dir;
   opts.session.workers = 2;
-  opts.request_workers = 2;
   return opts;
 }
 
@@ -255,7 +261,7 @@ TEST(Server, MalformedLineCorpusAlwaysAnswersAnError) {
   for (const std::string& line : corpus) stream += line + "\n";
   std::istringstream in(stream);
   std::ostringstream out;
-  server.serve(in, out);
+  server.serve_stream(in, out);
 
   std::size_t errors = 0;
   std::istringstream lines(out.str());
@@ -287,14 +293,9 @@ TEST(Server, AdmissionRejectsWhenQueueFull) {
 
 TEST(Server, TimeoutAnswersWithoutKillingTheEvaluation) {
   const std::string dir = fresh_dir("server_timeout");
-  ServerOptions opts = tiny_server_options(dir);
-  std::atomic<bool> release{false};
-  opts.before_eval = [&release]() {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-  Server server(opts);
+  auto hold = std::make_shared<HoldPublication>();
+  hold->hold();
+  Server server(held_store_options(dir, hold));
   const Response timed_out = server.handle(
       "{\"type\":\"eval\",\"id\":\"t\",\"workload\":\"tiny\","
       "\"timeout_ms\":30}");
@@ -303,7 +304,7 @@ TEST(Server, TimeoutAnswersWithoutKillingTheEvaluation) {
 
   // The abandoned evaluation finishes in the background and publishes;
   // the retry is answered (from the in-flight entry or the store).
-  release.store(true);
+  hold->release();
   const Response retry = server.handle(kTinyEval);
   ASSERT_EQ(retry.status, "ok") << retry.error;
   EXPECT_TRUE(retry.source == "store" || retry.source == "coalesced");
@@ -311,26 +312,21 @@ TEST(Server, TimeoutAnswersWithoutKillingTheEvaluation) {
 }
 
 TEST(Server, IdenticalInflightRequestsCoalesce) {
-  ServerOptions opts = tiny_server_options();  // no store needed
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  opts.before_eval = [&]() {
-    started.store(true);
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-  Server server(opts);
+  const std::string dir = fresh_dir("server_coalesce");
+  auto hold = std::make_shared<HoldPublication>();
+  hold->hold();
+  Server server(held_store_options(dir, hold));
 
   Response a, b;
   std::thread owner([&]() { a = server.handle(kTinyEval); });
-  while (!started.load()) {
+  hold->wait_blocked(1);  // the owner's evaluation is running
+  std::thread waiter([&]() { b = server.handle(kTinyEval); });
+  // Give the admitted waiter time to attach, then let the evaluation end.
+  while (server.inflight() != 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::thread waiter([&]() { b = server.handle(kTinyEval); });
-  // Give the waiter time to attach, then let the evaluation run.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  release.store(true);
+  hold->release();
   owner.join();
   waiter.join();
 
@@ -343,6 +339,116 @@ TEST(Server, IdenticalInflightRequestsCoalesce) {
   const JsonValue c = status_of(server);
   EXPECT_EQ(c.get_number("computed", -1), 1);
   EXPECT_EQ(c.get_number("coalesced", -1), 1);
+  fs::remove_all(dir);
+}
+
+TEST(Server, BurstsOfTwinsStartExactlyOneEvaluation) {
+  // Eight identical requests released together on one held evaluation:
+  // the find-or-start is one critical section, so exactly one of them
+  // owns the evaluation and seven attach to it, in every burst.
+  constexpr int kBursts = 50;
+  constexpr int kTwins = 8;
+  const std::string dir = fresh_dir("server_burst");
+  auto hold = std::make_shared<HoldPublication>();
+  Server server(held_store_options(dir, hold));
+  for (int burst = 0; burst < kBursts; ++burst) {
+    Request req;
+    req.type = "eval";
+    req.workload = "tiny";
+    req.p = 0.3 + 0.01 * burst;  // a fresh fingerprint per burst
+    const std::string line = serve::format_request(req);
+    hold->hold();
+    std::vector<Response> got(kTwins);
+    std::latch go(kTwins + 1);
+    std::vector<std::thread> twins;
+    for (int t = 0; t < kTwins; ++t) {
+      twins.emplace_back([&, t]() {
+        go.arrive_and_wait();
+        got[t] = server.handle(line);
+      });
+    }
+    go.arrive_and_wait();
+    hold->wait_blocked(1);
+    // All admitted; give the last of them time to attach.
+    while (server.inflight() != kTwins) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    hold->release();
+    for (std::thread& t : twins) t.join();
+
+    int computed = 0;
+    int coalesced = 0;
+    for (const Response& r : got) {
+      ASSERT_EQ(r.status, "ok") << r.error;
+      computed += r.source == "computed";
+      coalesced += r.source == "coalesced";
+    }
+    EXPECT_EQ(computed, 1) << "burst " << burst;
+    EXPECT_EQ(coalesced, kTwins - 1) << "burst " << burst;
+  }
+  fs::remove_all(dir);
+}
+
+TEST(Server, ShutdownDrainsATimedOutEvaluationBeforeBye) {
+  const std::string dir = fresh_dir("server_drain");
+  auto hold = std::make_shared<HoldPublication>();
+  hold->hold();
+  Server server(held_store_options(dir, hold));
+  const std::string line =
+      "{\"type\":\"eval\",\"id\":\"t\",\"workload\":\"tiny\","
+      "\"timeout_ms\":30}";
+  EXPECT_EQ(server.handle(line).status, "timeout");
+  const Request req = serve::parse_request(line);
+  const workload::NetworkConfig net = serve::request_network(req);
+  const std::uint64_t fp = server.session().run_fingerprint(
+      net, serve::request_profile(net, req), req.backend,
+      serve::request_job_options(req));
+
+  std::atomic<bool> answered{false};
+  Response bye;
+  std::thread shutdown([&]() {
+    bye = server.handle("{\"type\":\"shutdown\",\"id\":\"z\"}");
+    answered.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(answered.load()) << "bye before the evaluation published";
+  hold->release();
+  shutdown.join();
+  EXPECT_EQ(bye.type, "bye");
+  EXPECT_EQ(bye.id, "z");
+
+  serve::ResultStore reopened(dir);
+  sim::SimReport report;
+  EXPECT_TRUE(reopened.get_result(fp, report));
+  fs::remove_all(dir);
+}
+
+TEST(Server, GivenSessionStoreServesRepeatsAndPuts) {
+  // Without store_dir the caller's session store is the daemon's store.
+  const std::string dir = fresh_dir("server_given_store");
+  ServerOptions opts = tiny_server_options();
+  opts.session.store = std::make_shared<serve::ResultStore>(dir);
+  Server server(opts);
+  EXPECT_EQ(server.session().result_store(), opts.session.store);
+
+  Request eval = serve::parse_request(kTinyEval);
+  eval.include_report = true;
+  const Response first = server.handle(serve::format_request(eval));
+  ASSERT_EQ(first.status, "ok") << first.error;
+  EXPECT_EQ(first.source, "computed");
+  const Response repeat = server.handle(kTinyEval);
+  ASSERT_EQ(repeat.status, "ok") << repeat.error;
+  EXPECT_EQ(repeat.source, "store");
+
+  Request put;
+  put.type = "put";
+  put.fingerprint = first.fingerprint + 1;
+  put.report_hex = first.report_hex;
+  const Response accepted = server.handle(serve::format_request(put));
+  EXPECT_EQ(accepted.status, "ok") << accepted.error;
+  EXPECT_EQ(accepted.source, "replicated");
+  fs::remove_all(dir);
 }
 
 TEST(Server, StatsAndStatusRequests) {
@@ -371,9 +477,7 @@ TEST(Server, StatsAndStatusRequests) {
 
 TEST(Server, StreamLoopDrainsAndAnswersBye) {
   const std::string dir = fresh_dir("server_stream");
-  ServerOptions opts = tiny_server_options(dir);
-  opts.request_workers = 1;  // sequential: the repeat is a store hit
-  Server server(opts);
+  Server server(tiny_server_options(dir));
 
   std::istringstream in(
       std::string(kTinyEval) + "\n" +
@@ -383,7 +487,7 @@ TEST(Server, StreamLoopDrainsAndAnswersBye) {
       "{\"type\":\"shutdown\",\"id\":\"z\"}\n" +
       "{\"type\":\"eval\",\"id\":\"after\",\"workload\":\"tiny\"}\n");
   std::ostringstream out;
-  server.serve(in, out);
+  server.serve_stream(in, out);
 
   std::vector<Response> responses;
   std::istringstream lines(out.str());
@@ -393,24 +497,22 @@ TEST(Server, StreamLoopDrainsAndAnswersBye) {
   }
   ASSERT_EQ(responses.size(), 5u) << out.str();
 
-  auto by_id = [&](const std::string& id) -> const Response& {
-    for (const Response& r : responses) {
-      if (r.id == id) return r;
-    }
-    ADD_FAILURE() << "no response with id " << id << "\n" << out.str();
-    return responses.front();
-  };
-  EXPECT_EQ(by_id("r1").status, "ok");
-  EXPECT_EQ(by_id("r1").source, "computed");
-  EXPECT_EQ(by_id("r2").status, "ok");
-  EXPECT_EQ(by_id("r2").source, "store");
-  EXPECT_EQ(by_id("s").type, "stats");
+  // Answered one line at a time, in input order.
+  EXPECT_EQ(responses[0].id, "r1");
+  EXPECT_EQ(responses[0].status, "ok");
+  EXPECT_EQ(responses[0].source, "computed");
+  EXPECT_EQ(responses[1].id, "r2");
+  EXPECT_EQ(responses[1].status, "ok");
+  EXPECT_EQ(responses[1].source, "store");
   // The malformed line got an explicit error response (no id).
-  EXPECT_EQ(by_id("").status, "error");
-  // Shutdown drained and answered last; the request after it was never
-  // read.
-  EXPECT_EQ(responses.back().type, "bye");
-  EXPECT_EQ(responses.back().id, "z");
+  EXPECT_EQ(responses[2].id, "");
+  EXPECT_EQ(responses[2].status, "error");
+  EXPECT_EQ(responses[3].type, "stats");
+  // Shutdown drained and answered last, stamped like a socket's bye; the
+  // request after it was never read.
+  EXPECT_EQ(responses[4].type, "bye");
+  EXPECT_EQ(responses[4].id, "z");
+  EXPECT_GE(responses[4].elapsed_ms, 0.0);
   for (const Response& r : responses) EXPECT_NE(r.id, "after");
   fs::remove_all(dir);
 }

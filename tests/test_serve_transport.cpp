@@ -1,8 +1,9 @@
 // Stream transport: endpoint-spec parsing, EINTR-safe syscall wrappers,
 // NDJSON round trips over both AF_UNIX and TCP through serve_listener,
 // per-connection idle timeouts, the connection cap's explicit rejection
-// (counted by both daemons), the oversized-line defense, and a shutdown
-// requested before serving starts.
+// (counted by both daemons), the oversized-line defense, a shutdown
+// requested before serving starts, and a listener stopped from another
+// thread while the accept thread closes it.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -111,9 +112,7 @@ TEST(Transport, ListenFailureCarriesErrnoText) {
 /// answered by coalescing/session replay), a malformed line, status, then
 /// shutdown.
 void round_trip(const std::string& spec) {
-  ServerOptions opts;
-  opts.request_workers = 2;
-  Server server(opts);
+  Server server;
   Listener listener = Listener::listen(spec);
   const Endpoint bound = listener.endpoint();
   std::thread daemon([&]() { server.serve_listener(listener); });
@@ -284,6 +283,21 @@ TEST(Transport, RouterHonoursShutdownRequestedBeforeServing) {
   opts.endpoints = {fresh_socket("early_shard")};  // never contacted
   Router router(opts);
   expect_early_shutdown_honoured(router);
+}
+
+TEST(Transport, ListenerShutdownFromAnotherThreadStopsServing) {
+  // Another thread stops a serving daemon through its listener, as
+  // Daemon::request_shutdown does from a signal handler, while the accept
+  // thread closes that listener on its way out. ThreadSanitizer checks
+  // the descriptor's handoff between Listener::shutdown and close.
+  Server server;
+  Listener listener = Listener::listen(fresh_socket("kick"));
+  std::thread serving([&]() { server.serve_listener(listener); });
+  Client client(listener.endpoint().path);
+  EXPECT_EQ(client.status().status, "ok");
+  listener.shutdown();
+  serving.join();
+  EXPECT_FALSE(listener.valid());
 }
 
 TEST(Transport, OversizedLinesDropTheConnection) {

@@ -6,8 +6,9 @@
 //   sparsetrain_serve --listen 127.0.0.1:7117 --store serve_store
 //
 // --listen prints "listening on <endpoint>" to stderr once bound (with
-// the resolved port for "host:0"). SIGTERM/SIGINT take the graceful
-// drain path in every mode, as a "shutdown" request does.
+// the resolved port for "host:0"). --stdio answers its lines one at a
+// time, in order. SIGTERM/SIGINT take the graceful drain path in every
+// mode, as a "shutdown" request does.
 //
 // Client (one request per invocation, response line on stdout; each
 // command is one line, wrapped here):
@@ -45,8 +46,9 @@ const std::vector<Args::Flag> kFlags = sparsetrain::serve::with_daemon_flags({
      true},
     {"store", "persistent result-store directory", true},
     {"max-store-bytes", "store size cap (0 = unbounded)", true},
-    {"workers", "simulation threads (0 = hardware concurrency)", true},
-    {"request-workers", "concurrent request handlers", true},
+    {"workers",
+     "worker threads, the daemon's one pool (0 = hardware concurrency)",
+     true},
     {"max-queue", "max in-flight evaluations before rejecting", true},
     {"timeout-ms", "default per-request timeout (0 = none)", true},
     {"seed", "session base seed", true},
@@ -143,8 +145,6 @@ int main(int argc, char** argv) {
     opts.session.seed = static_cast<std::uint64_t>(args.get("seed", 1L));
     opts.session.batch =
         static_cast<std::size_t>(args.get("batch", 1L));
-    opts.request_workers =
-        static_cast<std::size_t>(args.get("request-workers", 2L));
     opts.max_queue = static_cast<std::size_t>(args.get("max-queue", 64L));
     opts.default_timeout_ms = args.get("timeout-ms", 0L);
     opts.profile_engine = args.has("profile-engine");
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
           server, args.get("listen", std::string{}));
     }
     const sparsetrain::serve::ShutdownSignals signals(server);
-    server.serve(std::cin, std::cout);
+    server.serve_stream(std::cin, std::cout);
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "sparsetrain_serve: " << e.what() << '\n';
