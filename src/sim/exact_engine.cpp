@@ -59,23 +59,52 @@ void require_rows(const CompressedRows& rows, const Shape& shape,
                  shape.to_string());
 }
 
-/// A GTA unit's per-channel lanes: blocked flags and ingested counts. An
-/// op ingests at most its dO row's nonzeros, so run_gta admits dO rows of
-/// at most 65,535 positions.
-using GtaLane = std::uint16_t;
+/// A 16-bit lane: one channel's value in a channel-minor table. Forward
+/// stores each input row's op cycles in one (run_forward admits rows whose
+/// op fits), GTA a channel's blocked flag or ingested count (an op ingests
+/// at most its dO row's nonzeros, so run_gta admits dO rows of at most
+/// 65,535 positions).
+using Lane = std::uint16_t;
+
+/// Eight lanes as one 16-byte vector (a GCC/Clang vector extension: the
+/// compiler picks the target's instructions), and the same bytes as four
+/// 32-bit lanes.
+using LaneVec = Lane __attribute__((vector_size(16)));
+using LaneVec32 = std::uint32_t __attribute__((vector_size(16)));
+constexpr std::size_t kVecLanes = sizeof(LaneVec) / sizeof(Lane);
+
+LaneVec load_lanes(const Lane* p) {
+  LaneVec v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+
+LaneVec max_lanes(LaneVec a, LaneVec b) { return a > b ? a : b; }
+
+/// `lanes` rounded up to whole vectors of `block` lanes: the pitch of a
+/// channel-minor table whose pad lanes stay zero.
+std::size_t lane_pitch(std::size_t lanes, std::size_t block) {
+  return (lanes + block - 1) / block * block;
+}
+
+/// A GTA op sweeps its channel lanes this many at a time.
+constexpr std::size_t kGtaBlock = 32;
+
+/// A GTW channel's open round max: run_gtw admits only geometries whose
+/// largest op fits.
+using GtwLane = std::uint32_t;
 
 /// Per-worker-thread scratch. Capacities grow to the stage's steady state
 /// within the first few units, after which evaluating one performs no
 /// heap allocation at all (the zero-alloc contract of the hot path).
 struct TaskScratch {
-  std::vector<std::uint32_t> gta_oy;     ///< GTA: source dO rows, ky order
   std::vector<std::uint32_t> gta_allowed;  ///< GTA: mask prefix counts
-  std::vector<GtaLane> gta_lanes;        ///< GTA: blocked lanes at p·C + c
+  std::vector<Lane> gta_lanes;  ///< GTA: blocked lanes at p·pitch + c
   std::vector<std::uint32_t> gta_blockers;  ///< GTA: channels blocking p
-  std::vector<GtaLane> gta_count;        ///< GTA: one op's count per channel
-  std::vector<GtaLane> gta_round;        ///< GTA: open round max per channel
-  std::vector<std::size_t> gta_total;    ///< GTA: cycles per channel
-  std::vector<std::size_t> gtw_round;  ///< GTW: open round max per channel
+  std::vector<const Lane*> gta_rows;  ///< GTA: one op's blocking rows
+  std::vector<Lane> gta_round;        ///< GTA: open round max per lane
+  std::vector<std::size_t> gta_total;    ///< GTA: round maxima per lane
+  std::vector<GtwLane> gtw_round;  ///< GTW: open round max per channel
 };
 
 TaskScratch& task_scratch() {
@@ -118,30 +147,32 @@ void accumulate(PeCost& sum, const PeCost& cost) {
 
 /// One task's group-round fold (paper Fig. 7a): the group's PEs take the
 /// task's ops `width` at a time, in task order, and each round lasts as
-/// long as its slowest op. PeGroupReducer's fold without its counters —
+/// long as its slowest op. The ops come as `runs` runs of `len` ops each,
+/// op j of run r costing op(r, j), and each step folds a whole stretch of
+/// one run: the ops left in the round or the ops left in the run,
+/// whichever are fewer. Returns the sum of the round maxima, the partial
+/// last round's included. PeGroupReducer's fold without its counters —
 /// the stage kernels take those from count sums instead.
-class RoundMax {
- public:
-  explicit RoundMax(std::size_t width) : width_(width) {}
-
-  void add(std::size_t cycles) {
-    round_ = std::max(round_, cycles);
-    if (++in_round_ == width_) {
-      total_ += round_;
-      round_ = 0;
-      in_round_ = 0;
+template <typename Op>
+std::size_t fold_rounds(std::size_t runs, std::size_t len, std::size_t width,
+                        const Op& op) {
+  std::size_t total = 0;
+  std::size_t round = 0;
+  std::size_t room = width;  // ops the open round still takes
+  for (std::size_t r = 0; r < runs; ++r) {
+    for (std::size_t j = 0; j < len;) {
+      const std::size_t end = j + std::min(room, len - j);
+      room -= end - j;
+      for (; j < end; ++j) round = std::max<std::size_t>(round, op(r, j));
+      if (room == 0) {
+        total += round;
+        round = 0;
+        room = width;
+      }
     }
   }
-
-  /// The task's cycles, its partial last round included.
-  std::size_t finish() const { return total_ + round_; }
-
- private:
-  std::size_t width_;
-  std::size_t total_ = 0;
-  std::size_t round_ = 0;
-  std::size_t in_round_ = 0;
-};
+  return total + round;
+}
 
 /// The positions [lo, hi) of a K-wide window starting at o·S − P on an
 /// axis of length len, clipped to the axis (empty: hi == lo).
@@ -225,10 +256,10 @@ struct ExactEngine::StageArena {
   std::vector<std::size_t> cycles;       ///< per-task cycles
   std::vector<OpTotals> tile_totals;     ///< per-tile activity (parallel)
   LeastLoaded<std::size_t> sched;        ///< least-loaded group merge
-  std::vector<std::size_t> src_cycles;   ///< forward: cycles per input row
+  std::vector<Lane> src_lanes;           ///< forward: cycles per input row
   std::vector<PeCost> src_sums;          ///< forward: channel sums per (n, iy)
   std::vector<Interval> gta_windows;     ///< GTA: clipped window per dO position
-  std::vector<GtaLane> go_active;        ///< GTA: all-pass count per dO row
+  std::vector<Lane> go_active;        ///< GTA: all-pass count per dO row
   std::vector<std::uint32_t> go_chunks;  ///< GTW: ⌈nnz/K⌉ per dO row
   std::vector<std::uint32_t> in_nnz;     ///< GTW: nnz per I row, over c
   std::vector<std::size_t> box_table;    ///< GTA/GTW: summed-area tables
@@ -364,13 +395,18 @@ namespace {
 ///
 /// The SRC cost of an op is a pure function of (input row, block) — it
 /// does not depend on the task's output channel f at all — so run_forward
-/// prices every physical input row once (`row_cycles`, N·C·IH entries)
-/// and a task folds table entries, in the reference order (c-major, ky
-/// ascending), into its PE rounds. The counters depend only on (n, oy),
-/// so the stage sums them once (`stage`).
+/// prices every physical input row once, into a channel-minor table of
+/// 16-bit lanes (`row_lanes`: (n, iy) rows of `pitch` lanes, the pad lanes
+/// zero), and a task folds table entries, in the reference order (c-major,
+/// ky ascending), into its PE rounds, a whole round's worth of a channel's
+/// taps per step. When the taps equal the PE width, each channel is one
+/// round and the task is Σ_c of the max over its taps, swept eight
+/// channels at a time. The counters depend only on (n, oy), so the stage
+/// sums them once (`stage`).
 struct ForwardKernel {
   static constexpr const char* kStage = "forward";
-  const std::size_t* row_cycles;
+  const Lane* row_lanes;
+  std::size_t pitch;  ///< lanes per (n, iy) row of row_lanes
   const dataflow::ConvGeometry& geo;
   Shape in_shape;
   Shape out_shape;
@@ -386,14 +422,40 @@ struct ForwardKernel {
       // contiguous ky range — resolved once per task.
       const auto [ky_lo, ky_hi, iy0] = valid_ky_range(oy, geo, in_shape.h);
       const std::size_t taps = ky_hi - ky_lo;
-      const std::size_t* row = row_cycles + n * in_shape.c * in_shape.h + iy0;
-      RoundMax fold(width);
-      for (std::size_t c = 0; c < geo.in_channels; ++c, row += in_shape.h) {
-        for (std::size_t t = 0; t < taps; ++t) fold.add(row[t]);
+      const Lane* rows = row_lanes + (n * in_shape.h + iy0) * pitch;
+      if (taps == width) {
+        cycles[i] = channel_maxima(rows, taps);
+      } else {
+        const std::size_t p = pitch;
+        cycles[i] = fold_rounds(
+            geo.in_channels, taps, width,
+            [rows, p](std::size_t c, std::size_t t) { return rows[t * p + c]; });
       }
-      cycles[i] = fold.finish();
     }
     return {};
+  }
+
+  /// Σ over the lanes of each lane's max over `taps` consecutive rows.
+  /// Lane sums are 32-bit (run_forward admits only channel counts whose
+  /// sums fit); the two halves of each 32-bit lane add up separately.
+  std::size_t channel_maxima(const Lane* rows, std::size_t taps) const {
+    LaneVec32 low{};
+    LaneVec32 high{};
+    for (std::size_t c = 0; c < pitch; c += kVecLanes) {
+      LaneVec m = load_lanes(rows + c);
+      for (std::size_t t = 1; t < taps; ++t) {
+        m = max_lanes(m, load_lanes(rows + t * pitch + c));
+      }
+      LaneVec32 pairs;
+      __builtin_memcpy(&pairs, &m, sizeof pairs);
+      low += pairs & 0xFFFF;
+      high += pairs >> 16;
+    }
+    std::size_t total = 0;
+    for (std::size_t l = 0; l < kVecLanes / 2; ++l) {
+      total += std::size_t{low[l]} + high[l];
+    }
+    return total;
   }
 };
 
@@ -406,17 +468,18 @@ struct ForwardKernel {
 /// row) and every round boundary; they differ only in the positions their
 /// mask rows block. A unit lowers every channel's mask row once into a
 /// position-major table of blocked lanes, one per channel, plus a count
-/// per position of the channels blocking it. For each (f, ky) op it sets
-/// every channel's count to the all-pass count minus the blocked lanes of
-/// the dO row's nonzeros and folds a per-channel round max; a round costs
-/// wl + drain + its largest count. The same counts give the unit's busy
-/// and register counters (their blocked total is the sum of the
-/// per-position counts); MACs are counted once per stage (box_macs). A
-/// unit whose masks block nothing folds once for all C tasks.
+/// per position of the channels blocking it. Each (f, ky) op then sweeps
+/// the lanes once: every channel's count is the all-pass count minus the
+/// blocked lanes of the dO row's nonzeros, folded straight into that
+/// channel's round max; a round costs wl + drain + its largest count. The
+/// same counts give the unit's busy and register counters (their blocked
+/// total is the sum of the per-position counts); MACs are counted once per
+/// stage (box_macs). A unit whose masks block nothing folds whole rounds
+/// once for all C tasks.
 struct GtaKernel {
   static constexpr const char* kStage = "gta";
   const CompressedRows& go_rows;
-  const GtaLane* go_active;  ///< all-pass count per dO row
+  const Lane* go_active;  ///< all-pass count per dO row
   const Interval* windows;   ///< per dO position: its clipped dI window
   const dataflow::ConvGeometry& geo;
   Shape out;
@@ -445,11 +508,11 @@ struct GtaKernel {
     const std::size_t cs = in.c;
     const std::size_t fs = out.c;
     TaskScratch& scratch = task_scratch();
-    // oy·S + ky − P = iy → every (oy, ky) pair writing this row, in ky
-    // order. The mapping depends only on iy, so resolve it once per unit
-    // instead of once per (f, ky).
-    std::vector<std::uint32_t>& src = scratch.gta_oy;
-    src.clear();
+    // oy·S + ky − P = iy: the dO rows writing this dI row, in ky order,
+    // are oy_first, oy_first − 1, … (one per ky ≡ iy + P mod S, clipped
+    // to the plane), `len` of them.
+    std::size_t len = 0;
+    std::size_t oy_first = 0;
     for (std::size_t ky = 0; ky < geo.kernel; ++ky) {
       const std::int64_t num = static_cast<std::int64_t>(iy) +
                                static_cast<std::int64_t>(geo.padding) -
@@ -458,25 +521,34 @@ struct GtaKernel {
         continue;
       const auto oy = static_cast<std::size_t>(
           num / static_cast<std::int64_t>(geo.stride));
-      if (oy < out.h) src.push_back(static_cast<std::uint32_t>(oy));
+      if (oy < out.h && len++ == 0) oy_first = oy;
     }
-    ops += cs * fs * src.size();
-    // Task (n, c, iy) sits at task0[c · IH]; dO row (n, f, oy) at
-    // row0 + f · OH + oy.
+    const std::size_t op_count = fs * len;
+    const std::size_t round_count = (op_count + width - 1) / width;
+    ops += cs * op_count;
+    // Task (n, c, iy) sits at task0[c · IH]; op (f, j) reads dO row
+    // row0 + f · OH − j.
     std::size_t* task0 = cycles + n * cs * in.h + iy;
-    const std::size_t row0 = n * fs * out.h;
+    const std::size_t row0 = n * fs * out.h + oy_first;
+    const std::size_t oh = out.h;
+    std::size_t sum = 0;
+    for (std::size_t f = 0; f < fs; ++f) {
+      for (std::size_t j = 0; j < len; ++j) sum += go_active[row0 + f * oh - j];
+    }
+    ingested += cs * sum;
 
     // Every channel's blocked lanes: position p is blocked when its
     // window is not empty (the all-pass mask ingests p) but holds no
     // position the channel's mask row allows. Only the lanes of positions
     // some channel blocks are ever read.
+    const std::size_t pitch = lane_pitch(cs, kGtaBlock);
     bool any_blocked = false;
     if (prev_mask != nullptr) {
       scratch.gta_allowed.resize(in.w + 1);
-      scratch.gta_lanes.resize(out.w * cs);
+      scratch.gta_lanes.resize(out.w * pitch);
       scratch.gta_blockers.assign(out.w, 0);
       std::uint32_t* allowed = scratch.gta_allowed.data();
-      GtaLane* lanes = scratch.gta_lanes.data();
+      Lane* lanes = scratch.gta_lanes.data();
       std::uint32_t* blockers = scratch.gta_blockers.data();
       allowed[0] = 0;
       for (std::size_t c = 0; c < cs; ++c) {
@@ -486,74 +558,91 @@ struct GtaKernel {
         }
         for (std::size_t p = 0; p < out.w; ++p) {
           const Interval win = windows[p];
-          const GtaLane lane =
+          const Lane lane =
               win.hi != win.lo && allowed[win.hi] == allowed[win.lo] ? 1 : 0;
-          lanes[p * cs + c] = lane;
+          lanes[p * pitch + c] = lane;
           blockers[p] += lane;
           any_blocked |= lane != 0;
         }
       }
-    }
-    if (!any_blocked) {
-      RoundMax rounds(width);
-      std::size_t sum = 0;
-      for (std::size_t f = 0; f < fs; ++f) {
-        for (const std::uint32_t oy : src) {
-          const std::size_t a = go_active[row0 + f * out.h + oy];
-          sum += a;
-          rounds.add(op_cycles + a);
+      if (pitch != cs) {
+        for (std::size_t p = 0; p < out.w; ++p) {
+          std::fill(lanes + p * pitch + cs, lanes + (p + 1) * pitch, 0);
         }
       }
-      ingested += cs * sum;
-      const std::size_t total = rounds.finish();
+    }
+    if (!any_blocked) {
+      const std::size_t total =
+          round_count * op_cycles +
+          fold_rounds(fs, len, width,
+                      [this, row0, oh](std::size_t f, std::size_t j) {
+                        return go_active[row0 + f * oh - j];
+                      });
       for (std::size_t c = 0; c < cs; ++c) task0[c * in.h] = total;
       return;
     }
 
-    const GtaLane* lanes = scratch.gta_lanes.data();
+    const Lane* lanes = scratch.gta_lanes.data();
     const std::uint32_t* blockers = scratch.gta_blockers.data();
-    scratch.gta_count.resize(cs);
-    scratch.gta_round.assign(cs, 0);
-    scratch.gta_total.assign(cs, 0);
-    GtaLane* count = scratch.gta_count.data();
-    GtaLane* round = scratch.gta_round.data();
+    scratch.gta_rows.resize(out.w);
+    scratch.gta_round.assign(pitch, 0);
+    scratch.gta_total.assign(pitch, 0);
+    const Lane** rows = scratch.gta_rows.data();
+    Lane* round = scratch.gta_round.data();
     std::size_t* total = scratch.gta_total.data();
-    std::size_t sum = 0;
     std::size_t blocked = 0;
     std::size_t in_round = 0;
     for (std::size_t f = 0; f < fs; ++f) {
-      for (const std::uint32_t oy : src) {
-        const std::size_t r = row0 + f * out.h + oy;
-        const GtaLane a = go_active[r];
-        sum += a;
+      for (std::size_t j = 0; j < len; ++j) {
+        const std::size_t r = row0 + f * oh - j;
+        const Lane a = go_active[r];
         // No ingested nonzero, none blocked: every count is 0, which
         // leaves every round max as it is.
         if (a != 0) {
-          std::fill(count, count + cs, a);
+          std::size_t k = 0;
           for (const std::uint32_t x : go_rows.row(r).offsets) {
             if (blockers[x] == 0) continue;
             blocked += blockers[x];
-            const GtaLane* lane = lanes + x * cs;
-            for (std::size_t c = 0; c < cs; ++c) count[c] -= lane[c];
+            rows[k++] = lanes + x * pitch;
           }
-          for (std::size_t c = 0; c < cs; ++c) {
-            round[c] = std::max(round[c], count[c]);
-          }
+          sweep(a, rows, k, round, pitch);
         }
         if (++in_round == width) {
-          for (std::size_t c = 0; c < cs; ++c) {
-            total[c] += op_cycles + round[c];
+          for (std::size_t c = 0; c < pitch; ++c) {
+            total[c] += round[c];
             round[c] = 0;
           }
           in_round = 0;
         }
       }
     }
-    if (in_round != 0) {
-      for (std::size_t c = 0; c < cs; ++c) total[c] += op_cycles + round[c];
+    ingested -= blocked;
+    for (std::size_t c = 0; c < cs; ++c) {
+      task0[c * in.h] = round_count * op_cycles + total[c] + round[c];
     }
-    ingested += cs * sum - blocked;
-    for (std::size_t c = 0; c < cs; ++c) task0[c * in.h] = total[c];
+  }
+
+  /// One op's pass over a unit's `pitch` lanes: each lane's count is `a`
+  /// minus that lane of the op's `k` blocking rows, folded into the
+  /// lane's round max. A block's counts stay in registers while the
+  /// blocking rows stream past.
+  static void sweep(Lane a, const Lane* const* rows, std::size_t k,
+                    Lane* round, std::size_t pitch) {
+    constexpr std::size_t kVecs = kGtaBlock / kVecLanes;
+    for (std::size_t c0 = 0; c0 < pitch; c0 += kGtaBlock) {
+      LaneVec count[kVecs];
+      for (LaneVec& v : count) v = LaneVec{} + a;
+      for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t v = 0; v < kVecs; ++v) {
+          count[v] -= load_lanes(rows[i] + c0 + v * kVecLanes);
+        }
+      }
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        Lane* r = round + c0 + v * kVecLanes;
+        const LaneVec max = max_lanes(count[v], load_lanes(r));
+        __builtin_memcpy(r, &max, sizeof max);
+      }
+    }
   }
 };
 
@@ -565,7 +654,9 @@ struct GtaKernel {
 /// tasks of one (n, f) are adjacent and share the dO row and every ky
 /// range, so their ops split into the same rounds: a unit runs them in
 /// lockstep, one pass over (oy, ky) updating every channel's open round
-/// from the channel-minor nnz table. The counters and MACs are summed
+/// from the channel-minor nnz table. Ops and rounds are priced in 32-bit
+/// lanes (run_gtw admits only geometries whose largest op fits one);
+/// each channel's total stays 64-bit. The counters and MACs are summed
 /// once per stage.
 struct GtwKernel {
   static constexpr const char* kStage = "gtw";
@@ -574,8 +665,8 @@ struct GtwKernel {
   const dataflow::ConvGeometry& geo;
   Shape out;
   Shape in;
-  const PeExact& pe;
-  std::size_t wl;  ///< stage-constant weight-load cycles (hoisted)
+  PeExact pe;
+  GtwLane wl;  ///< stage-constant weight-load cycles (hoisted)
   std::size_t width;  ///< PEs per group
   OpTotals stage;
 
@@ -591,20 +682,21 @@ struct GtwKernel {
   void channels(std::size_t nf, std::size_t* total) const {
     const std::size_t n = nf / out.c;
     const std::size_t cs = in.c;
-    std::vector<std::size_t>& round = task_scratch().gtw_round;
-    round.assign(cs, 0);
+    const PeExact cost = pe;
+    std::vector<GtwLane>& rounds = task_scratch().gtw_round;
+    rounds.assign(cs, 0);
+    GtwLane* round = rounds.data();
     std::fill(total, total + cs, 0);
     const std::uint32_t* chunks = go_chunks + nf * out.h;
     std::size_t in_round = 0;
     for (std::size_t oy = 0; oy < out.h; ++oy) {
-      const std::size_t ch = chunks[oy];
+      const GtwLane ch = chunks[oy];
       if (ch == 0) continue;  // zero dO row: nothing scheduled
       const auto [ky_lo, ky_hi, iy0] = valid_ky_range(oy, geo, in.h);
       const std::uint32_t* nnz = in_nnz + (n * in.h + iy0) * in.c;
       for (std::size_t t = ky_lo; t < ky_hi; ++t, nnz += in.c) {
         for (std::size_t c = 0; c < cs; ++c) {
-          round[c] =
-              std::max(round[c], pe.osrc_cost(nnz[c], ch, 0, wl).cycles);
+          round[c] = std::max(round[c], cost.osrc_cycles(nnz[c], ch, wl));
         }
         if (++in_round == width) {
           for (std::size_t c = 0; c < cs; ++c) {
@@ -659,20 +751,36 @@ ExactStageResult ExactEngine::run_forward(
   const isa::RowBlock b =
       block_from(geo, in_shape.w, out_shape.w, isa::RowOpKind::SRC);
 
+  // ForwardKernel keeps an input row's op cycles in a 16-bit lane and sums
+  // channel maxima in 32-bit lanes, ⌈C/8⌉ to a lane: the widest row's op
+  // must fit the first, and that many of them the second.
+  const std::size_t wl = pe_.weight_load(b);
+  const std::size_t widest = pe_.row_cycles(in_shape.w, wl);
+  const std::size_t pitch = lane_pitch(in_shape.c, kVecLanes);
+  ST_REQUIRE(widest <= std::numeric_limits<Lane>::max() &&
+                 widest * (pitch / kVecLanes) <=
+                     std::numeric_limits<std::uint32_t>::max(),
+             "forward rows are too wide or too many: an op may take " +
+                 std::to_string(widest) + " cycles across " +
+                 std::to_string(in_shape.c) +
+                 " channels, more than the 16-bit row lanes and their "
+                 "32-bit sums hold");
+
   const std::size_t task_count =
       in_shape.n * geo.out_channels * out_shape.h;
   return run_tasks(
       task_count, task_count, [&](StageArena& arena) {
         // Every input row's SRC cost (see ForwardKernel), and its
         // channel sum per (n, iy).
-        const std::size_t wl = pe_.weight_load(b);
-        arena.src_cycles.resize(rows.rows());
+        arena.src_lanes.assign(in_shape.n * in_shape.h * pitch, 0);
         arena.src_sums.assign(in_shape.n * in_shape.h, PeCost{});
         for (std::size_t r = 0; r < rows.rows(); ++r) {
           const PeCost cost = pe_.run_src(rows.row(r), b, wl);
-          arena.src_cycles[r] = cost.cycles;
           const std::size_t n = r / (in_shape.c * in_shape.h);
-          accumulate(arena.src_sums[n * in_shape.h + r % in_shape.h], cost);
+          const std::size_t c = r / in_shape.h % in_shape.c;
+          const std::size_t ny = n * in_shape.h + r % in_shape.h;
+          arena.src_lanes[ny * pitch + c] = static_cast<Lane>(cost.cycles);
+          accumulate(arena.src_sums[ny], cost);
         }
         // Each of the F tasks (n, ·, oy) runs the ops of every channel's
         // rows in oy's window: F × the window sums, over every (n, oy).
@@ -689,7 +797,7 @@ ExactStageResult ExactEngine::run_forward(
         }
         const std::size_t fs = geo.out_channels;
         return ForwardKernel{
-            arena.src_cycles.data(), geo, in_shape, out_shape,
+            arena.src_lanes.data(), pitch, geo, in_shape, out_shape,
             cfg_.pes_per_group,
             op_totals(fs * ops, fs * sum.cycles, fs * sum.ingested,
                       fs * sum.macs, geo.kernel)};
@@ -713,9 +821,9 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
              "GTA dO shape is not the conv output of the input shape");
   ST_REQUIRE(prev_mask == nullptr || prev_mask->shape() == input_shape,
              "GTA mask must have the input's shape");
-  ST_REQUIRE(out.w <= std::numeric_limits<GtaLane>::max(),
+  ST_REQUIRE(out.w <= std::numeric_limits<Lane>::max(),
              "GTA dO rows are at most " +
-                 std::to_string(std::numeric_limits<GtaLane>::max()) +
+                 std::to_string(std::numeric_limits<Lane>::max()) +
                  " positions wide (an op's ingested count is a 16-bit lane)");
   const isa::RowBlock b =
       block_from(geo, out.w, input_shape.w, isa::RowOpKind::MSRC);
@@ -735,7 +843,7 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
         }
         arena.go_active.resize(go_rows.rows());
         for (std::size_t r = 0; r < go_rows.rows(); ++r) {
-          GtaLane count = 0;
+          Lane count = 0;
           for (const std::uint32_t x : go_rows.row(r).offsets) {
             const Interval win = arena.gta_windows[x];
             count += win.hi != win.lo ? 1 : 0;
@@ -793,6 +901,16 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
              "GTW dO shape is not the conv output of the input shape");
   const isa::RowBlock b =
       block_from(geo, out.w, geo.kernel, isa::RowOpKind::OSRC);
+  // GtwKernel prices ops in 32-bit lanes: the widest op a geometry can
+  // hold, a dense dO row's chunks over a dense I row, must fit one.
+  const std::size_t wl = pe_.weight_load(b);
+  const std::size_t widest =
+      pe_.osrc_cost(in.w, PeExact::osrc_chunks(out.w, geo.kernel), 0, wl)
+          .cycles;
+  ST_REQUIRE(widest <= std::numeric_limits<GtwLane>::max(),
+             "GTW rows are too wide: an op may take " +
+                 std::to_string(widest) +
+                 " cycles, more than a 32-bit lane holds");
 
   // A unit (n, f) holds the C tasks (n, f, c), adjacent in task order.
   const std::size_t task_count =
@@ -849,7 +967,6 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
       }
     }
     const std::size_t row_ops = in.c * ops;
-    const std::size_t wl = pe_.weight_load(b);
     const std::size_t busy = wl * in.c * chunk_taps + ingested +
                              cfg_.timing.pipeline_drain * row_ops;
     return GtwKernel{arena.go_chunks.data(),
@@ -858,7 +975,7 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
                      out,
                      in,
                      pe_,
-                     wl,
+                     static_cast<GtwLane>(wl),
                      cfg_.pes_per_group,
                      op_totals(row_ops, busy, ingested, macs, geo.kernel)};
   });

@@ -18,16 +18,28 @@
 //    place; per op it folds only what the schedule needs, the PE-round
 //    maximum (a group's PEs take a task's ops `pes_per_group` at a time,
 //    and a round lasts as long as its slowest op). The engine works from
-//    counts alone. Forward folds a per-input-row cost table, one task per
-//    unit. GTW prices an OSRC op from two flat tables, nnz per I row
-//    (channel-minor) and ⌈nnz/K⌉ per dO row; its unit is the C tasks of
-//    one (n, f), which share the dO row and every ky range, so one pass
-//    over (oy, ky) updates every channel's round. GTA's unit is one
+//    counts alone, and its hot loops run in narrow integer lanes with no
+//    per-op branch. Forward prices every input row once into a
+//    channel-minor table of 16-bit lanes and folds a task a whole round
+//    at a time: each step takes the ops left in the round or the taps
+//    left in the channel, whichever are fewer, and when the taps equal
+//    the PE width each channel is one round, so the task is Σ_c of the
+//    max over its taps, swept eight channels per vector. GTW prices an
+//    OSRC op from two flat tables, nnz per I row (channel-minor) and
+//    ⌈nnz/K⌉ per dO row; its unit is the C tasks of one (n, f), which
+//    share the dO row and every ky range, so one pass over (oy, ky)
+//    updates every channel's round in 32-bit lanes. GTA's unit is one
 //    (n, iy) dI-row set, the C tasks (n, ·, iy), IH apart in task order:
 //    they share every op and round boundary and differ only in the
 //    positions their mask rows block, so a unit prices every channel's
 //    MSRC ops at once from a position-major table of 16-bit blocked
-//    lanes.
+//    lanes, one sweep over the lanes per op; a unit no mask blocks folds
+//    whole rounds once for all C tasks. Each lane width is a contract:
+//    run_forward admits input rows whose op fits 16 bits (and channel
+//    counts whose sums of those fit 32), run_gta dO rows of at most
+//    65,535 positions, run_gtw geometries whose widest op, about
+//    ⌈W_out/K⌉·(wl + W_in) + drain cycles, fits 32 bits; each throws
+//    ContractError otherwise. Task totals stay 64-bit.
 //  * Counters from count sums — row ops, busy cycles, MACs and register
 //    accesses leave the op loop. Forward's depend only on (n, oy) and
 //    GTW's separate the same way, so each stage sums them once from its
@@ -46,18 +58,20 @@
 //    included. Once every tile is done, the per-task cycles feed the
 //    least-loaded-group scheduler (LeastLoaded, shared with the
 //    statistical engine) strictly in task order, in the one loop the
-//    serial path runs too. Neither tiling nor worker count ever changes
-//    any simulated number: results are byte-identical to the serial path
+//    serial path runs too. Cycle loads pack with their group into one
+//    64-bit key, so each tree level of an assign is one load, one min
+//    and one store. Neither tiling nor worker count ever changes any
+//    simulated number: results are byte-identical to the serial path
 //    for any ExactOptions.
 //
 // The serial hot path is allocation-free in steady state: operand
 // tensors live in CompressedRows arenas, each worker thread reuses a
-// scratch buffer (a GTA unit's source rows, mask prefix counts, blocked
-// lanes and per-channel counts, round maxima and totals; GTW's open
-// rounds), the tile body handed to util::parallel_for fits
-// std::function's small buffer, and the per-task cycles, per-tile
-// totals, the scheduler's tree and stage-wide tables (forward's row
-// costs and sums, GTA's clipped windows and all-pass counts, GTW's count
+// scratch buffer (a GTA unit's mask prefix counts, blocked lanes,
+// blocking-channel counts, one op's blocking lane rows, round maxima and
+// totals; GTW's open rounds), the tile body handed to util::parallel_for
+// fits std::function's small buffer, and the per-task cycles, per-tile
+// totals, the scheduler's tree and stage-wide tables (forward's row-cost
+// lanes and sums, GTA's clipped windows and all-pass counts, GTW's count
 // tables, the summed-area tables) live in a pooled arena reused across
 // stages (tests/test_exact_alloc.cpp counts allocations;
 // tests/test_exact_oracle.cpp re-derives every stage op by op through

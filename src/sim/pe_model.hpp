@@ -70,8 +70,14 @@ class PeExact {
     PeCost cost;
     cost.ingested = w.active_inputs;
     cost.macs = w.macs;
-    cost.cycles = wl + w.active_inputs + timing_.pipeline_drain;
+    cost.cycles = row_cycles(w.active_inputs, wl);
     return cost;
+  }
+
+  /// The cycles of an SRC or MSRC op that ingests `active` operand
+  /// elements: the weight load, one cycle per element, the drain.
+  std::size_t row_cycles(std::size_t active, std::size_t wl) const {
+    return wl + active + timing_.pipeline_drain;
   }
 
   /// MSRC: sparse dO row scattered under an output mask; inputs whose whole
@@ -106,7 +112,7 @@ class PeExact {
     PeCost cost;
     cost.ingested = active;
     cost.macs = macs;
-    cost.cycles = wl + active + timing_.pipeline_drain;
+    cost.cycles = row_cycles(active, wl);
     return cost;
   }
 
@@ -123,8 +129,16 @@ class PeExact {
     PeCost cost;
     cost.macs = macs;
     cost.ingested = chunks * nnz_i;
-    cost.cycles = chunks * (wl + nnz_i) + timing_.pipeline_drain;
+    cost.cycles = osrc_cycles(nnz_i, chunks, wl);
     return cost;
+  }
+
+  /// osrc_cost's cycles in the unsigned type `T`, which the caller has
+  /// checked holds them: the exact engine's GTW kernel prices ops in
+  /// 32-bit lanes.
+  template <typename T>
+  T osrc_cycles(T nnz_i, T chunks, T wl) const {
+    return chunks * (wl + nnz_i) + static_cast<T>(timing_.pipeline_drain);
   }
 
  private:

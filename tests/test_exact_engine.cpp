@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "compiler/compiler.hpp"
 #include "sim/accelerator.hpp"
 #include "sim/exact_engine.hpp"
+#include "tensor/sparse_row.hpp"
 #include "util/rng.hpp"
 #include "workload/layer_config.hpp"
 #include "workload/sparsity_profile.hpp"
@@ -196,6 +199,68 @@ TEST(ExactEngine, GtaCountsFitTheWidestAdmittedRow) {
   const Tensor wider = one_row(kWidest + 1);
   EXPECT_THROW(engine.run_gta(wider, wider.shape(), nullptr, geo),
                ContractError);
+}
+
+TEST(ExactEngine, GtwRoundsFitTheWidestAdmittedGeometry) {
+  // GTW prices ops and rounds in 32-bit lanes. With K = 1 a dense W-wide
+  // dO row is W chunks over a dense W-wide I row: W·(wl + W) + drain
+  // cycles, which fits at W = 65,535 and not at 65,536.
+  ArchConfig cfg;
+  ExactEngine engine(cfg);
+  dataflow::ConvGeometry geo;
+  geo.kernel = 1;
+  geo.padding = 0;
+  geo.in_channels = 1;
+  geo.out_channels = 1;
+  const auto one_row = [](std::size_t w) {
+    Tensor t(Shape{1, 1, 1, w});
+    t.fill(1.0f);
+    return t;
+  };
+
+  constexpr std::size_t kWidest = 65535;
+  const Tensor row = one_row(kWidest);
+  const PeExact pe(cfg.timing);
+  isa::RowBlock block;
+  block.kernel = 1;
+  const std::size_t wl = pe.weight_load(block);
+  const std::size_t widest = pe.osrc_cost(kWidest, kWidest, 0, wl).cycles;
+  ASSERT_GT(widest, std::size_t{std::numeric_limits<std::uint16_t>::max()});
+  ASSERT_LE(widest, std::size_t{std::numeric_limits<std::uint32_t>::max()});
+  EXPECT_EQ(engine.run_gtw(row, row, geo).cycles, widest);
+
+  const Tensor wider = one_row(kWidest + 1);
+  EXPECT_THROW(engine.run_gtw(wider, wider, geo), ContractError);
+}
+
+TEST(ExactEngine, ForwardRowCostsFitTheWidestAdmittedRow) {
+  // Forward keeps each input row's op cycles in a 16-bit lane: with K = 1
+  // a dense W-wide row costs wl + W + drain, 65,535 at W = 65,532.
+  ArchConfig cfg;
+  ExactEngine engine(cfg);
+  dataflow::ConvGeometry geo;
+  geo.kernel = 1;
+  geo.padding = 0;
+  geo.in_channels = 1;
+  geo.out_channels = 1;
+  const auto one_row = [](std::size_t w) {
+    Tensor t(Shape{1, 1, 1, w});
+    t.fill(1.0f);
+    return t;
+  };
+
+  constexpr std::size_t kWidest = 65532;
+  const PeExact pe(cfg.timing);
+  isa::RowBlock block;
+  block.kernel = 1;
+  block.out_len = kWidest;
+  const Tensor row = one_row(kWidest);
+  const std::size_t cycles = pe.run_src(compress_row(row.flat()), block).cycles;
+  ASSERT_EQ(cycles, std::size_t{std::numeric_limits<std::uint16_t>::max()});
+  EXPECT_EQ(engine.run_forward(row, geo).cycles, cycles);
+
+  const Tensor wider = one_row(kWidest + 1);
+  EXPECT_THROW(engine.run_forward(wider, geo), ContractError);
 }
 
 TEST(ExactEngine, MoreGroupsShortenMakespan) {

@@ -3,9 +3,10 @@
 // assign the chosen group must be the queue's top, and the final loads
 // must be bit-equal. The work streams force ties (integer-valued work,
 // zero work, all-equal loads), so the id tie-break is exercised at every
-// tree level, with group counts on both sides of powers of two. This
-// binary replaces the global operator new to check that reset() reuses
-// storage.
+// tree level, with group counts on both sides of powers of two, up to the
+// 65,536 groups packed cycle keys hold; cycle loads must stay below 2^48.
+// This binary replaces the global operator new to check that reset()
+// reuses storage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -154,6 +155,41 @@ TYPED_TEST(LeastLoadedTest, ResetReusesStorage) {
 TYPED_TEST(LeastLoadedTest, RejectsZeroGroups) {
   LeastLoaded<TypeParam> sched;
   EXPECT_THROW(sched.reset(0), ContractError);
+}
+
+// Cycle loads pack (load << 16) | group into one key: the 65,536 groups
+// ArchConfig admits fill the group bits exactly, and one more does not fit.
+TEST(LeastLoadedCycles, MostGroupsMatchPriorityQueue) {
+  LeastLoaded<std::size_t> sched;
+  sched.reset(65536);
+  expect_matches_reference(sched, 65536, Stream::Integer, 21);
+  sched.reset(65536);
+  expect_matches_reference(sched, 65536, Stream::Random, 22);
+  EXPECT_THROW(sched.reset(65537), ContractError);
+}
+
+// A cycle load has 48 bits: reaching 2^48 throws rather than carrying
+// into — or, from a group's bits, out of — the key's other field.
+TEST(LeastLoadedCycles, LoadsReachingTwoToThe48Throw) {
+  constexpr std::size_t kLimit = std::size_t{1} << 48;
+  LeastLoaded<std::size_t> one;
+  one.reset(1);
+  EXPECT_EQ(one.assign(kLimit - 2), 0u);
+  EXPECT_EQ(one.assign(1), 0u);
+  EXPECT_EQ(one.max_load(), kLimit - 1);
+  EXPECT_THROW(one.assign(1), ContractError);
+  EXPECT_EQ(one.load(0), kLimit - 1);  // the refused work left no trace
+
+  // A stream over several groups that crosses 2^48 on its last task.
+  LeastLoaded<std::size_t> sched;
+  sched.reset(3);
+  const std::size_t step = kLimit / 4;
+  for (std::size_t t = 0; t < 9; ++t) EXPECT_EQ(sched.assign(step), t % 3);
+  EXPECT_EQ(sched.max_load(), 3 * step);
+  EXPECT_THROW(sched.assign(step), ContractError);
+  EXPECT_THROW(sched.assign(~std::size_t{0}), ContractError);
+  EXPECT_EQ(sched.assign(step - 1), 0u);
+  EXPECT_EQ(sched.load(0), kLimit - 1);
 }
 
 }  // namespace
