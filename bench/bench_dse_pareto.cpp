@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
         "simulations, %zu entries (%zu bytes)\n",
         store_dir.c_str(), static_cast<std::size_t>(result.store.hits),
         static_cast<std::size_t>(result.store.lookups()),
-        result.store_hit_rate() * 100.0, result.simulations,
+        result.store.hit_rate() * 100.0, result.simulations,
         static_cast<std::size_t>(result.store.entries),
         static_cast<std::size_t>(result.store.bytes));
   }
@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
           (result.store_attached ? "true" : "false") +
           ", \"hits\": " + std::to_string(result.store.hits) +
           ", \"misses\": " + std::to_string(result.store.misses) +
-          ", \"hit_rate\": " + num_json(result.store_hit_rate()) +
+          ", \"hit_rate\": " + num_json(result.store.hit_rate()) +
           ", \"simulations\": " + std::to_string(result.simulations) +
           "},\n";
   json += "  \"frontier\": [\n";

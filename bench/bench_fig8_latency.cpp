@@ -125,7 +125,10 @@ int main(int argc, char** argv) {
       nat.cycle_ratio(core::Session::kDenseBackend,
                       core::Session::kSparseBackend));
 
-  core::export_csv(session.results(), "fig8_latency.csv");
+  std::vector<core::EvalResult> results;
+  for (const auto& job : jobs) results.push_back(session.wait(job));
+  results.push_back(nat);
+  core::export_csv(results, "fig8_latency.csv");
   std::printf("per-backend CSV written to fig8_latency.csv.\n");
   if (session.result_store()) {
     const serve::StoreStats s = session.result_store()->stats();

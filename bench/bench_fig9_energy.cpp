@@ -106,7 +106,9 @@ int main(int argc, char** argv) {
   std::printf("Comb energy reduction: %.0f%%-%.0f%% (paper: 53%%-88%%)\n",
               min_comb_red * 100.0, max_comb_red * 100.0);
 
-  core::export_json(session.results(), "fig9_energy.json");
+  std::vector<core::EvalResult> results;
+  for (const auto& job : jobs) results.push_back(session.wait(job));
+  core::export_json(results, "fig9_energy.json");
   std::printf("per-backend JSON (with stage breakdowns) written to "
               "fig9_energy.json.\n");
   if (session.result_store()) {

@@ -20,7 +20,9 @@ int main() {
       "table2-p90");
 
   core::Session session;
-  const auto report = session.run_sparse(net, profile);
+  const core::EvalResult result =
+      session.evaluate(net, profile, {core::Session::kSparseBackend});
+  const sim::SimReport& report = result.report(core::Session::kSparseBackend);
 
   std::printf("SparseTrain per-layer-stage breakdown: %s\n\n",
               report.program_name.c_str());

@@ -45,7 +45,7 @@ class Phase {
 /// Derives the backend runs of one job: the profile each run simulates,
 /// its compile options, program fingerprint and seed. Dense backends run
 /// an all-dense profile with a statistical program (the baseline has no
-/// exact semantics). start and run_fingerprint both derive runs here,
+/// exact semantics). submit and run_fingerprint both derive runs here,
 /// so the key a job records in the store and the key services route and
 /// coalesce on cannot drift apart. Each profile kind is materialised and
 /// fingerprinted at most once per job.
@@ -106,8 +106,8 @@ class RunDeriver {
   std::optional<Run> dense_;
 };
 
-/// One started job: the result and error slots its runs fill, one each,
-/// the promise behind start()'s future, and the count of runs still
+/// One submitted job: the result and error slots its runs fill, one each,
+/// the promise behind submit()'s future, and the count of runs still
 /// going. The acq_rel count orders every slot write before the last run
 /// resolves the promise, with the first error in backend order if any.
 struct JobState {
@@ -134,12 +134,6 @@ SessionConfig::SessionConfig()
     : baseline_arch(baseline::eyeriss_like_config()) {
   sparse_arch.name = "SparseTrain";
   sparse_arch.sparse = true;
-}
-
-bool EvalResult::has(const std::string& backend) const {
-  for (const auto& r : runs)
-    if (r.backend == backend) return true;
-  return false;
 }
 
 const sim::SimReport& EvalResult::report(const std::string& backend) const {
@@ -170,25 +164,6 @@ double EvalResult::energy_ratio(const std::string& numerator,
   ST_REQUIRE(num.energy.on_chip_pj() > 0.0,
              "'" + numerator + "' run produced no energy");
   return num.energy.on_chip_pj() / den.energy.on_chip_pj();
-}
-
-double ComparisonResult::speedup() const {
-  ST_REQUIRE(sparse.total_cycles > 0, "sparse run produced no cycles");
-  ST_REQUIRE(dense.total_cycles > 0, "dense run produced no cycles");
-  return static_cast<double>(dense.total_cycles) /
-         static_cast<double>(sparse.total_cycles);
-}
-
-double ComparisonResult::energy_efficiency() const {
-  ST_REQUIRE(sparse.energy.on_chip_pj() > 0.0,
-             "sparse run produced no energy");
-  ST_REQUIRE(dense.energy.on_chip_pj() > 0.0,
-             "dense run produced no energy");
-  // The paper's Fig. 9 breakdown covers the synthesised design + buffer
-  // (combinational, register, SRAM); off-chip DRAM is outside the design
-  // and identical pressure-wise for both sides, so the efficiency claim is
-  // compared on on-chip energy. DRAM is still reported separately.
-  return dense.energy.on_chip_pj() / sparse.energy.on_chip_pj();
 }
 
 Session::Session(SessionConfig cfg)
@@ -232,20 +207,6 @@ Session::JobHandle Session::submit(
     const workload::SparsityProfile& profile,
     const std::vector<std::string>& backend_names,
     const JobOptions& options) {
-  std::shared_future<EvalResult> job =
-      start(net, profile, backend_names, options);
-  JobHandle handle;
-  std::lock_guard lock(jobs_mu_);
-  handle.id = jobs_.size();
-  jobs_.push_back(std::move(job));
-  return handle;
-}
-
-std::shared_future<EvalResult> Session::start(
-    const workload::NetworkConfig& net,
-    const workload::SparsityProfile& profile,
-    const std::vector<std::string>& backend_names,
-    const JobOptions& options) {
   ST_REQUIRE(!backend_names.empty(), "job needs at least one backend");
   ST_REQUIRE(profile.size() == net.layers.size(),
              "profile does not match network");
@@ -284,7 +245,7 @@ std::shared_future<EvalResult> Session::start(
   }
   job->errors.resize(backends.size());
   job->left.store(backends.size());
-  std::shared_future<EvalResult> future = job->promise.get_future().share();
+  JobHandle future = job->promise.get_future().share();
 
   // Exact jobs borrow the session's own pool instead of spawning one per
   // run: the engine's stage tiles and the stage-graph units then
@@ -386,73 +347,21 @@ std::uint64_t Session::run_fingerprint(
 }
 
 const EvalResult& Session::wait(const JobHandle& handle) {
-  std::shared_future<EvalResult> job;
-  {
-    std::lock_guard lock(jobs_mu_);
-    ST_REQUIRE(handle.valid() && handle.id < jobs_.size(),
-               "unknown job handle");
-    job = jobs_[handle.id];
-  }
-  // jobs_ keeps the shared state, and so the referenced result, alive.
-  return job.get();
+  ST_REQUIRE(handle.valid(), "empty job handle");
+  return handle.get();
 }
 
 EvalResult Session::evaluate(const workload::NetworkConfig& net,
                              const workload::SparsityProfile& profile,
                              const std::vector<std::string>& backend_names,
                              const JobOptions& options) {
-  return start(net, profile, backend_names, options).get();
+  return submit(net, profile, backend_names, options).get();
 }
 
 EvalResult Session::evaluate(const workload::NetworkConfig& net,
                              const workload::SparsityProfile& profile,
                              const std::vector<std::string>& backend_names) {
   return evaluate(net, profile, backend_names, JobOptions{});
-}
-
-void Session::wait() {
-  std::size_t count = 0;
-  {
-    std::lock_guard lock(jobs_mu_);
-    count = jobs_.size();
-  }
-  for (std::size_t i = 0; i < count; ++i) wait(JobHandle{i});
-}
-
-std::vector<EvalResult> Session::results() {
-  // Snapshot the job count first: jobs submitted by another thread after
-  // this point are neither waited for nor copied half-written.
-  std::size_t count = 0;
-  {
-    std::lock_guard lock(jobs_mu_);
-    count = jobs_.size();
-  }
-  std::vector<EvalResult> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(wait(JobHandle{i}));  // waits before copying
-  }
-  return out;
-}
-
-ComparisonResult Session::compare(const workload::NetworkConfig& net,
-                                  const workload::SparsityProfile& profile) {
-  EvalResult r = evaluate(net, profile, {kSparseBackend, kDenseBackend});
-  ComparisonResult result;
-  result.net = std::move(r.net);
-  result.sparse = r.report(kSparseBackend);
-  result.dense = r.report(kDenseBackend);
-  return result;
-}
-
-sim::SimReport Session::run_sparse(const workload::NetworkConfig& net,
-                                   const workload::SparsityProfile& profile) {
-  return evaluate(net, profile, {kSparseBackend}).report(kSparseBackend);
-}
-
-sim::SimReport Session::run_dense(const workload::NetworkConfig& net) {
-  return evaluate(net, workload::SparsityProfile::dense(net), {kDenseBackend})
-      .report(kDenseBackend);
 }
 
 }  // namespace sparsetrain::core

@@ -21,21 +21,19 @@
 //   auto job = session.submit(net, profile,
 //                             {"sparsetrain", "eyeriss-dense",
 //                              "sparsetrain-28g"});
-//   const core::EvalResult& r = session.wait(job);
+//   const core::EvalResult& r = session.wait(job);  // lives while job does
 //   r.report("sparsetrain").latency_ms();
-//   r.cycle_ratio("eyeriss-dense", "sparsetrain");  // the Fig. 8 speedup
+//   r.cycle_ratio("eyeriss-dense", "sparsetrain");   // the Fig. 8 speedup
+//   r.energy_ratio("eyeriss-dense", "sparsetrain");  // the Fig. 9 efficiency
 //
-//   // Or the classic two-way comparison (thin wrapper over the same
-//   // path — Fig. 8 latency/speedup, Fig. 9 energy):
-//   auto result = session.compare(net, profile);
-//   result.speedup();
-//   result.energy_efficiency();
+//   // Or one blocking call that returns the result by value:
+//   core::EvalResult e =
+//       session.evaluate(net, profile, {"sparsetrain", "eyeriss-dense"});
 #pragma once
 
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -101,8 +99,6 @@ struct EvalResult {
   std::string profile_name;
   std::vector<BackendRun> runs;
 
-  bool has(const std::string& backend) const;
-
   /// Report of the named backend; throws ContractError when the job was
   /// not submitted against it.
   const sim::SimReport& report(const std::string& backend) const;
@@ -112,22 +108,12 @@ struct EvalResult {
   double cycle_ratio(const std::string& numerator,
                      const std::string& denominator) const;
 
-  /// on-chip energy(numerator) / on-chip energy(denominator).
+  /// on-chip energy(numerator) / on-chip energy(denominator) — e.g. the
+  /// Fig. 9 energy efficiency is energy_ratio("eyeriss-dense",
+  /// "sparsetrain"). On-chip is the synthesised design plus its buffer,
+  /// as in the paper's breakdown; DRAM is reported separately.
   double energy_ratio(const std::string& numerator,
                       const std::string& denominator) const;
-};
-
-/// Both simulators' results on one workload (the classic two-way view).
-struct ComparisonResult {
-  workload::NetworkConfig net;
-  sim::SimReport sparse;
-  sim::SimReport dense;
-
-  /// Training latency improvement (dense cycles / sparse cycles).
-  double speedup() const;
-
-  /// Energy improvement (dense on-chip energy / sparse on-chip energy).
-  double energy_efficiency() const;
 };
 
 class Session {
@@ -136,12 +122,10 @@ class Session {
   static constexpr const char* kSparseBackend = "sparsetrain";
   static constexpr const char* kDenseBackend = "eyeriss-dense";
 
-  /// Ticket for a submitted job.
-  struct JobHandle {
-    static constexpr std::size_t kInvalid = static_cast<std::size_t>(-1);
-    std::size_t id = kInvalid;
-    bool valid() const { return id != kInvalid; }
-  };
+  /// A submitted job's future. It, not the session, owns the job's
+  /// result: copies share it, and it outlives the session that ran it.
+  /// A default-constructed handle is empty.
+  using JobHandle = std::shared_future<EvalResult>;
 
   /// Per-job overrides.
   struct JobOptions {
@@ -208,13 +192,6 @@ class Session {
   /// before any task exists. Results depend only on (session seed,
   /// evaluation inputs, backend name) — not on worker count or
   /// submission order. The session retains nothing of the job.
-  std::shared_future<EvalResult> start(
-      const workload::NetworkConfig& net,
-      const workload::SparsityProfile& profile,
-      const std::vector<std::string>& backend_names,
-      const JobOptions& options);
-
-  /// start() whose future the session keeps, for wait() and results().
   JobHandle submit(const workload::NetworkConfig& net,
                    const workload::SparsityProfile& profile,
                    const std::vector<std::string>& backend_names,
@@ -223,13 +200,14 @@ class Session {
                    const workload::SparsityProfile& profile,
                    const std::vector<std::string>& backend_names);
 
-  /// Blocks until the job finishes; rethrows any job error. The reference
-  /// stays valid for the session's lifetime.
-  const EvalResult& wait(const JobHandle& handle);
+  /// Blocks until the job finishes; rethrows the job's error on every
+  /// call. Throws ContractError on an empty handle. The reference stays
+  /// valid while any copy of `handle` lives: bind it only from a named
+  /// handle, and copy the result out of a temporary one.
+  static const EvalResult& wait(const JobHandle& handle);
 
-  /// Runs one job to completion (start() and a wait on its future) and
-  /// returns its result WITHOUT retaining it in results(), so loops of
-  /// one-shot evaluations stay flat in memory. Rethrows the job's error.
+  /// Runs one job to completion: submit() and a wait on its future.
+  /// Rethrows the job's error.
   EvalResult evaluate(const workload::NetworkConfig& net,
                       const workload::SparsityProfile& profile,
                       const std::vector<std::string>& backend_names,
@@ -237,28 +215,6 @@ class Session {
   EvalResult evaluate(const workload::NetworkConfig& net,
                       const workload::SparsityProfile& profile,
                       const std::vector<std::string>& backend_names);
-
-  /// Blocks until every submitted job has finished.
-  void wait();
-
-  /// Waits for everything, then returns all results in submit order.
-  std::vector<EvalResult> results();
-
-  /// Runs `net` with `profile` on SparseTrain and with a dense profile on
-  /// the baseline. A thin wrapper over the submit path: the evaluation
-  /// runs on the pool and counts in the program-cache stats, but is a
-  /// one-shot job that is never recorded — nothing accumulates in jobs_
-  /// or results(), so compare() loops stay flat in memory like the
-  /// pre-service API.
-  ComparisonResult compare(const workload::NetworkConfig& net,
-                           const workload::SparsityProfile& profile);
-
-  /// Runs only the SparseTrain side (for sweeps/ablations).
-  sim::SimReport run_sparse(const workload::NetworkConfig& net,
-                            const workload::SparsityProfile& profile);
-
-  /// Runs only the dense baseline.
-  sim::SimReport run_dense(const workload::NetworkConfig& net);
 
  private:
   SessionConfig cfg_;
@@ -274,8 +230,6 @@ class Session {
   };
   PhaseHist hist_;
   std::unique_ptr<obs::EngineProfiler> engine_profiler_;  ///< may be null
-  std::mutex jobs_mu_;  ///< guards jobs_ growth (submit vs. wait)
-  std::vector<std::shared_future<EvalResult>> jobs_;  ///< submit() order
   util::ThreadPool pool_;  ///< last member: joins before cache_ dies
 };
 

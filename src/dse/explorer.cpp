@@ -29,13 +29,6 @@ double ExploreResult::cache_hit_rate() const {
                    static_cast<double>(cache.lookups());
 }
 
-double ExploreResult::store_hit_rate() const {
-  return store.lookups() == 0
-             ? 0.0
-             : static_cast<double>(store.hits) /
-                   static_cast<double>(store.lookups());
-}
-
 const PointResult* ExploreResult::find(
     const std::function<bool(const DesignPoint&)>& pred) const {
   for (const PointResult& p : points) {

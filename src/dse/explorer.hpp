@@ -105,10 +105,6 @@ struct ExploreResult {
 
   double cache_hit_rate() const;
 
-  /// store.hits / store.lookups() over this exploration; 1.0 on a fully
-  /// warm store, 0.0 when no store was attached.
-  double store_hit_rate() const;
-
   /// First complete point matching the predicate; nullptr when none
   /// does. Drivers use this to read specific sweep cells out of a grid.
   const PointResult* find(

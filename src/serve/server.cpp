@@ -28,7 +28,6 @@ core::SessionConfig session_config(const ServerOptions& opts,
   core::SessionConfig cfg = opts.session;
   if (!opts.store_dir.empty()) cfg.store = open_store(opts, metrics);
   cfg.metrics = &metrics;
-  cfg.profile_engine = opts.profile_engine;
   return cfg;
 }
 
@@ -154,7 +153,7 @@ Response Server::process_eval(const Request& req,
     const std::uint64_t fp =
         session_.run_fingerprint(net, profile, req.backend, options);
 
-    std::shared_future<core::EvalResult> job;
+    core::Session::JobHandle job;
     bool owner = false;
     {
       // Find-or-start in one critical section: of twins arriving
@@ -171,7 +170,7 @@ Response Server::process_eval(const Request& req,
       if (it != inflight_.end()) {
         job = it->second;
       } else {
-        job = session_.start(net, profile, {req.backend}, options);
+        job = session_.submit(net, profile, {req.backend}, options);
         inflight_.emplace(fp, job);
         owner = true;
       }
@@ -302,7 +301,7 @@ std::string Server::bye_payload() {
 }
 
 void Server::drain() {
-  std::vector<std::shared_future<core::EvalResult>> started;
+  std::vector<core::Session::JobHandle> started;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     for (const auto& entry : inflight_) started.push_back(entry.second);

@@ -53,9 +53,10 @@ workload::SparsityProfile request_profile(const workload::NetworkConfig& net,
 core::Session::JobOptions request_job_options(const Request& r);
 
 struct ServerOptions : DaemonOptions {
-  /// Session configuration (arches, batch, seed, and `workers`: the size
-  /// of the session's pool, the daemon's only worker pool). The `store`
-  /// field is replaced when `store_dir` is set.
+  /// Session configuration (arches, batch, seed, `profile_engine`, and
+  /// `workers`: the size of the session's pool, the daemon's only worker
+  /// pool). The `store` field is replaced when `store_dir` is set, and
+  /// `metrics` always points at the daemon's registry.
   core::SessionConfig session;
   /// Persistent store directory; empty = serve with `session.store` (by
   /// default none: every eval simulates, coalescing still applies).
@@ -64,8 +65,6 @@ struct ServerOptions : DaemonOptions {
   /// Max evaluations admitted at once; further evals are rejected.
   std::size_t max_queue = 64;
   long default_timeout_ms = 0;  ///< 0 = wait forever
-  /// Record per-stage exact-engine profiles into the metrics registry.
-  bool profile_engine = false;
 };
 
 class Server : public Daemon {
@@ -114,8 +113,7 @@ class Server : public Daemon {
   std::mutex inflight_mu_;
   /// Started evaluations by store fingerprint; finished ones are swept
   /// at the next lookup (guarded by inflight_mu_).
-  std::unordered_map<std::uint64_t, std::shared_future<core::EvalResult>>
-      inflight_;
+  std::unordered_map<std::uint64_t, core::Session::JobHandle> inflight_;
 };
 
 }  // namespace sparsetrain::serve

@@ -197,11 +197,17 @@ TEST(Headline, AlexNetNaturalSparsityNearPaperAverage) {
   const auto net = workload::alexnet_cifar();
   const auto profile = workload::SparsityProfile::natural(
       net, workload::paper_act_density(workload::ModelFamily::AlexNet));
-  const auto r = session.compare(net, profile);
-  EXPECT_GT(r.speedup(), 2.0);
-  EXPECT_LT(r.speedup(), 3.5);
-  EXPECT_GT(r.energy_efficiency(), 1.5);
-  EXPECT_LT(r.energy_efficiency(), 3.2);
+  const core::EvalResult r = session.evaluate(
+      net, profile,
+      {core::Session::kSparseBackend, core::Session::kDenseBackend});
+  const double speedup = r.cycle_ratio(core::Session::kDenseBackend,
+                                       core::Session::kSparseBackend);
+  const double efficiency = r.energy_ratio(core::Session::kDenseBackend,
+                                           core::Session::kSparseBackend);
+  EXPECT_GT(speedup, 2.0);
+  EXPECT_LT(speedup, 3.5);
+  EXPECT_GT(efficiency, 1.5);
+  EXPECT_LT(efficiency, 3.2);
 }
 
 TEST(Headline, SpeedupOrderingAcrossPruningLevels) {
@@ -210,7 +216,11 @@ TEST(Headline, SpeedupOrderingAcrossPruningLevels) {
   double prev = 1.0;
   for (double p : {0.0, 0.7, 0.9, 0.99}) {
     const auto profile = workload::SparsityProfile::pruned(net, p, 0.45);
-    const double s = session.compare(net, profile).speedup();
+    const core::EvalResult r = session.evaluate(
+        net, profile,
+        {core::Session::kSparseBackend, core::Session::kDenseBackend});
+    const double s = r.cycle_ratio(core::Session::kDenseBackend,
+                                   core::Session::kSparseBackend);
     EXPECT_GE(s, prev * 0.98) << "p=" << p;  // monotone up to sim noise
     prev = s;
   }

@@ -1,8 +1,9 @@
 // Evaluation daemon: JSON/protocol parsing, the request loop's admission
 // control, single-flight coalescing (bursts of twins start one
 // evaluation), per-request timeouts, store-backed repeat requests, a
-// caller-given session store, and graceful drain (of a stream, and of a
-// timed-out requester's evaluation before "bye").
+// caller-given session store, the engine-profiling setting, and graceful
+// drain (of a stream, and of a timed-out requester's evaluation before
+// "bye").
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -473,6 +474,38 @@ TEST(Server, StatsAndStatusRequests) {
   EXPECT_EQ(payload.get_number("completed", -1), 1);
   EXPECT_EQ(payload.get_number("inflight", -1), 0);
   fs::remove_all(dir);
+}
+
+/// The engine_stage_seconds histograms in the server's `metrics` payload.
+std::vector<JsonValue> engine_stage_histograms(Server& server) {
+  const JsonValue payload = serve::parse_json(
+      server.handle("{\"type\":\"metrics\",\"id\":\"m\"}").payload_json);
+  std::vector<JsonValue> out;
+  for (const JsonValue& m : payload.find("metrics")->as_array()) {
+    if (m.get_string("name", "") == "engine_stage_seconds") out.push_back(m);
+  }
+  return out;
+}
+
+TEST(Server, ProfileEngineSettingRecordsExactStageProfiles) {
+  constexpr const char* kExactEval =
+      "{\"type\":\"eval\",\"id\":\"x\",\"workload\":\"tiny\","
+      "\"engine\":\"exact\"}";
+  ServerOptions opts = tiny_server_options();
+  opts.session.profile_engine = true;
+  Server profiled(opts);
+  const Response r = profiled.handle(kExactEval);
+  ASSERT_EQ(r.status, "ok") << r.error;
+  double observations = 0;
+  for (const JsonValue& h : engine_stage_histograms(profiled)) {
+    observations += h.get_number("count", 0);
+  }
+  EXPECT_GT(observations, 0);
+
+  Server plain(tiny_server_options());
+  const Response q = plain.handle(kExactEval);
+  ASSERT_EQ(q.status, "ok") << q.error;
+  EXPECT_TRUE(engine_stage_histograms(plain).empty());
 }
 
 TEST(Server, StreamLoopDrainsAndAnswersBye) {

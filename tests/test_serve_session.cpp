@@ -185,7 +185,7 @@ TEST(ExplorerStore, WarmRerunIsByteIdenticalWithZeroSimulations) {
   const dse::ExploreResult warm = run();
   EXPECT_EQ(warm.evaluations, cold.evaluations);
   EXPECT_EQ(warm.simulations, 0u);  // every run replayed from the store
-  EXPECT_EQ(warm.store_hit_rate(), 1.0);
+  EXPECT_EQ(warm.store.hit_rate(), 1.0);
   EXPECT_EQ(warm.store.misses, 0u);
   EXPECT_EQ(warm.cache.misses, 0u);  // zero compiles on the warm run
 

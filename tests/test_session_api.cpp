@@ -1,6 +1,6 @@
 // Evaluation-service tests: BackendRegistry, ProgramCache hit/miss
-// semantics, Session submit/wait determinism across worker counts, the
-// legacy wrappers, and the CSV/JSON exporters.
+// semantics, Session submit/wait determinism across worker counts, job
+// handles that own their results, and the CSV/JSON exporters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -162,13 +162,17 @@ std::vector<EvalResult> run_sweep(std::size_t workers) {
 
   const std::vector<std::string> backends = {
       Session::kSparseBackend, Session::kDenseBackend, "sparsetrain-28g"};
+  std::vector<Session::JobHandle> jobs;
   for (const auto& net :
        {workload::tiny_workload(), workload::alexnet_cifar()}) {
     for (const double p : {0.7, 0.9}) {
-      session.submit(net, SparsityProfile::pruned(net, p), backends);
+      jobs.push_back(
+          session.submit(net, SparsityProfile::pruned(net, p), backends));
     }
   }
-  return session.results();
+  std::vector<EvalResult> results;
+  for (const auto& job : jobs) results.push_back(session.wait(job));
+  return results;
 }
 
 TEST(Session, ReportsAreIdenticalForAnyWorkerCount) {
@@ -200,8 +204,11 @@ TEST(Session, SubmitAgainstRegisteredVariantBackends) {
       {Session::kSparseBackend, Session::kDenseBackend, "sparsetrain-112g"});
   const EvalResult& r = session.wait(job);
 
+  // One run per named backend, in the order they were named.
   ASSERT_EQ(r.runs.size(), 3u);
-  EXPECT_TRUE(r.has("sparsetrain-112g"));
+  EXPECT_EQ(r.runs[0].backend, Session::kSparseBackend);
+  EXPECT_EQ(r.runs[1].backend, Session::kDenseBackend);
+  EXPECT_EQ(r.runs[2].backend, "sparsetrain-112g");
   // The dense backend runs an all-dense profile.
   EXPECT_EQ(r.report(Session::kDenseBackend).profile_name, "dense");
   EXPECT_EQ(r.report(Session::kSparseBackend).profile_name, profile.name());
@@ -307,9 +314,11 @@ TEST(Session, TaskErrorsRethrownOnEveryWaitAndSiblingsStillRun) {
   const auto job = session.submit(net, SparsityProfile::pruned(net, 0.9),
                                   {"exploding", Session::kSparseBackend});
   EXPECT_THROW(session.wait(job), std::runtime_error);
-  // The error is sticky, not swallowed after the first wait.
+  // The error is sticky, not swallowed after the first wait, and every
+  // copy of the handle carries it.
   EXPECT_THROW(session.wait(job), std::runtime_error);
-  EXPECT_THROW(session.results(), std::runtime_error);
+  const Session::JobHandle copy = job;
+  EXPECT_THROW(session.wait(copy), std::runtime_error);
   // The healthy sibling task was still drained, not abandoned mid-write.
   const auto j2 = session.submit(net, SparsityProfile::pruned(net, 0.9),
                                  {Session::kSparseBackend});
@@ -324,43 +333,43 @@ TEST(Session, ProgramCacheSharedAcrossJobsAndBackends) {
                                              Session::kDenseBackend};
   // 4 jobs × 2 backends = 8 program requests; distinct programs are the
   // two sparse profiles + the shared dense one.
+  std::vector<Session::JobHandle> jobs;
   for (const double p : {0.7, 0.9}) {
-    session.submit(net, SparsityProfile::pruned(net, p), backends);
-    session.submit(net, SparsityProfile::pruned(net, p), backends);
+    jobs.push_back(
+        session.submit(net, SparsityProfile::pruned(net, p), backends));
+    jobs.push_back(
+        session.submit(net, SparsityProfile::pruned(net, p), backends));
   }
-  session.wait();
+  for (const auto& job : jobs) session.wait(job);
   const auto stats = session.program_cache().stats();
   EXPECT_EQ(stats.lookups(), 8u);
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.hits, 5u);
 }
 
-TEST(Session, CompareWrapperMatchesSubmitPath) {
+TEST(Session, EvaluateMatchesSubmitPath) {
   const auto net = workload::tiny_workload();
   const auto profile = SparsityProfile::pruned(net, 0.9);
+  const std::vector<std::string> backends = {Session::kSparseBackend,
+                                             Session::kDenseBackend};
 
-  // Seeds derive from content, not submission order, so the wrapper in
+  // Seeds derive from content, not submission order, so evaluate() in
   // the SAME session reproduces the submit path bit-exactly.
   Session a;
-  const auto job =
-      a.submit(net, profile, {Session::kSparseBackend, Session::kDenseBackend});
+  const auto job = a.submit(net, profile, backends);
   const EvalResult& via_submit = a.wait(job);
-  const auto via_compare = a.compare(net, profile);
+  const EvalResult via_evaluate = a.evaluate(net, profile, backends);
   // And the same evaluation repeated is bit-identical too.
-  const auto again = a.compare(net, profile);
-  EXPECT_TRUE(reports_identical(via_compare.sparse, again.sparse));
-  EXPECT_TRUE(reports_identical(via_compare.dense, again.dense));
-
-  EXPECT_TRUE(reports_identical(via_submit.report(Session::kSparseBackend),
-                                via_compare.sparse));
-  EXPECT_TRUE(reports_identical(via_submit.report(Session::kDenseBackend),
-                                via_compare.dense));
-  EXPECT_DOUBLE_EQ(via_submit.cycle_ratio(Session::kDenseBackend,
-                                          Session::kSparseBackend),
-                   via_compare.speedup());
-  EXPECT_DOUBLE_EQ(via_submit.energy_ratio(Session::kDenseBackend,
-                                           Session::kSparseBackend),
-                   via_compare.energy_efficiency());
+  const EvalResult again = a.evaluate(net, profile, backends);
+  ASSERT_EQ(via_evaluate.runs.size(), backends.size());
+  for (const std::string& backend : backends) {
+    EXPECT_TRUE(reports_identical(via_submit.report(backend),
+                                  via_evaluate.report(backend)))
+        << backend;
+    EXPECT_TRUE(reports_identical(via_evaluate.report(backend),
+                                  again.report(backend)))
+        << backend;
+  }
 }
 
 TEST(Session, BatchOverridePerJob) {
@@ -379,28 +388,45 @@ TEST(Session, BatchOverridePerJob) {
   EXPECT_EQ(session.program_cache().stats().misses, 2u);
 }
 
-TEST(Session, WrapperJobsDoNotAccumulateInResults) {
-  Session session;
+TEST(Session, ResultOutlivesItsSession) {
   const auto net = workload::tiny_workload();
   const auto profile = SparsityProfile::pruned(net, 0.9);
-  // Wrapper calls release their job storage — a compare() loop stays
-  // flat in memory and does not pollute results()/exports.
-  for (int i = 0; i < 3; ++i) session.compare(net, profile);
-  session.run_sparse(net, profile);
-  session.run_dense(net);
-  EXPECT_TRUE(session.results().empty());
-  session.submit(net, profile, {Session::kSparseBackend});
-  EXPECT_EQ(session.results().size(), 1u);
+  Session::JobHandle copy;
+  {
+    Session session;
+    const Session::JobHandle job =
+        session.submit(net, profile, {Session::kSparseBackend});
+    copy = job;
+  }  // nobody waited: the session finishes the job as it dies
+  ASSERT_TRUE(copy.valid());
+  const EvalResult& r = copy.get();
+  // Seeds derive from content, so a fresh session reproduces the report.
+  const EvalResult want =
+      Session().evaluate(net, profile, {Session::kSparseBackend});
+  EXPECT_GT(r.report(Session::kSparseBackend).total_cycles, 0u);
+  EXPECT_TRUE(reports_identical(r.report(Session::kSparseBackend),
+                                want.report(Session::kSparseBackend)));
+}
+
+TEST(Session, WaitOnAnEmptyHandleThrows) {
+  Session session;
+  EXPECT_THROW(session.wait(Session::JobHandle{}), ContractError);
 }
 
 TEST(Session, EmptyNetworkGivesErrorsNotNaNs) {
   Session session;
   NetworkConfig empty;
   empty.name = "empty";
-  const auto result = session.compare(empty, SparsityProfile::dense(empty));
-  EXPECT_EQ(result.sparse.total_cycles, 0u);
-  EXPECT_THROW(result.speedup(), ContractError);
-  EXPECT_THROW(result.energy_efficiency(), ContractError);
+  const EvalResult result =
+      session.evaluate(empty, SparsityProfile::dense(empty),
+                       {Session::kSparseBackend, Session::kDenseBackend});
+  EXPECT_EQ(result.report(Session::kSparseBackend).total_cycles, 0u);
+  EXPECT_THROW(
+      result.cycle_ratio(Session::kDenseBackend, Session::kSparseBackend),
+      ContractError);
+  EXPECT_THROW(
+      result.energy_ratio(Session::kDenseBackend, Session::kSparseBackend),
+      ContractError);
 }
 
 // ----------------------------------------------------------------- export
@@ -408,9 +434,10 @@ TEST(Session, EmptyNetworkGivesErrorsNotNaNs) {
 TEST(Export, CsvHasOneRowPerBackendRun) {
   Session session;
   const auto net = workload::tiny_workload();
-  session.submit(net, SparsityProfile::pruned(net, 0.9),
-                 {Session::kSparseBackend, Session::kDenseBackend});
-  const auto results = session.results();
+  const auto job =
+      session.submit(net, SparsityProfile::pruned(net, 0.9),
+                     {Session::kSparseBackend, Session::kDenseBackend});
+  const std::vector<EvalResult> results = {session.wait(job)};
 
   std::ostringstream csv;
   core::export_csv(results, csv);

@@ -350,20 +350,30 @@ TEST(Session, SpeedupAboveOneWithSparsity) {
   core::Session session;
   const auto net = workload::alexnet_cifar();
   const auto profile = SparsityProfile::pruned(net, 0.9, 0.45);
-  const auto result = session.compare(net, profile);
-  EXPECT_GT(result.speedup(), 1.0);
-  EXPECT_GT(result.energy_efficiency(), 1.0);
+  const core::EvalResult result = session.evaluate(
+      net, profile,
+      {core::Session::kSparseBackend, core::Session::kDenseBackend});
+  const double speedup = result.cycle_ratio(core::Session::kDenseBackend,
+                                            core::Session::kSparseBackend);
+  EXPECT_GT(speedup, 1.0);
+  EXPECT_GT(result.energy_ratio(core::Session::kDenseBackend,
+                                core::Session::kSparseBackend),
+            1.0);
   // Sanity ceiling: cannot be faster than the density reduction allows.
-  EXPECT_LT(result.speedup(), 25.0);
+  EXPECT_LT(speedup, 25.0);
 }
 
 TEST(Session, DenseProfileGivesNoSpeedup) {
   core::Session session;
   const auto net = workload::alexnet_cifar();
   const auto dense_p = SparsityProfile::dense(net);
-  const auto result = session.compare(net, dense_p);
+  const core::EvalResult result = session.evaluate(
+      net, dense_p,
+      {core::Session::kSparseBackend, core::Session::kDenseBackend});
   // Same dense work on both architectures → ratio near 1.
-  EXPECT_NEAR(result.speedup(), 1.0, 0.15);
+  EXPECT_NEAR(result.cycle_ratio(core::Session::kDenseBackend,
+                                 core::Session::kSparseBackend),
+              1.0, 0.15);
 }
 
 TEST(Session, StatisticalEnginePinnedOnZoo) {
@@ -451,7 +461,9 @@ TEST(Session, BaselineSramShareMatchesPaperBand) {
   core::Session session;
   for (const auto& net :
        {workload::alexnet_cifar(), workload::resnet18_cifar()}) {
-    const auto report = session.run_dense(net);
+    const core::EvalResult result = session.evaluate(
+        net, SparsityProfile::dense(net), {core::Session::kDenseBackend});
+    const SimReport& report = result.report(core::Session::kDenseBackend);
     const double share = report.energy.sram_pj / report.energy.on_chip_pj();
     EXPECT_GT(share, 0.55) << net.name;
     EXPECT_LT(share, 0.78) << net.name;

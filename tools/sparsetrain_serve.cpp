@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get("batch", 1L));
     opts.max_queue = static_cast<std::size_t>(args.get("max-queue", 64L));
     opts.default_timeout_ms = args.get("timeout-ms", 0L);
-    opts.profile_engine = args.has("profile-engine");
+    opts.session.profile_engine = args.has("profile-engine");
 
     sparsetrain::serve::Server server(opts);
     if (args.has("listen")) {
