@@ -294,10 +294,10 @@ int main(int argc, char** argv) {
     for (float& v : mask.flat())
       if (v != 0.0f) v = 1.0f;
 
-    // One arena per operand: compress_tensor's layout is byte-identical
-    // for any worker count, so every engine shares the same rows.
-    const auto in_rows = serial.compress(input);
-    const auto go_rows = serial.compress(grad);
+    // One arena per operand, shared by every engine.
+    const auto in_rows = compress_tensor(input);
+    const auto go_rows = compress_tensor(grad);
+    const auto mask_rows = compress_tensor(mask);
     const Shape in_shape = input.shape();
     const Shape out_shape = grad.shape();
 
@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
       return e.run_forward(in_rows, in_shape, geo);
     });
     bench_stage("gta", [&](const sim::ExactEngine& e) {
-      return e.run_gta(go_rows, out_shape, in_shape, &mask, geo);
+      return e.run_gta(go_rows, out_shape, in_shape, &mask_rows, geo);
     });
     bench_stage("gtw", [&](const sim::ExactEngine& e) {
       return e.run_gtw(go_rows, out_shape, in_rows, in_shape, geo);

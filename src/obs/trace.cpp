@@ -11,15 +11,6 @@ namespace sparsetrain::obs {
 
 namespace {
 
-void hex16(std::uint64_t v, char out[17]) {
-  static const char digits[] = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    out[i] = digits[v & 0xf];
-    v >>= 4;
-  }
-  out[16] = '\0';
-}
-
 std::int64_t wall_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::system_clock::now().time_since_epoch())
@@ -95,20 +86,14 @@ void Tracer::emit(
     const char* name, std::int64_t start_us, std::int64_t dur_us,
     const std::vector<std::pair<std::string, std::string>>& attrs) {
   if (out_ == nullptr) return;
-  char trace_hex[17];
-  char span_hex[17];
-  char parent_hex[17];
-  hex16(trace_id, trace_hex);
-  hex16(span_id, span_hex);
   std::string line = "{\"trace\": \"";
-  line += trace_hex;
+  line += hex16(trace_id);
   line += "\", \"span\": \"";
-  line += span_hex;
+  line += hex16(span_id);
   line += '"';
   if (parent_id != 0) {
-    hex16(parent_id, parent_hex);
     line += ", \"parent\": \"";
-    line += parent_hex;
+    line += hex16(parent_id);
     line += '"';
   }
   line += ", \"name\": \"";

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 #include <thread>
 
+#include "util/format.hpp"
 #include "util/require.hpp"
 
 namespace sparsetrain::serve {
@@ -28,14 +28,9 @@ std::string format_request(const Request& r) {
   os << "{\"type\": \"" << json_escape(r.type) << '"';
   if (!r.id.empty()) os << ", \"id\": \"" << json_escape(r.id) << '"';
   if (r.trace != 0) {
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(r.trace));
-    os << ", \"trace\": \"" << hex << '"';
+    os << ", \"trace\": \"" << hex16(r.trace) << '"';
     if (r.parent_span != 0) {
-      std::snprintf(hex, sizeof hex, "%016llx",
-                    static_cast<unsigned long long>(r.parent_span));
-      os << ", \"span\": \"" << hex << '"';
+      os << ", \"span\": \"" << hex16(r.parent_span) << '"';
     }
   }
   if (r.type == "metrics" && r.format != "json") {
@@ -51,11 +46,9 @@ std::string format_request(const Request& r) {
        << ", \"timeout_ms\": " << r.timeout_ms;
     if (r.include_report) os << ", \"include_report\": true";
   } else if (r.type == "put") {
-    char fp[17];
-    std::snprintf(fp, sizeof fp, "%016llx",
-                  static_cast<unsigned long long>(r.fingerprint));
-    os << ", \"fingerprint\": \"" << fp << "\", \"report\": \""
-       << r.report_hex << '"';  // hex: no escapes needed
+    // The report is hex: it needs no escapes.
+    os << ", \"fingerprint\": \"" << hex16(r.fingerprint)
+       << "\", \"report\": \"" << r.report_hex << '"';
   }
   os << '}';
   return os.str();

@@ -1,7 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
-#include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "compiler/compiler.hpp"
@@ -12,40 +12,24 @@ namespace sparsetrain::serve {
 
 namespace {
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-std::uint64_t parse_hex16(const std::string& s) {
-  ST_REQUIRE(!s.empty() && s.size() <= 16,
-             "protocol: bad fingerprint '" + s + "'");
+/// A fingerprint, trace id or span id.
+std::uint64_t parse_id(const std::string& s) {
   std::uint64_t v = 0;
-  for (const char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') {
-      v |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      ST_REQUIRE(false, "protocol: bad fingerprint '" + s + "'");
-    }
-  }
+  ST_REQUIRE(parse_hex16(s, v), "protocol: bad fingerprint '" + s + "'");
   return v;
 }
 
 /// An integer field in [0, max] (`fallback` when absent). The range
-/// check comes before the conversion, which is undefined for a double
-/// outside the integer's range.
-std::size_t bounded_int(const JsonValue& obj, const std::string& key,
-                        double fallback, std::size_t max) {
+/// checks come before the conversion, which is undefined for a double
+/// outside [0, 2^64); `max` itself may be any 64-bit value.
+std::uint64_t bounded_int(const JsonValue& obj, const std::string& key,
+                          double fallback, std::uint64_t max) {
   const double v = obj.get_number(key, fallback);
-  ST_REQUIRE(v >= 0 && v <= static_cast<double>(max) && std::floor(v) == v,
+  ST_REQUIRE(v >= 0 && v < 0x1p64 && std::floor(v) == v &&
+                 static_cast<std::uint64_t>(v) <= max,
              "protocol: '" + key + "' must be an integer in [0, " +
                  std::to_string(max) + "]");
-  return static_cast<std::size_t>(v);
+  return static_cast<std::uint64_t>(v);
 }
 
 }  // namespace
@@ -94,9 +78,9 @@ Request parse_request(const std::string& line) {
   r.id = doc.get_string("id", "");
   const std::string trace = doc.get_string("trace", "");
   if (!trace.empty()) {
-    r.trace = parse_hex16(trace);
+    r.trace = parse_id(trace);
     const std::string span = doc.get_string("span", "");
-    if (!span.empty()) r.parent_span = parse_hex16(span);
+    if (!span.empty()) r.parent_span = parse_id(span);
   }
   if (r.type == "metrics") {
     r.format = doc.get_string("format", "json");
@@ -107,7 +91,7 @@ Request parse_request(const std::string& line) {
   if (r.type == "put") {
     const std::string fp = doc.get_string("fingerprint", "");
     ST_REQUIRE(!fp.empty(), "protocol: put needs a fingerprint");
-    r.fingerprint = parse_hex16(fp);
+    r.fingerprint = parse_id(fp);
     r.report_hex = doc.get_string("report", "");
     ST_REQUIRE(!r.report_hex.empty(), "protocol: put needs a report");
     ST_REQUIRE(r.report_hex.size() % 2 == 0,
@@ -190,9 +174,10 @@ Response parse_response(const std::string& line) {
   r.backend = doc.get_string("backend", "");
   r.engine = doc.get_string("engine", "");
   const std::string fp = doc.get_string("fingerprint", "");
-  if (!fp.empty()) r.fingerprint = parse_hex16(fp);
+  if (!fp.empty()) r.fingerprint = parse_id(fp);
   r.elapsed_ms = doc.get_number("elapsed_ms", -1.0);
-  r.cycles = static_cast<std::uint64_t>(doc.get_number("cycles", 0));
+  r.cycles = bounded_int(doc, "cycles", 0,
+                         std::numeric_limits<std::uint64_t>::max());
   r.latency_ms = doc.get_number("latency_ms", 0.0);
   r.utilization = doc.get_number("utilization", 0.0);
   r.on_chip_uj = doc.get_number("on_chip_uj", 0.0);

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "util/format.hpp"
 #include "util/require.hpp"
 
 namespace sparsetrain::serve {
@@ -88,15 +89,9 @@ class Reader {
   }
 
   static std::uint64_t parse_hex64(std::string_view s) {
-    ST_REQUIRE(!s.empty() && s.size() <= 16 &&
-                   s.find_first_not_of("0123456789abcdef") ==
-                       std::string_view::npos,
-               "report record: malformed hex '" + std::string(s) + "'");
     std::uint64_t v = 0;
-    for (const char c : s) {
-      v = v * 16 + static_cast<std::uint64_t>(
-                       c <= '9' ? c - '0' : c - 'a' + 10);
-    }
+    ST_REQUIRE(parse_hex16(s, v),
+               "report record: malformed hex '" + std::string(s) + "'");
     return v;
   }
 

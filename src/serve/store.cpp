@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "serve/report_io.hpp"
+#include "util/format.hpp"
 #include "util/hash.hpp"
 #include "util/require.hpp"
 #include "util/syscall.hpp"
@@ -57,29 +58,6 @@ class InFlight {
   const std::uint64_t seq_;
 };
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-bool parse_hex(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 16) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c >= '0' && c <= '9') {
-      v = v * 16 + static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      v = v * 16 + static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  out = v;
-  return true;
-}
-
 template <typename T>
 bool parse_decimal(std::string_view s, T& out) {
   const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
@@ -98,7 +76,7 @@ bool tmp_file_in_flight(std::string_view name) {
   int pid = 0;
   std::uint64_t seq = 0;
   if (dot1 == std::string_view::npos || dot2 == std::string_view::npos ||
-      !parse_hex(name.substr(0, dot1), fp) ||
+      !parse_hex16(name.substr(0, dot1), fp) ||
       !parse_decimal(name.substr(dot1 + 1, dot2 - dot1 - 1), pid) ||
       !parse_decimal(name.substr(dot2 + 1), seq)) {
     return false;
@@ -199,7 +177,7 @@ void ResultStore::scan_results() {
     std::uint64_t fp = 0;
     const bool named_ok = name.size() == 20 &&
                           name.compare(16, 4, ".rec") == 0 &&
-                          parse_hex(name.substr(0, 16), fp);
+                          parse_hex16(name.substr(0, 16), fp);
     std::string payload;
     if (!named_ok || !read_record(fp, payload)) {
       c_.torn_skipped->inc();
@@ -284,8 +262,8 @@ bool ResultStore::read_record(std::uint64_t fp,
   std::uint64_t size = 0;
   if (!(hdr >> magic >> got_kind >> fp_hex >> size >> sum_hex)) return false;
   std::uint64_t got_fp = 0, sum = 0;
-  if (magic != kMagic || got_kind != kKind || !parse_hex(fp_hex, got_fp) ||
-      got_fp != fp || !parse_hex(sum_hex, sum)) {
+  if (magic != kMagic || got_kind != kKind || !parse_hex16(fp_hex, got_fp) ||
+      got_fp != fp || !parse_hex16(sum_hex, sum)) {
     return false;
   }
   // Torn detection: the payload must be exactly the advertised length and

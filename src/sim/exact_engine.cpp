@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <type_traits>
 
 #include "sim/least_loaded.hpp"
@@ -308,10 +309,6 @@ void ExactEngine::release_arena(std::unique_ptr<StageArena> arena) const {
   free_arenas_.push_back(std::move(arena));
 }
 
-ExactEngine::RowSet ExactEngine::compress(const Tensor& t) const {
-  return compress_tensor(t, worker_pool());
-}
-
 std::size_t ExactEngine::tile_for(std::size_t unit_count) const {
   // About four tiles per thread, so the stage still spreads over the pool
   // with slack for load balance. Tile size affects wall-clock only, never
@@ -466,16 +463,16 @@ struct ForwardKernel {
 /// ingests. The C tasks (n, ·, iy) run the same ops over the same dO rows,
 /// so they share every op's all-pass count (built once per stage, per dO
 /// row) and every round boundary; they differ only in the positions their
-/// mask rows block. A unit lowers every channel's mask row once into a
-/// position-major table of blocked lanes, one per channel, plus a count
-/// per position of the channels blocking it. Each (f, ky) op then sweeps
-/// the lanes once: every channel's count is the all-pass count minus the
-/// blocked lanes of the dO row's nonzeros, folded straight into that
-/// channel's round max; a round costs wl + drain + its largest count. The
-/// same counts give the unit's busy and register counters (their blocked
-/// total is the sum of the per-position counts); MACs are counted once per
-/// stage (box_macs). A unit whose masks block nothing folds whole rounds
-/// once for all C tasks.
+/// mask rows block. A unit lowers every channel's mask row — the positions
+/// it lets through, as prefix counts — once into a position-major table of
+/// blocked lanes, one per channel, plus a count per position of the
+/// channels blocking it. Each (f, ky) op then sweeps the lanes once: every
+/// channel's count is the all-pass count minus the blocked lanes of the dO
+/// row's nonzeros, folded straight into that channel's round max; a round
+/// costs wl + drain + its largest count. The same counts give the unit's
+/// busy and register counters (their blocked total is the sum of the
+/// per-position counts); MACs are counted once per stage (box_macs). A
+/// unit whose masks block nothing folds whole rounds once for all C tasks.
 struct GtaKernel {
   static constexpr const char* kStage = "gta";
   const CompressedRows& go_rows;
@@ -484,7 +481,7 @@ struct GtaKernel {
   const dataflow::ConvGeometry& geo;
   Shape out;
   Shape in;
-  const Tensor* prev_mask;
+  const CompressedRows* mask_rows;  ///< null: the all-pass mask
   std::size_t op_cycles;  ///< an op's cycles when it ingests nothing
   std::size_t width;      ///< PEs per group
   OpTotals stage;
@@ -543,19 +540,23 @@ struct GtaKernel {
     // some channel blocks are ever read.
     const std::size_t pitch = lane_pitch(cs, kGtaBlock);
     bool any_blocked = false;
-    if (prev_mask != nullptr) {
+    if (mask_rows != nullptr) {
       scratch.gta_allowed.resize(in.w + 1);
       scratch.gta_lanes.resize(out.w * pitch);
       scratch.gta_blockers.assign(out.w, 0);
       std::uint32_t* allowed = scratch.gta_allowed.data();
       Lane* lanes = scratch.gta_lanes.data();
       std::uint32_t* blockers = scratch.gta_blockers.data();
-      allowed[0] = 0;
       for (std::size_t c = 0; c < cs; ++c) {
-        const float* mask = prev_mask->row(n, c, iy).data();
-        for (std::size_t x = 0; x < in.w; ++x) {
-          allowed[x + 1] = allowed[x] + (mask[x] != 0.0f ? 1 : 0);
+        // allowed[x]: how many of the mask row's positions lie below x
+        // (a branch-free scatter and prefix sum: a loop per offset
+        // mispredicts on every random gap).
+        std::fill(allowed, allowed + in.w + 1, 0);
+        for (const std::uint32_t o :
+             mask_rows->row((n * cs + c) * in.h + iy).offsets) {
+          allowed[o + 1] = 1;
         }
+        for (std::size_t x = 0; x < in.w; ++x) allowed[x + 1] += allowed[x];
         for (std::size_t p = 0; p < out.w; ++p) {
           const Interval win = windows[p];
           const Lane lane =
@@ -740,7 +741,7 @@ struct FcKernel {
 
 ExactStageResult ExactEngine::run_forward(
     const Tensor& input, const dataflow::ConvGeometry& geo) const {
-  return run_forward(compress(input), input.shape(), geo);
+  return run_forward(compress_tensor(input), input.shape(), geo);
 }
 
 ExactStageResult ExactEngine::run_forward(
@@ -808,19 +809,22 @@ ExactStageResult ExactEngine::run_gta(const Tensor& grad_output,
                                       const Shape& input_shape,
                                       const Tensor* prev_mask,
                                       const dataflow::ConvGeometry& geo) const {
-  return run_gta(compress(grad_output), grad_output.shape(), input_shape,
-                 prev_mask, geo);
+  ST_REQUIRE(prev_mask == nullptr || prev_mask->shape() == input_shape,
+             "GTA mask must have the input's shape");
+  std::optional<RowSet> mask_rows;
+  if (prev_mask != nullptr) mask_rows = compress_tensor(*prev_mask);
+  return run_gta(compress_tensor(grad_output), grad_output.shape(),
+                 input_shape, mask_rows ? &*mask_rows : nullptr, geo);
 }
 
 ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
                                       const Shape& out, const Shape& input_shape,
-                                      const Tensor* prev_mask,
+                                      const RowSet* mask_rows,
                                       const dataflow::ConvGeometry& geo) const {
   require_rows(go_rows, out, "GTA dO");
   ST_REQUIRE(out == dataflow::conv_output_shape(geo, input_shape),
              "GTA dO shape is not the conv output of the input shape");
-  ST_REQUIRE(prev_mask == nullptr || prev_mask->shape() == input_shape,
-             "GTA mask must have the input's shape");
+  if (mask_rows != nullptr) require_rows(*mask_rows, input_shape, "GTA mask");
   ST_REQUIRE(out.w <= std::numeric_limits<Lane>::max(),
              "GTA dO rows are at most " +
                  std::to_string(std::numeric_limits<Lane>::max()) +
@@ -852,20 +856,21 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
         }
 
         // MACs: box sums over the channel-summed mask (a null mask
-        // allows every position).
+        // allows every position of every channel).
+        const std::size_t cs = input_shape.c;
         const BoxLayout l{input_shape.h, input_shape.w};
         std::vector<std::size_t>& table = arena.box_table;
         table.assign(out.n * l.plane(), 0);
         for (std::size_t n = 0; n < out.n; ++n) {
           for (std::size_t y = 0; y < l.h; ++y) {
             std::size_t* cells = table.data() + l.cell(n, y, 0);
-            for (std::size_t c = 0; c < geo.in_channels; ++c) {
-              const float* m = prev_mask == nullptr
-                                   ? nullptr
-                                   : prev_mask->row(n, c, y).data();
-              for (std::size_t x = 0; x < l.w; ++x) {
-                cells[x] += m == nullptr || m[x] != 0.0f ? 1 : 0;
-              }
+            if (mask_rows == nullptr) {
+              std::fill(cells, cells + l.w, cs);
+              continue;
+            }
+            for (std::size_t c = 0; c < cs; ++c) {
+              const SparseRowView m = mask_rows->row((n * cs + c) * l.h + y);
+              for (const std::uint32_t x : m.offsets) ++cells[x];
             }
           }
         }
@@ -877,7 +882,7 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
                          geo,
                          out,
                          input_shape,
-                         prev_mask,
+                         mask_rows,
                          pe_.msrc_cost(0, 0, pe_.weight_load(b)).cycles,
                          cfg_.pes_per_group,
                          OpTotals{.macs = macs}};
@@ -887,8 +892,8 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
 ExactStageResult ExactEngine::run_gtw(const Tensor& grad_output,
                                       const Tensor& input,
                                       const dataflow::ConvGeometry& geo) const {
-  return run_gtw(compress(grad_output), grad_output.shape(),
-                 compress(input), input.shape(), geo);
+  return run_gtw(compress_tensor(grad_output), grad_output.shape(),
+                 compress_tensor(input), input.shape(), geo);
 }
 
 ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
@@ -981,22 +986,18 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
   });
 }
 
-ExactStageResult ExactEngine::run_fc(const Tensor& operands,
+ExactStageResult ExactEngine::run_fc(const RowSet& rows,
                                      std::size_t groups_per_sample,
                                      std::size_t lanes) const {
-  const Shape& s = operands.shape();
-  ST_REQUIRE(s.c == 1 && s.h == 1,
-             "FC operands must be {N, 1, 1, L} (one vector per sample)");
   ST_REQUIRE(groups_per_sample > 0 && lanes > 0,
              "FC stage needs lane groups");
 
-  const RowSet rows = compress(operands);
-
-  const std::size_t task_count = s.n * groups_per_sample;
+  const std::size_t samples = rows.rows();
+  const std::size_t task_count = samples * groups_per_sample;
   return run_tasks(task_count, task_count, [&](StageArena&) {
     FcKernel kernel{rows, groups_per_sample, cfg_.timing.pipeline_drain, {}};
     std::size_t busy = 0;
-    for (std::size_t n = 0; n < s.n; ++n) busy += kernel.op_cycles(n);
+    for (std::size_t n = 0; n < samples; ++n) busy += kernel.op_cycles(n);
     const std::size_t ingested = rows.total_nnz();
     kernel.stage = op_totals(task_count, groups_per_sample * busy,
                              groups_per_sample * ingested,

@@ -151,17 +151,17 @@ class ExactEngine {
 
   /// A tensor's rows in the accelerator's compressed on-wire format: one
   /// arena-backed CSR structure whose flat row (n·C + c)·H + y is tensor
-  /// row (n, c, y). The arena holds each distinct row once, so a caller
+  /// row (n, c, y). The engine reads every operand as these rows — only
+  /// the positions, never a value — so a mask's rows are the positions it
+  /// lets through. The arena holds each distinct row once, so a caller
   /// running several stages over the same tensor (Forward + GTW share I,
-  /// GTA + GTW share dO) should compress() once and pass the rows to the
-  /// row-set overloads below. Each overload throws ContractError unless
-  /// every RowSet holds exactly the N·C·H rows of width W of the shape
-  /// passed with it, and a dO shape is the conv output of the input's.
+  /// GTA + GTW share dO) should compress_tensor() it once and pass the
+  /// rows to the row-set overloads below; the Tensor overloads compress
+  /// their operands on every call. Each overload throws ContractError
+  /// unless every RowSet holds exactly the N·C·H rows of width W of the
+  /// shape passed with it, and a dO shape is the conv output of the
+  /// input's.
   using RowSet = CompressedRows;
-
-  /// Compresses every row of `t` into one arena (tiled across the pool;
-  /// layout is identical for any worker count).
-  RowSet compress(const Tensor& t) const;
 
   /// Forward stage: SRC ops over the real input activations.
   ExactStageResult run_forward(const Tensor& input,
@@ -176,7 +176,7 @@ class ExactEngine {
                            const Shape& input_shape, const Tensor* prev_mask,
                            const dataflow::ConvGeometry& geo) const;
   ExactStageResult run_gta(const RowSet& go_rows, const Shape& out_shape,
-                           const Shape& input_shape, const Tensor* prev_mask,
+                           const Shape& input_shape, const RowSet* mask_rows,
                            const dataflow::ConvGeometry& geo) const;
 
   /// GTW stage: OSRC ops pairing real dO rows with real I rows.
@@ -188,10 +188,11 @@ class ExactEngine {
 
   /// FC stage (dot-product mapping): every task streams one sample's
   /// compressed operand vector once into `lanes` output accumulators.
-  /// `operands` is {N, 1, 1, L} (one vector per sample);
-  /// `groups_per_sample` is the number of lane-groups scheduled per
-  /// sample (ceil(outputs / lanes) after any mask/zero-lane packing).
-  ExactStageResult run_fc(const Tensor& operands,
+  /// `rows` holds one operand row per sample (the vectors of an
+  /// {N, 1, 1, L} tensor); `groups_per_sample` is the number of
+  /// lane-groups scheduled per sample (ceil(outputs / lanes) after any
+  /// mask/zero-lane packing).
+  ExactStageResult run_fc(const RowSet& rows,
                           std::size_t groups_per_sample,
                           std::size_t lanes) const;
 

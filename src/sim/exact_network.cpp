@@ -7,7 +7,6 @@
 #include "sim/profile_hook.hpp"
 #include "util/hash.hpp"
 #include "util/require.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sparsetrain::sim {
@@ -26,41 +25,41 @@ std::uint64_t stream(std::uint64_t seed, std::size_t layer,
   return mix64(mix64(seed, layer), tag);
 }
 
-/// Runs `synthesise`, which builds one operand tensor of `shape`, and
-/// profiles it as an `operands` stage of shape's N·C·H rows.
-template <typename Fn>
-void synthesise_operand(ExactProfiler* profiler, const Shape& shape,
-                        const Fn& synthesise) {
+/// The rows sparse_normal_rows() draws for an operand of `shape` at
+/// `density` from stream `seed`, profiled as an `operands` stage of
+/// shape's N·C·H rows.
+ExactEngine::RowSet synthesise(ExactProfiler* profiler, std::uint64_t seed,
+                               const Shape& shape, double density) {
   const StageTimer timer(profiler, "operands");
-  synthesise();
+  ExactEngine::RowSet rows = sparse_normal_rows(seed, shape, density);
   timer.record(1, shape.n * shape.c * shape.h, 1);
+  return rows;
 }
 
-/// Lazily synthesised operands of one layer, held in compressed-row form
-/// so every stage sharing a tensor (Forward + GTW share I, GTA + GTW
-/// share dO) synthesises it exactly once per whole-program run — whatever
-/// order the stage graph executes its units in (call_once gates each
-/// operand, so a unit that needs a tensor another unit is already
-/// synthesising simply waits for it: the "operand-cache readiness" edges
-/// of the graph). `pending` counts this layer's units not yet finished;
-/// when it hits zero the operands are released, so the roughly
-/// program-ordered claim loop still keeps only a few layers' tensors
-/// alive at a time.
+/// One lazily synthesised operand of a layer. call_once gates it, so a
+/// unit that needs rows another unit is already synthesising simply waits
+/// for them (the "operand-cache readiness" edges of the stage graph).
+struct Operand {
+  std::once_flag once;
+  std::optional<ExactEngine::RowSet> rows;
+};
+
+/// The operands of one layer, so every stage sharing one (Forward + GTW
+/// share I, GTA + GTW share dO) synthesises it exactly once per
+/// whole-program run, whatever order the stage graph executes its units
+/// in. `pending` counts this layer's units not yet finished; when it hits
+/// zero the operands are released, so the roughly program-ordered claim
+/// loop still keeps only a few layers' operands alive at a time.
 struct LayerOperands {
-  std::once_flag input_once;
-  std::once_flag grad_once;
-  std::once_flag mask_once;
-  std::optional<ExactEngine::RowSet> input;
-  Shape input_shape;
-  std::optional<ExactEngine::RowSet> grad;
-  Shape grad_shape;
-  std::optional<Tensor> mask;  ///< engaged only when the mask gates (ρ < 1)
+  Operand input;
+  Operand grad;
+  Operand mask;  ///< synthesised only when the mask gates (ρ < 1)
   std::atomic<std::size_t> pending{0};
 
   void release() {
-    input.reset();
-    grad.reset();
-    mask.reset();
+    input.rows.reset();
+    grad.rows.reset();
+    mask.rows.reset();
   }
 };
 
@@ -104,55 +103,7 @@ SimReport run_exact(const ExactEngine& engine, const isa::Program& program,
     units.push_back(&inst);
   }
 
-  // Operands are synthesised as positions only (sparse_normal_rows): no
-  // exact stage reads a value, and each mask is its rows' 0/1 expansion.
   ExactProfiler* const profiler = engine.options().profiler;
-  auto input_shape = [&](std::size_t li) {
-    const auto& l = net.layers[li];
-    return Shape{batch, l.in_channels, l.in_h, l.in_w};
-  };
-  auto input_of = [&](std::size_t li) -> const ExactEngine::RowSet& {
-    LayerOperands& t = operands[li];
-    std::call_once(t.input_once, [&] {
-      t.input_shape = input_shape(li);
-      synthesise_operand(profiler, t.input_shape, [&] {
-        t.input = sparse_normal_rows(stream(seed, li, kInput), t.input_shape,
-                                     profile.layer(li).input_acts);
-      });
-    });
-    return *t.input;
-  };
-  auto grad_of = [&](std::size_t li) -> const ExactEngine::RowSet& {
-    LayerOperands& t = operands[li];
-    std::call_once(t.grad_once, [&] {
-      const auto& l = net.layers[li];
-      t.grad_shape = Shape{batch, l.out_channels, l.out_h(), l.out_w()};
-      synthesise_operand(profiler, t.grad_shape, [&] {
-        t.grad = sparse_normal_rows(stream(seed, li, kGrad), t.grad_shape,
-                                    profile.layer(li).output_grads);
-      });
-    });
-    return *t.grad;
-  };
-  auto mask_of = [&](std::size_t li) -> const Tensor* {
-    const double rho = profile.layer(li).mask;
-    if (rho >= 1.0) return nullptr;  // all-pass
-    LayerOperands& t = operands[li];
-    std::call_once(t.mask_once, [&] {
-      const Shape shape = input_shape(li);
-      synthesise_operand(profiler, shape, [&] {
-        const CompressedRows rows =
-            sparse_normal_rows(stream(seed, li, kMask), shape, rho);
-        Tensor m(shape);
-        const std::span<float> flat = m.flat();
-        for (std::size_t r = 0; r < rows.rows(); ++r) {
-          decompress_into(rows.row(r), flat.subspan(r * shape.w, shape.w));
-        }
-        t.mask = std::move(m);
-      });
-    });
-    return &*t.mask;
-  };
 
   // Runs one unit and writes its pre-sized result slot; every unit's
   // numbers are a pure function of (program, net, profile, seed), so the
@@ -163,26 +114,40 @@ SimReport run_exact(const ExactEngine& engine, const isa::Program& program,
     const std::size_t li = inst.layer_index;
     LayerOperands& t = operands[li];
     const auto& l = net.layers[li];
+    const workload::LayerDensities& d = profile.layer(li);
     const isa::RowBlock& b = inst.block;
+    const Shape in_shape{batch, l.in_channels, l.in_h, l.in_w};
+    const Shape out_shape{batch, l.out_channels, l.out_h(), l.out_w()};
+    // Every operand is synthesised as positions only (sparse_normal_rows):
+    // no exact stage reads a value, and a mask's positions are the ones it
+    // lets through.
+    auto rows = [&](Operand& op, std::uint64_t tag, const Shape& shape,
+                    double density) -> const ExactEngine::RowSet& {
+      std::call_once(op.once, [&] {
+        op.rows = synthesise(profiler, stream(seed, li, tag), shape, density);
+      });
+      return *op.rows;
+    };
 
     ExactStageResult r;
     switch (b.kind) {
-      case isa::RowOpKind::SRC: {
-        const auto& in = input_of(li);  // fills t.input_shape
-        r = engine.run_forward(in, t.input_shape, dataflow::layer_geometry(l));
+      case isa::RowOpKind::SRC:
+        r = engine.run_forward(rows(t.input, kInput, in_shape, d.input_acts),
+                               in_shape, dataflow::layer_geometry(l));
         break;
-      }
       case isa::RowOpKind::MSRC: {
-        const auto& go = grad_of(li);  // fills t.grad_shape
-        r = engine.run_gta(go, t.grad_shape,
-                           Shape{batch, l.in_channels, l.in_h, l.in_w},
-                           mask_of(li), dataflow::layer_geometry(l));
+        const auto& go = rows(t.grad, kGrad, out_shape, d.output_grads);
+        const ExactEngine::RowSet* mask =
+            d.mask >= 1.0 ? nullptr  // all-pass
+                          : &rows(t.mask, kMask, in_shape, d.mask);
+        r = engine.run_gta(go, out_shape, in_shape, mask,
+                           dataflow::layer_geometry(l));
         break;
       }
       case isa::RowOpKind::OSRC: {
-        const auto& go = grad_of(li);
-        const auto& in = input_of(li);
-        r = engine.run_gtw(go, t.grad_shape, in, t.input_shape,
+        const auto& go = rows(t.grad, kGrad, out_shape, d.output_grads);
+        const auto& in = rows(t.input, kInput, in_shape, d.input_acts);
+        r = engine.run_gtw(go, out_shape, in, in_shape,
                            dataflow::layer_geometry(l));
         break;
       }
@@ -191,14 +156,11 @@ SimReport run_exact(const ExactEngine& engine, const isa::Program& program,
         // batch × lane groups over the useful outputs of this stage.
         ST_REQUIRE(b.tasks % batch == 0,
                    "FC block tasks not divisible by program batch");
-        const std::size_t groups = b.tasks / batch;
-        Tensor vec(Shape{batch, 1, 1, b.in_len});
-        synthesise_operand(profiler, vec.shape(), [&] {
-          Rng rng(stream(seed, li,
-                         kFcBase + static_cast<std::uint64_t>(inst.stage)));
-          vec.fill_sparse_normal(rng, b.density_in);
-        });
-        r = engine.run_fc(vec, groups, b.fc_lanes);
+        const ExactEngine::RowSet vec = synthesise(
+            profiler,
+            stream(seed, li, kFcBase + static_cast<std::uint64_t>(inst.stage)),
+            Shape{batch, 1, 1, b.in_len}, b.density_in);
+        r = engine.run_fc(vec, b.tasks / batch, b.fc_lanes);
         break;
       }
     }

@@ -2,10 +2,12 @@
 //
 // run_exact() re-drives a compiled Program through the tensor-driven
 // ExactEngine: for every Run instruction it synthesises the layer's
-// operand tensors at the profile's densities (deterministically from the
-// run seed, so results are a pure function of the inputs; conv operands
-// as nonzero positions only, since no exact stage reads a value) and
-// steps the real row ops through the cycle-exact PE model. The program's
+// operands at the profile's densities (deterministically from the run
+// seed, so results are a pure function of the inputs) and steps the real
+// row ops through the cycle-exact PE model. Every operand — I, dO, the
+// ReLU mask and each FC vector — is synthesised as the CompressedRows of
+// its nonzero positions (sparse_normal_rows), since no exact stage reads
+// a value; no dense tensor is ever built. The program's
 // instruction stream supplies the stage structure — which layers/stages
 // were compiled, batch, FC lane packing — so exact and statistical runs
 // of the same program cover the identical work list and their cycle

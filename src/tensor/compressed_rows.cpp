@@ -2,7 +2,6 @@
 
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sparsetrain {
 
@@ -24,64 +23,24 @@ bool CompressedRows::valid() const {
   return true;
 }
 
-void CompressedRows::start(std::uint32_t row_len,
-                           std::span<const std::uint32_t> counts) {
-  row_len_ = row_len;
-  row_ptr_.resize(counts.size() + 1);
-  row_ptr_[0] = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    ST_REQUIRE(counts[i] <= row_len, "CompressedRows: count exceeds row");
-    row_ptr_[i + 1] = row_ptr_[i] + counts[i];
-  }
-  offsets_.resize(row_ptr_.back());
-  values_.resize(row_ptr_.back());
-}
-
-void CompressedRows::fill_row(std::size_t i, std::span<const float> dense) {
-  ST_REQUIRE(i + 1 < row_ptr_.size(), "CompressedRows fill_row out of range");
-  ST_REQUIRE(dense.size() == row_len_, "CompressedRows fill_row length");
-  std::size_t k = row_ptr_[i];
-  for (std::uint32_t p = 0; p < dense.size(); ++p) {
-    if (dense[p] != 0.0f) {
-      ST_REQUIRE(k < row_ptr_[i + 1],
-                 "CompressedRows fill_row: more nonzeros than counted");
-      offsets_[k] = p;
-      values_[k] = dense[p];
-      ++k;
-    }
-  }
-  ST_REQUIRE(k == row_ptr_[i + 1],
-             "CompressedRows fill_row: fewer nonzeros than counted");
-}
-
-CompressedRows compress_tensor(const Tensor& t, util::ThreadPool* pool) {
+CompressedRows compress_tensor(const Tensor& t) {
   const Shape& s = t.shape();
   const std::size_t n_rows = s.n * s.c * s.h;
   const std::span<const float> flat = t.flat();
-  const std::size_t w = s.w;
-
-  // Pass 1: per-row nonzero counts (tiled; each chunk writes its own
-  // slots, so the count array is identical for any worker count).
-  std::vector<std::uint32_t> counts(n_rows);
-  constexpr std::size_t kGrain = 64;
-  util::parallel_for(pool, n_rows, kGrain,
-                     [&](std::size_t first, std::size_t last) {
-                       for (std::size_t r = first; r < last; ++r) {
-                         std::uint32_t c = 0;
-                         for (const float v : flat.subspan(r * w, w))
-                           c += (v != 0.0f);
-                         counts[r] = c;
-                       }
-                     });
-
-  // Pass 2: prefix-sum the index, then fill each row's disjoint slice.
   CompressedRows rows;
-  rows.start(static_cast<std::uint32_t>(w), counts);
-  util::parallel_for(pool, n_rows, kGrain,
-                     [&](std::size_t first, std::size_t last) {
-                       for (std::size_t r = first; r < last; ++r)
-                         rows.fill_row(r, flat.subspan(r * w, w));
-                     });
+  rows.row_len_ = static_cast<std::uint32_t>(s.w);
+  rows.row_ptr_.resize(n_rows + 1);
+  rows.row_ptr_[0] = 0;
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    const std::span<const float> dense = flat.subspan(r * s.w, s.w);
+    for (std::uint32_t x = 0; x < dense.size(); ++x) {
+      if (dense[x] != 0.0f) {
+        rows.offsets_.push_back(x);
+        rows.values_.push_back(dense[x]);
+      }
+    }
+    rows.row_ptr_[r + 1] = rows.offsets_.size();
+  }
   return rows;
 }
 

@@ -9,6 +9,12 @@
 // lightweight SparseRowView spans into them. Rows of an NCHW tensor are
 // indexed flat in (n, c, y) order — the same contiguous order as the
 // tensor's own storage — so row (n, c, y) is row((n·C + c)·H + y).
+//
+// Two builders fill it, each in one pass that appends row after row:
+// compress_tensor() from a dense tensor, and sparse_normal_rows() from a
+// random stream without ever forming the tensor. The exact engine reads
+// every operand in this form: activations, gradients, ReLU masks (a
+// mask row's offsets are the positions it lets through) and FC vectors.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +28,6 @@
 namespace sparsetrain {
 
 class Tensor;
-
-namespace util {
-class ThreadPool;
-}
 
 class CompressedRows {
  public:
@@ -62,22 +64,8 @@ class CompressedRows {
   /// Every row's SparseRowView invariants plus a monotone row index.
   bool valid() const;
 
-  // ----------------------------------------------------------- builder
-  // compress_tensor() builds in two tiled passes: start() turns per-row
-  // nonzero counts into the row-pointer index and sizes both arenas in
-  // one shot; fill_row() then compresses each dense row into its
-  // pre-sized slice (disjoint slices, so the fill pass parallelises
-  // without synchronisation).
-
-  /// Allocates the arena for rows of dense length `row_len` whose
-  /// per-row nonzero counts are `counts`.
-  void start(std::uint32_t row_len, std::span<const std::uint32_t> counts);
-
-  /// Compresses `dense` (length row_length()) into row i's slice. The
-  /// nonzero count must match what start() was told for this row.
-  void fill_row(std::size_t i, std::span<const float> dense);
-
  private:
+  friend CompressedRows compress_tensor(const Tensor& t);
   friend CompressedRows sparse_normal_rows(std::uint64_t seed,
                                            const Shape& shape,
                                            double density);
@@ -88,18 +76,16 @@ class CompressedRows {
   std::vector<std::size_t> row_ptr_;    ///< row i spans [ptr[i], ptr[i+1])
 };
 
-/// Compresses every row of `t` into one arena. Both passes (count, fill)
-/// are tiled across `pool` when one is given; the resulting layout is
-/// byte-identical for any pool/worker count (and to the serial build).
-CompressedRows compress_tensor(const Tensor& t,
-                               util::ThreadPool* pool = nullptr);
+/// Compresses every row of `t` into one arena, in one pass that appends
+/// each row's nonzero offsets and values.
+CompressedRows compress_tensor(const Tensor& t);
 
 /// The rows compress_tensor() builds from a tensor of `shape` after
 /// fill_sparse_normal(rng, density) on a fresh Rng(seed): the same
 /// offsets and row index, drawn from the same stream, but no value is
 /// ever evaluated. Every stored value is the placeholder 1.0f, so callers
 /// that read positions only (the exact engine) skip the Box–Muller math
-/// and the dense tensor, and decompressing a row gives a 0/1 mask row.
+/// and the dense tensor.
 CompressedRows sparse_normal_rows(std::uint64_t seed, const Shape& shape,
                                   double density);
 

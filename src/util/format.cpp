@@ -35,4 +35,27 @@ std::string format_number(double v) {
   return os.str();
 }
 
+std::string hex16(std::uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (std::size_t i = 16; i-- > 0; v >>= 4) out[i] = kDigits[v & 0xf];
+  return out;
+}
+
+bool parse_hex16(std::string_view s, std::uint64_t& out) {
+  if (s.empty() || s.size() > 16) return false;
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    if (c >= '0' && c <= '9') {
+      v = v << 4 | static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      v = v << 4 | static_cast<std::uint64_t>(c - 'a' + 10);
+    } else {
+      return false;
+    }
+  }
+  out = v;
+  return true;
+}
+
 }  // namespace sparsetrain

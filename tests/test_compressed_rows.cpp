@@ -14,7 +14,6 @@
 #include "tensor/compressed_rows.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sparsetrain {
 namespace {
@@ -110,33 +109,6 @@ TEST(CompressedRows, EmptyAndDegenerateShapes) {
 
   // Out-of-range row access is contract-checked.
   EXPECT_THROW(trows.row(64), ContractError);
-}
-
-TEST(CompressedRows, ParallelBuildIsByteIdentical) {
-  const Tensor t = random_tensor(Shape{3, 4, 9, 21}, 0.35, 15);
-  const CompressedRows serial = compress_tensor(t, nullptr);
-  util::ThreadPool pool(4);
-  const CompressedRows parallel = compress_tensor(t, &pool);
-  ASSERT_EQ(serial.rows(), parallel.rows());
-  ASSERT_EQ(serial.total_nnz(), parallel.total_nnz());
-  for (std::size_t i = 0; i < serial.rows(); ++i) {
-    const SparseRowView a = serial.row(i);
-    const SparseRowView b = parallel.row(i);
-    ASSERT_EQ(a.nnz(), b.nnz()) << "row " << i;
-    EXPECT_TRUE(
-        std::equal(a.offsets.begin(), a.offsets.end(), b.offsets.begin()));
-    EXPECT_TRUE(
-        std::equal(a.values.begin(), a.values.end(), b.values.begin()));
-  }
-}
-
-TEST(CompressedRows, BuilderRejectsCountMismatch) {
-  CompressedRows rows;
-  const std::vector<std::uint32_t> counts = {2};
-  rows.start(4, counts);
-  // Row actually has 3 nonzeros, counted as 2.
-  const std::vector<float> dense = {1.0f, 2.0f, 3.0f, 0.0f};
-  EXPECT_THROW(rows.fill_row(0, dense), ContractError);
 }
 
 // sparse_normal_rows replays fill_sparse_normal's draws without values:

@@ -95,8 +95,9 @@ TEST(ExactAlloc, SteadyStateTaskEvaluationIsAllocationFree) {
   const ExactEngine engine(cfg);  // serial: everything on this thread
 
   auto measure = [&](const StageSetup& s) {
-    const auto in_rows = engine.compress(s.input);
-    const auto go_rows = engine.compress(s.grad);
+    const auto in_rows = compress_tensor(s.input);
+    const auto go_rows = compress_tensor(s.grad);
+    const auto mask_rows = compress_tensor(s.mask);
     const Shape in_shape = s.input.shape();
     const Shape out_shape = s.grad.shape();
 
@@ -106,7 +107,7 @@ TEST(ExactAlloc, SteadyStateTaskEvaluationIsAllocationFree) {
     allocs.fwd = steady_state_allocs(
         [&] { return engine.run_forward(in_rows, in_shape, s.geo); });
     allocs.gta_masked = steady_state_allocs([&] {
-      return engine.run_gta(go_rows, out_shape, in_shape, &s.mask, s.geo);
+      return engine.run_gta(go_rows, out_shape, in_shape, &mask_rows, s.geo);
     });
     allocs.gta_all = steady_state_allocs([&] {
       return engine.run_gta(go_rows, out_shape, in_shape, nullptr, s.geo);

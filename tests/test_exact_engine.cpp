@@ -128,12 +128,13 @@ TEST(ExactEngine, RowSetOverloadsRejectMismatchedShapes) {
   auto rows_of = [&](const Shape& shape) {
     Tensor t(shape);
     t.fill_sparse_normal(rng, 0.5);
-    return engine.compress(t);
+    return compress_tensor(t);
   };
   const auto in_rows = rows_of(in);
   const auto go_rows = rows_of(out);
   EXPECT_GT(engine.run_forward(in_rows, in, geo).cycles, 0u);
   EXPECT_GT(engine.run_gta(go_rows, out, in, nullptr, geo).cycles, 0u);
+  EXPECT_GT(engine.run_gta(go_rows, out, in, &in_rows, geo).cycles, 0u);
   EXPECT_GT(engine.run_gtw(go_rows, out, in_rows, in, geo).cycles, 0u);
 
   const auto two_channels = rows_of(Shape{1, 2, 6, 6});  // passed as 4
@@ -151,6 +152,11 @@ TEST(ExactEngine, RowSetOverloadsRejectMismatchedShapes) {
   EXPECT_THROW(engine.run_gta(narrow_go, out, in, nullptr, geo),
                ContractError);
   EXPECT_THROW(engine.run_gta(short_go, short_out, in, nullptr, geo),
+               ContractError);
+  // The mask's rows are the input's: wrong channel count, wrong width.
+  EXPECT_THROW(engine.run_gta(go_rows, out, in, &two_channels, geo),
+               ContractError);
+  EXPECT_THROW(engine.run_gta(go_rows, out, in, &narrow_in, geo),
                ContractError);
 
   EXPECT_THROW(engine.run_gtw(one_filter, out, in_rows, in, geo),

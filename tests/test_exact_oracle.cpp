@@ -207,6 +207,9 @@ void run_gta_case(const ExactEngine& serial, const ExactEngine& parallel,
   for (float& v : mask.flat())
     if (v != 0.0f) v = 1.0f;
   const Tensor* mask_ptr = rho_mask < 0.0 ? nullptr : &mask;
+  const CompressedRows mask_rows = compress_tensor(mask);
+  const CompressedRows* mask_rows_ptr = mask_ptr != nullptr ? &mask_rows
+                                                            : nullptr;
   const ExactStageResult want =
       gta_oracle(serial.config(), go_rows, out, in, mask_ptr, geo);
   const std::string what =
@@ -218,9 +221,9 @@ void run_gta_case(const ExactEngine& serial, const ExactEngine& parallel,
       " rho_go=" + std::to_string(rho_go) +
       (mask_ptr != nullptr ? " rho_mask=" + std::to_string(rho_mask)
                            : " unmasked");
-  expect_same(serial.run_gta(go_rows, out, in, mask_ptr, geo), want,
+  expect_same(serial.run_gta(go_rows, out, in, mask_rows_ptr, geo), want,
               what + " serial gta");
-  expect_same(parallel.run_gta(go_rows, out, in, mask_ptr, geo), want,
+  expect_same(parallel.run_gta(go_rows, out, in, mask_rows_ptr, geo), want,
               what + " parallel gta");
 }
 
@@ -275,6 +278,8 @@ TEST_P(ExactOracle, ConvStagesMatchPerOpEvaluation) {
 
     const CompressedRows in_rows = compress_tensor(input);
     const CompressedRows go_rows = compress_tensor(grad);
+    const CompressedRows mask_rows = compress_tensor(mask);
+    const CompressedRows* mask_rows_ptr = masked ? &mask_rows : nullptr;
     const ExactStageResult fwd_want =
         forward_oracle(cfg, in_rows, in, out, geo);
     const ExactStageResult gta_want =
@@ -298,8 +303,8 @@ TEST_P(ExactOracle, ConvStagesMatchPerOpEvaluation) {
           what + (engine == &serial ? " serial" : " parallel");
       expect_same(engine->run_forward(in_rows, in, geo), fwd_want,
                   who + " forward");
-      expect_same(engine->run_gta(go_rows, out, in, mask_ptr, geo), gta_want,
-                  who + " gta");
+      expect_same(engine->run_gta(go_rows, out, in, mask_rows_ptr, geo),
+                  gta_want, who + " gta");
       expect_same(engine->run_gtw(go_rows, out, in_rows, in, geo), gtw_want,
                   who + " gtw");
     }

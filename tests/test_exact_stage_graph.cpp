@@ -11,11 +11,14 @@
 // {1, 2, 7}.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "compiler/compiler.hpp"
+#include "core/session.hpp"
 #include "sim/exact_network.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "workload/layer_config.hpp"
 #include "workload/sparsity_profile.hpp"
@@ -207,6 +210,61 @@ TEST(ExactStageGraph, MixedConvFcNetworkIsByteIdenticalAcrossWorkers) {
   const auto profile =
       workload::SparsityProfile::calibrated(net, 0.5, 0.3, "probe");
   check_grid(net, profile, /*seed=*/7);
+}
+
+// Whole exact programs of the four CIFAR zoo entries, pruned at p = 0.9,
+// through a default Session: the cross-commit pin of run_exact's operand
+// synthesis (the input, dO, mask and FC streams) over 24 FC stages and 58
+// masked GTA stages. Digest = mix64 chained from 0 over each stage's
+// cycles, MACs, busy cycles and register accesses.
+TEST(ExactStageGraph, CifarZooWholeProgramsArePinned) {
+  struct Pin {
+    const char* workload;
+    std::size_t total_cycles;
+    std::uint64_t digest;
+  };
+  static const Pin kPins[] = {
+      {"AlexNet/CIFAR", 990092, 0x8d200a76440574c7ULL},
+      {"VGG-16/CIFAR", 1899491, 0xad7a876abbd9d585ULL},
+      {"ResNet-18/CIFAR", 244287, 0xf045c5d7538b20b5ULL},
+      {"ResNet-34/CIFAR", 495086, 0x7e78bed5c763e130ULL},
+  };
+
+  core::Session session;
+  core::Session::JobOptions exact;
+  exact.sim.engine = isa::EngineKind::Exact;
+  // On a mismatch the failure prints every row in kPins' own syntax,
+  // marking the rows that moved.
+  std::string table;
+  bool same = true;
+  for (const Pin& want : kPins) {
+    const workload::NetworkConfig& net =
+        workload::find_workload(want.workload).net;
+    const core::EvalResult r = session.evaluate(
+        net, workload::SparsityProfile::pruned(net, 0.9),
+        {core::Session::kSparseBackend}, exact);
+    const SimReport& report = r.report(core::Session::kSparseBackend);
+    ASSERT_EQ(report.engine, isa::EngineKind::Exact);
+    std::uint64_t digest = 0;
+    for (const StageReport& s : report.stages) {
+      digest = mix64(digest, s.cycles);
+      digest = mix64(digest, s.activity.macs);
+      digest = mix64(digest, s.activity.busy_cycles);
+      digest = mix64(digest, s.activity.reg_accesses);
+    }
+    const bool match =
+        report.total_cycles == want.total_cycles && digest == want.digest;
+    same = same && match;
+    char line[160];
+    std::snprintf(line, sizeof line, "  {\"%s\", %zu, 0x%016llxULL},%s\n",
+                  want.workload, report.total_cycles,
+                  static_cast<unsigned long long>(digest),
+                  match ? "" : "  // moved");
+    table += line;
+  }
+  if (!same) {
+    ADD_FAILURE() << "exact whole-program fields moved:\n" << table;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Seeded-mutation fuzzing of the decoders that read untrusted bytes:
 // serve::parse_json and serve::parse_request (NDJSON request lines from
-// any client) and serve::parse_report (store records and put payloads).
+// any client), serve::parse_response (the response lines a router reads
+// from its shards) and serve::parse_report (store records and put
+// payloads).
 //
 // Seeds come from the repo's own encoders (format_request,
 // format_response, serialize_report of multi-stage reports); each mutant
@@ -243,6 +245,11 @@ TEST(ServeFuzz, ParseRequestDecodesOrThrowsContractError) {
          EXPECT_GE(r.timeout_ms, 0);
          EXPECT_LE(r.timeout_ms, serve::kMaxTimeoutMs);
        });
+}
+
+TEST(ServeFuzz, ParseResponseDecodesOrThrowsContractError) {
+  fuzz("parse_response", response_lines(), 0x5eed0004,
+       [](const std::string& m) { (void)serve::parse_response(m); });
 }
 
 TEST(ServeFuzz, ParseReportDecodesOrThrowsContractErrorAndRoundTrips) {

@@ -176,6 +176,22 @@ TEST(Protocol, ResponseRoundTrip) {
   EXPECT_EQ(back.latency_ms, 0.5);
 }
 
+// A response's cycles must be an integer a uint64 holds: converting any
+// other double is undefined, so the parser refuses it.
+TEST(Protocol, ResponseRefusesCyclesOutsideUint64) {
+  for (const char* cycles : {"1e300", "-5", "1.5", "18446744073709551616"}) {
+    SCOPED_TRACE(cycles);
+    EXPECT_THROW(serve::parse_response(
+                     std::string("{\"status\": \"ok\", \"cycles\": ") +
+                     cycles + "}"),
+                 ContractError);
+  }
+  EXPECT_EQ(serve::parse_response(
+                "{\"status\": \"ok\", \"cycles\": 18446744073709549568}")
+                .cycles,
+            18446744073709549568u);
+}
+
 /// The server's "status" payload: the request counters operators read.
 JsonValue status_of(Server& server) {
   return serve::parse_json(
